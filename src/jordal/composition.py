@@ -88,10 +88,6 @@ def cd_norm(x):
     return sum(v * v for v in x)
 
 
-def cd_real(x):
-    return x[0]
-
-
 def cd_add(x, y):
     return tuple(a + b for a, b in zip(x, y))
 
@@ -210,10 +206,6 @@ class CDElement:
                 continue
             terms.append(f"{v}" if s == 0 else f"{v}*e{s}")
         return " + ".join(terms) if terms else "0"
-
-
-# A stored witness that dimension 8 is not associative: (e1 e2) e4 != e1 (e2 e4).
-NONASSOCIATIVE_TRIPLE = (1, 2, 4)
 
 
 def associator(x, y, z, delta: int):

@@ -8,12 +8,10 @@ relations below are the coordinate-free versions of adj(adj A) = det(A) A
 and its derivatives.
 """
 
-from fractions import Fraction
 from functools import lru_cache
 
-from .jordan import (JordanElement, JordanSpec, identity, jordan_mul,
-                     jordan_rank)
-from .polarization import partial_polarize
+from .jordan import JordanElement, JordanSpec, identity, jordan_mul
+from .polarization import covector_slot, partial_polarize
 from .reconstruction import frame, sharp, unit_pairing
 
 
@@ -31,8 +29,6 @@ class CubicContext:
         self.spec = spec
         self.frame = frame(spec)
         self.unit = identity(spec)
-        self._basis = [tuple(1 if t == s else 0 for t in range(spec.dim))
-                       for s in range(spec.dim)]
 
     def norm(self, a: JordanElement):
         return self.frame.norm(a)
@@ -44,9 +40,7 @@ class CubicContext:
 
     def polar_covector(self, x, y):
         """The linear form B -> Q(x, y, B) as a coefficient tuple."""
-        xc, yc = _coords(x), _coords(y)
-        return tuple(partial_polarize(self.frame.form, xc, 1, [yc, e])
-                     for e in self._basis)
+        return covector_slot(self.frame.form, [_coords(x), _coords(y)])
 
     def raise_covector(self, cov) -> JordanElement:
         return sharp(self.frame, cov)
@@ -221,10 +215,3 @@ def bracketing_residual(ctx: CubicContext, a: JordanElement, upto: int = 6):
                 worst = dev
     return worst
 
-
-def rank_characterization(ctx: CubicContext, a: JordanElement):
-    """(rank <= 1 iff adj A = 0, rank <= 2 iff Q(A) = 0) as a boolean pair."""
-    r = jordan_rank(a)
-    first = (r <= 1) == adjoint(ctx, a).is_zero()
-    second = (r <= 2) == (ctx.norm(a) == 0)
-    return first, second

@@ -9,7 +9,7 @@ from fractions import Fraction
 
 from .composition import cd_conj, cd_mul
 from .jordan import (JordanElement, JordanSpec, SpecMismatch, char_coeffs,
-                     jordan_rank, mult_operator)
+                     mult_operator)
 from .linalg import exact_det, exact_nullspace, exact_rank, exact_solve, proportional
 from .polarization import PolarizedForm, covector_slot, full_polarize, partial_polarize
 from .reconstruction import NormFrame, inner, tau, tau_covector, unit_pairing
@@ -25,6 +25,13 @@ class SingularConfiguration(ValueError):
 
 class DegenerateIntersection(ValueError):
     """Tangent intersection with the wrong dimension or degenerate pairing."""
+
+
+class DualityViolation(ValueError):
+    """A dual-point claim is false for the sampled configuration.
+
+    Not a resampling signal: it reports a failed identity.
+    """
 
 
 def _outer_sym(spec: JordanSpec, u, v) -> JordanElement:
@@ -191,7 +198,8 @@ def dual_point(fr: NormFrame, x: RankOnePoint, a: JordanElement):
     Returns (x', tau_A(x)). x' = A - [Q(A) / (q Q(x,A,...,A))] x lands on
     {Q = 0} exactly, and tau_A(x) is the (projective) tangent hyperplane of
     the hypersurface there: it is proportional to the gradient covector of Q
-    at x' and kills the gradient's nullspace.
+    at x' and kills the gradient's nullspace. Raises DualityViolation when
+    any of these claims fails.
     """
     q = fr.q
     qa = fr.norm(a)
@@ -202,18 +210,23 @@ def dual_point(fr: NormFrame, x: RankOnePoint, a: JordanElement):
     if pairing == 0:
         raise SingularConfiguration("Q(x, A, ..., A) = 0")
     xp = a - xe.scale(Fraction(qa) / (q * pairing))
-    assert fr.norm(xp) == 0
+    if fr.norm(xp) != 0:
+        raise DualityViolation("Q(x') != 0")
     cov = tau_covector(fr, a, xe)
     grad_a = covector_slot(fr.form, [a.coords()] * (q - 1))
     mixed = covector_slot(fr.form, [a.coords()] * (q - 2) + [xe.coords()])
     coef = (q - 1) * qa * Fraction(1, q) / pairing
     displayed = tuple(g - coef * m for g, m in zip(grad_a, mixed))
-    assert proportional(cov, displayed)
+    if not proportional(cov, displayed):
+        raise DualityViolation("tau_A(x) is not proportional to the displayed "
+                               "covector")
     hyper_grad = covector_slot(fr.form, [xp.coords()] * (q - 1))
     if all(v == 0 for v in hyper_grad):
         raise SingularConfiguration("x' is a singular hypersurface point")
     for w in exact_nullspace([list(hyper_grad)]):
-        assert sum(c * t for c, t in zip(cov, w)) == 0
+        if sum(c * t for c, t in zip(cov, w)) != 0:
+            raise DualityViolation("tau_A(x) does not kill the tangent "
+                                   "hyperplane at x'")
     return xp, cov
 
 
@@ -224,9 +237,7 @@ def homogeneity_witness(fr: NormFrame, a: JordanElement, b: JordanElement,
         raise SingularConfiguration("need Q(A) != 0 and Q(B) != 0")
     target = tau_covector(fr, b, x.element)
     ta = tau(fr, a)
-    y = fr.element(exact_solve([list(r) for r in ta.matrix], list(target)))
-    assert jordan_rank(y) == 1
-    return y
+    return fr.element(exact_solve([list(r) for r in ta.matrix], list(target)))
 
 
 def tangent_intersection(fr: NormFrame, xa: RankOnePoint, xb: RankOnePoint):
@@ -297,8 +308,3 @@ def cone_vertex_stack(form: PolarizedForm, rng, rows=None,
         out.append(list(covector_slot(form, [a] * (q - 1))))
     return out
 
-
-def cone_vertex_check(form: PolarizedForm, rng, rows=None) -> bool:
-    """True iff no nonzero v kills every slot: the zero locus is not a cone."""
-    stack = cone_vertex_stack(form, rng, rows)
-    return exact_rank(stack) == form.dim

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .composition import ALLOWED_DIMS, basis_table, cd_conj, cd_mul, DimensionMismatch
+from .composition import ALLOWED_DIMS, basis_table, cd_conj, DimensionMismatch
 from .linalg import LinearOperator
 from .polarization import PolarizedForm
 
@@ -214,15 +214,6 @@ def diagonal_element(spec: JordanSpec, values) -> JordanElement:
     return JordanElement.from_coords(spec, values + (0,) * (spec.dim - spec.size))
 
 
-def basis_label(spec: JordanSpec, idx: int) -> str:
-    s = spec.size
-    if idx < s:
-        return f"E{idx}{idx}"
-    t, u = divmod(idx - s, spec.delta)
-    i, j = spec.pairs[t]
-    return f"E{i}{j}(e{u})"
-
-
 def random_element(spec: JordanSpec, rng, lo: int = -9, hi: int = 9) -> JordanElement:
     return JordanElement.from_coords(
         spec, tuple(rng.randint(lo, hi) for _ in range(spec.dim)))
@@ -247,7 +238,11 @@ def _grid_from_coords(spec: JordanSpec, vec):
 
 
 def _grid_matmul(a, b, size: int, delta: int):
-    """Plain (nonassociative-entry) matrix product of grids."""
+    """Plain (nonassociative-entry) matrix product of grids.
+
+    JordanSpec admits only delta in {1, 2, 4, 8}; each has an unrolled
+    branch below.
+    """
     out = [[None] * size for _ in range(size)]
     rng = range(size)
     if delta == 1:
@@ -283,45 +278,23 @@ def _grid_matmul(a, b, size: int, delta: int):
                     a3 += x0 * y3 + x1 * y2 - x2 * y1 + x3 * y0
                 out[i][j] = (a0, a1, a2, a3)
         return out
-    if delta == 8:
-        # doubled Hamilton product, unrolled from the doubling table
-        for i in rng:
-            ai = a[i]
-            for j in rng:
-                a0 = a1 = a2 = a3 = a4 = a5 = a6 = a7 = 0
-                for l in rng:
-                    x0, x1, x2, x3, x4, x5, x6, x7 = ai[l]
-                    y0, y1, y2, y3, y4, y5, y6, y7 = b[l][j]
-                    a0 += x0*y0 - x1*y1 - x2*y2 - x3*y3 - x4*y4 - x5*y5 - x6*y6 - x7*y7
-                    a1 += x0*y1 + x1*y0 + x2*y3 - x3*y2 + x4*y5 - x5*y4 - x6*y7 + x7*y6
-                    a2 += x0*y2 - x1*y3 + x2*y0 + x3*y1 + x4*y6 + x5*y7 - x6*y4 - x7*y5
-                    a3 += x0*y3 + x1*y2 - x2*y1 + x3*y0 + x4*y7 - x5*y6 + x6*y5 - x7*y4
-                    a4 += x0*y4 - x1*y5 - x2*y6 - x3*y7 + x4*y0 + x5*y1 + x6*y2 + x7*y3
-                    a5 += x0*y5 + x1*y4 - x2*y7 + x3*y6 - x4*y1 + x5*y0 - x6*y3 + x7*y2
-                    a6 += x0*y6 + x1*y7 + x2*y4 - x3*y5 - x4*y2 + x5*y3 + x6*y0 - x7*y1
-                    a7 += x0*y7 - x1*y6 + x2*y5 + x3*y4 - x4*y3 - x5*y2 + x6*y1 + x7*y0
-                out[i][j] = (a0, a1, a2, a3, a4, a5, a6, a7)
-        return out
-    table = basis_table(delta)
+    # delta == 8: doubled Hamilton product, unrolled from the doubling table
     for i in rng:
         ai = a[i]
         for j in rng:
-            acc = [0] * delta
+            a0 = a1 = a2 = a3 = a4 = a5 = a6 = a7 = 0
             for l in rng:
-                y = b[l][j]
-                for s, xs in enumerate(ai[l]):
-                    if xs == 0:
-                        continue
-                    row = table[s]
-                    for t, yt in enumerate(y):
-                        if yt == 0:
-                            continue
-                        kk, sg = row[t]
-                        if sg > 0:
-                            acc[kk] += xs * yt
-                        else:
-                            acc[kk] -= xs * yt
-            out[i][j] = tuple(acc)
+                x0, x1, x2, x3, x4, x5, x6, x7 = ai[l]
+                y0, y1, y2, y3, y4, y5, y6, y7 = b[l][j]
+                a0 += x0*y0 - x1*y1 - x2*y2 - x3*y3 - x4*y4 - x5*y5 - x6*y6 - x7*y7
+                a1 += x0*y1 + x1*y0 + x2*y3 - x3*y2 + x4*y5 - x5*y4 - x6*y7 + x7*y6
+                a2 += x0*y2 - x1*y3 + x2*y0 + x3*y1 + x4*y6 + x5*y7 - x6*y4 - x7*y5
+                a3 += x0*y3 + x1*y2 - x2*y1 + x3*y0 + x4*y7 - x5*y6 + x6*y5 - x7*y4
+                a4 += x0*y4 - x1*y5 - x2*y6 - x3*y7 + x4*y0 + x5*y1 + x6*y2 + x7*y3
+                a5 += x0*y5 + x1*y4 - x2*y7 + x3*y6 - x4*y1 + x5*y0 - x6*y3 + x7*y2
+                a6 += x0*y6 + x1*y7 + x2*y4 - x3*y5 - x4*y2 + x5*y3 + x6*y0 - x7*y1
+                a7 += x0*y7 - x1*y6 + x2*y5 + x3*y4 - x4*y3 - x5*y2 + x6*y1 + x7*y0
+            out[i][j] = (a0, a1, a2, a3, a4, a5, a6, a7)
     return out
 
 
@@ -352,9 +325,6 @@ def _grid_flat_dot(a, b, size: int):
 
 def _grid_trace(g, size: int):
     return sum(g[i][i][0] for i in range(size))
-
-
-_HALF_POW = tuple(Fraction(1, 2 ** m) for m in range(12))
 
 
 def _doubled_traces_from_grid(grid, size: int, delta: int, upto: int):
@@ -396,12 +366,6 @@ def _scalar_doubled_traces(spec: JordanSpec, vec, upto: int):
     return doubled
 
 
-def _power_traces_from_grid(grid, size: int, delta: int, upto: int):
-    """[p_1, ..., p_upto] with p_m = T(A^m), exact for int/Fraction input."""
-    doubled = _doubled_traces_from_grid(grid, size, delta, upto)
-    return [t * _HALF_POW[m] for m, t in enumerate(doubled)]
-
-
 @lru_cache(maxsize=None)
 def _newton_tables(degree: int):
     """Integer-only Newton data: coefficients and final scale factors.
@@ -425,26 +389,16 @@ def _newton_tables(degree: int):
     return tuple(coeffs), scales
 
 
-def _char_from_doubled(doubled, degree: int):
-    coeffs, scales = _newton_tables(degree)
+def _newton_integers(doubled, degree: int):
+    """[f_0, ..., f_degree] of the integer recursion in _newton_tables."""
+    coeffs, _ = _newton_tables(degree)
     f = [1]
     for row in coeffs:
         acc = 0
         for idx, c in row:
             acc += c * f[idx] * doubled[len(f) - 1 - idx]
         f.append(2 * acc)
-    return tuple(fj * s for fj, s in zip(f[1:], scales))
-
-
-def _norm_from_doubled(doubled, degree: int):
-    coeffs, scales = _newton_tables(degree)
-    f = [1]
-    for row in coeffs:
-        acc = 0
-        for idx, c in row:
-            acc += c * f[idx] * doubled[len(f) - 1 - idx]
-        f.append(2 * acc)
-    return f[degree] * scales[degree - 1]
+    return f
 
 
 # ---------------------------------------------------------------------------
@@ -508,30 +462,13 @@ def generic_trace(a: JordanElement):
     return sum(a.diag)
 
 
-def power_traces(a: JordanElement, upto: int):
-    spec = a.spec
-    return _power_traces_from_grid(a.grid(), spec.size, spec.delta, upto)
-
-
-def _newton_coeffs(p, degree: int):
-    """sigma_1..sigma_degree from power sums via Newton's identities."""
-    e = [1]
-    for j in range(1, degree + 1):
-        acc = 0
-        sign = 1
-        for i in range(1, j + 1):
-            acc = acc + sign * e[j - i] * p[i - 1]
-            sign = -sign
-        e.append(acc * Fraction(1, j))
-    return tuple(e[1:])
-
-
 def char_coeffs(a: JordanElement) -> tuple:
     """(sigma_1, ..., sigma_{k+1}): generic characteristic coefficients."""
     spec = a.spec
     q = spec.degree
     doubled = _doubled_traces_from_grid(a.grid(), spec.size, spec.delta, q)
-    return _char_from_doubled(doubled, q)
+    _, scales = _newton_tables(q)
+    return tuple(fj * s for fj, s in zip(_newton_integers(doubled, q)[1:], scales))
 
 
 def generic_norm(a: JordanElement):
@@ -580,15 +517,19 @@ def jordan_identity_residual(a: JordanElement, b: JordanElement):
 def norm_form(spec: JordanSpec) -> PolarizedForm:
     """The generic norm as a polarizable degree-(k+1) form on coordinates."""
     size, delta, q = spec.size, spec.delta, spec.degree
+    # only f_q is scaled: scaling every sigma would cost q more Fraction
+    # products per evaluation on the hottest path
+    scale = _newton_tables(q)[1][q - 1]
 
     if delta == 1:
         def evaluate(vec):
-            return _norm_from_doubled(_scalar_doubled_traces(spec, vec, q), q)
+            return _newton_integers(
+                _scalar_doubled_traces(spec, vec, q), q)[q] * scale
     else:
         def evaluate(vec):
             grid = _grid_from_coords(spec, vec)
-            return _norm_from_doubled(
-                _doubled_traces_from_grid(grid, size, delta, q), q)
+            return _newton_integers(
+                _doubled_traces_from_grid(grid, size, delta, q), q)[q] * scale
 
     return PolarizedForm(degree=q, dim=spec.dim, func=evaluate,
                          name=f"Q[k={spec.k},delta={spec.delta}]")

@@ -18,9 +18,13 @@ So one call costs (2^m - 1)(q - m + 1) + 1 evaluations of F (2^m - 1
 subset directions plus the shared base value); for m = q this collapses to
 the classical 2^q - 1.
 
-Forms cache evaluations keyed by the coordinate tuple, and rational input
-is rescaled to integers once per evaluation (F(z/d) = F(z)/d^q), which
-keeps the expensive inner arithmetic on plain ints.
+Forms cache evaluations keyed by the coordinate tuple. Exact input (ints
+and Fractions) is keyed by the tuple itself, and rational input is rescaled
+to integers once per evaluation (F(z/d) = F(z)/d^q), which keeps the
+expensive inner arithmetic on plain ints. A tuple holding any float is
+evaluated as given and keyed as (float, tuple): 1.0 == 1 and
+hash(1.0) == hash(1), so without the tag a float vector would be answered
+from an exact entry and an exact vector from a float one.
 """
 
 from __future__ import annotations
@@ -62,14 +66,16 @@ class PolarizedForm:
             raise ArityError(f"{self.name}: expected {self.dim} coordinates, "
                              f"got {len(vec)}")
         self.calls += 1
-        cached = self._cache.get(vec, _MISS)
+        exact = float not in map(type, vec)
+        key = vec if exact else (float, vec)
+        cached = self._cache.get(key, _MISS)
         if cached is not _MISS:
             return cached
-        d = common_denominator(vec)
+        d = common_denominator(vec) if exact else 1
         if d != 1:
             scaled = tuple(int(v * d) for v in vec)
             value = self(scaled) * Fraction(1, d ** self.degree)
-        elif any(isinstance(v, Fraction) for v in vec):
+        elif exact and any(isinstance(v, Fraction) for v in vec):
             # integral Fractions: normalize the key to plain ints
             value = self(tuple(int(v) for v in vec))
         else:
@@ -78,11 +84,8 @@ class PolarizedForm:
         with self._lock:
             if len(self._cache) >= self.cache_size:
                 self._cache.pop(next(iter(self._cache)))
-            self._cache[vec] = value
+            self._cache[key] = value
         return value
-
-    def clear_cache(self):
-        self._cache.clear()
 
     def __repr__(self):
         return f"PolarizedForm({self.name}, degree={self.degree}, dim={self.dim})"
@@ -94,19 +97,6 @@ def _vec_add(x, y):
 
 def _vec_scale(c, x):
     return tuple(c * v for v in x)
-
-
-@lru_cache(maxsize=None)
-def _lagrange_at_zero(nodes: tuple) -> tuple:
-    """Weights w with sum w_j p(x_j) = p(0) for deg(p) < len(nodes)."""
-    ws = []
-    for j, xj in enumerate(nodes):
-        w = Fraction(1)
-        for l, xl in enumerate(nodes):
-            if l != j:
-                w *= Fraction(xl, xl - xj)
-        ws.append(w)
-    return tuple(ws)
 
 
 @lru_cache(maxsize=None)
@@ -136,24 +126,8 @@ def derivative_at_zero_weights(nodes: tuple, order: int = 1) -> tuple:
 
 
 def full_polarize(form: PolarizedForm, args):
-    """F~(args_1, ..., args_q) via the alternating subset-sum identity."""
-    q = form.degree
-    args = [tuple(a) for a in args]
-    if len(args) != q:
-        raise ArityError(f"full polarization of a degree-{q} form needs {q} "
-                         f"arguments, got {len(args)}")
-    zero = (0,) * form.dim
-    sums = [zero] * (1 << q)
-    total = 0
-    for mask in range(1, 1 << q):
-        low = mask & -mask
-        sums[mask] = _vec_add(sums[mask ^ low], args[low.bit_length() - 1])
-        value = form(sums[mask])
-        if (q - mask.bit_count()) % 2:
-            total = total - value
-        else:
-            total = total + value
-    return total * Fraction(1, factorial(q))
+    """F~(args_1, ..., args_q): the partial polarization with no base."""
+    return partial_polarize(form, (0,) * form.dim, 0, args)
 
 
 def partial_polarize(form: PolarizedForm, base, mult: int, rest):
@@ -167,7 +141,7 @@ def partial_polarize(form: PolarizedForm, base, mult: int, rest):
     if m == 0:
         return form(base)
     nodes = tuple(range(1, q - m + 2))
-    weights = _lagrange_at_zero(nodes)
+    weights = derivative_at_zero_weights(nodes, 0)
     base_value = form(base)
     sign_base = -1 if m % 2 else 1
     # subset direction sums

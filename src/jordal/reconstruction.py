@@ -177,8 +177,7 @@ def tau_covector(fr: NormFrame, m: JordanElement, x: JordanElement):
     x_coords = x.coords()
     s = partial_polarize(fr.form, m_coords, q - 1, [x_coords])
     g = covector_slot(fr.form, [m_coords] * (q - 1))
-    w = tuple(partial_polarize(fr.form, m_coords, q - 2, [x_coords, e])
-              for e in fr.basis_coords)
+    w = covector_slot(fr.form, [m_coords] * (q - 2) + [x_coords])
     inv = Fraction(1) / qm
     inv2 = inv * inv
     return tuple(q * s * g[c] * inv2 - (q - 1) * w[c] * inv

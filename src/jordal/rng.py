@@ -15,7 +15,6 @@ import random
 
 _MASK = (1 << 64) - 1
 
-DEFAULT_SEED = 0
 COORD_LO = -9
 COORD_HI = 9
 

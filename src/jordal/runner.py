@@ -29,15 +29,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .composition import cd_mul, cd_norm
-from .jordan import (JordanElement, JordanSpec, char_coeffs, identity,
-                     jordan_mul, jordan_rank, mult_operator, quadratic_rep)
+from .jordan import (JordanElement, JordanSpec, identity, jordan_mul,
+                     jordan_rank, mult_operator, quadratic_rep)
 from .linalg import exact_rank
 from .polarization import covector_slot, partial_polarize
 from .reconstruction import (NormFrame, SingularPoint, derivative_product_oracle,
                              frame, inner, orbit_map_derivative,
                              reconstructed_product, sharp, structural_map, tau,
                              tau_covector, tau_det_normalized, unit_pairing)
-from .geometry import (DegenerateFrame, DegenerateIntersection, RankOnePoint,
+from .geometry import (DegenerateFrame, DegenerateIntersection,
                        SingularConfiguration, cone_vertex_stack, dual_point,
                        expected_mult_kernel_dim, expected_tangent_rank,
                        homogeneity_witness, mult_kernel_dim, product_projection,
@@ -50,9 +50,9 @@ from .symmetry import (DegenerateSample, GroupElementSample,
 from .cubic import (bracketing_residual, cayley_hamilton_residual,
                     comatrix_product_residual, cubic_context,
                     double_adjoint_residual, fourth_power_residuals,
-                    mixed_adjoint_residual, adjoint, rank_characterization,
+                    mixed_adjoint_residual, adjoint,
                     scalar_reduction_residual, square_decomposition_residual,
-                    unit_reduction_residual, word_power, bracketings)
+                    unit_reduction_residual)
 from .report import (FAIL, PASS, SKIP, CheckResult, VerificationReport,
                      write_report)
 from .rng import sample_coords, stream_rng
@@ -145,11 +145,8 @@ class RunEnv:
                                          self.lift(sample_coords(rng, self.spec.dim)))
 
     def sample_invertible(self, rng) -> JordanElement:
-        for _ in range(200):
-            coords = sample_coords(rng, self.spec.dim)
-            if self.frame.form(coords) != 0:
-                return JordanElement.from_coords(self.spec, self.lift(coords))
-        raise SingularPoint("no invertible sample in 200 draws")
+        return JordanElement.from_coords(
+            self.spec, self.lift(self.frame.random_invertible(rng).coords()))
 
     # --- comparisons ----------------------------------------------------
 
@@ -413,21 +410,13 @@ def _ck_dual_point(env, rng):
 
     def build_and_check():
         x = sample_rank_one(spec, rng)
-        a = _int_invertible(env, rng)
+        a = fr.random_invertible(rng)
         if env.exact:
             dual_point(fr, x, a)
             return TrialOutcome(True, 0)
         return _float_dual_point(env, x, a)
 
     return _retry(rng, build_and_check)
-
-
-def _int_invertible(env, rng):
-    for _ in range(200):
-        coords = sample_coords(rng, env.spec.dim)
-        if env.frame.form(coords) != 0:
-            return JordanElement.from_coords(env.spec, coords)
-    raise SingularPoint("no invertible sample in 200 draws")
 
 
 def _float_dual_point(env, x, a):
@@ -461,8 +450,8 @@ def _ck_homogeneity(env, rng):
     fr, spec = env.frame, env.spec
 
     def build():
-        a = _int_invertible(env, rng)
-        b = _int_invertible(env, rng)
+        a = fr.random_invertible(rng)
+        b = fr.random_invertible(rng)
         x = sample_rank_one(spec, rng)
         return a, b, x
 
@@ -558,7 +547,7 @@ def _ck_automorphism_trichotomy(env, rng):
     fr = env.frame
     g = _retry(rng, lambda: permutation_conjugation_sample(fr, rng))
     pos = automorphism_trichotomy(g, rng, probes=3)
-    h = _retry(rng, lambda: structural_sample(fr, rng, avoid_unit_norm=True))
+    h = _retry(rng, lambda: structural_sample(fr, rng))
     neg = automorphism_trichotomy(h, rng, probes=3)
     ok = pos == (True, True, True) and neg == (False, False, False)
     return TrialOutcome(ok, None, {"automorphism": list(pos), "similarity": list(neg)})
@@ -847,8 +836,8 @@ CHECKS = (
              expect_violation=True),
 )
 
-_CHECK_IDS = [c.id for c in CHECKS]
-assert len(_CHECK_IDS) == len(set(_CHECK_IDS))
+if len({c.id for c in CHECKS}) != len(CHECKS):
+    raise ValueError("check ids in the registry must be unique")
 
 
 def checks_for(config: RunConfig):

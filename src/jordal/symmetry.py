@@ -10,7 +10,7 @@ from fractions import Fraction
 from .jordan import (JordanElement, JordanSpec, basis_element, identity,
                      jordan_mul, random_element)
 from .linalg import LinearOperator
-from .reconstruction import NormFrame, SingularPoint, inner, structural_map, tau
+from .reconstruction import NormFrame, inner, structural_map
 
 
 class DegenerateSample(ValueError):
@@ -85,27 +85,14 @@ def permutation_conjugation_sample(fr: NormFrame, rng) -> GroupElementSample:
     return GroupElementSample(fr, op, "permutation-conjugation", rng)
 
 
-def structural_sample(fr: NormFrame, rng, avoid_unit_norm: bool = True) -> GroupElementSample:
-    """H_A for a random A; with avoid_unit_norm, insists on Q(A) not in {0, 1, -1}."""
+def structural_sample(fr: NormFrame, rng) -> GroupElementSample:
+    """H_A for a random A with Q(A) not in {0, 1, -1}."""
     while True:
         a = fr.random_invertible(rng)
         qa = fr.norm(a)
-        if avoid_unit_norm and qa * qa == 1:
+        if qa * qa == 1:
             continue
         return GroupElementSample(fr, structural_map(fr, a), "structural", rng)
-
-
-def identity_sample(fr: NormFrame, rng) -> GroupElementSample:
-    from .linalg import identity_matrix
-    op = LinearOperator(tuple(tuple(r) for r in identity_matrix(fr.spec.dim)),
-                        "V", "V")
-    return GroupElementSample(fr, op, "identity", rng)
-
-
-def composite_sample(fr: NormFrame, rng) -> GroupElementSample:
-    g = permutation_conjugation_sample(fr, rng)
-    h = structural_sample(fr, rng, avoid_unit_norm=False)
-    return GroupElementSample(fr, g.operator.compose(h.operator), "composite", rng)
 
 
 def automorphism_trichotomy(g: GroupElementSample, rng, probes: int = 5):
@@ -136,13 +123,6 @@ def automorphism_trichotomy(g: GroupElementSample, rng, probes: int = 5):
     if cond1 and not cond3:
         raise AssertionError("condition 1 must force condition 3")
     return cond1, cond2, cond3
-
-
-def operator_symmetry_check(fr: NormFrame, a: JordanElement) -> bool:
-    """tau_A, viewed as a bilinear form, equals its transpose exactly."""
-    if fr.norm(a) == 0:
-        raise SingularPoint("Q(A) = 0")
-    return tau(fr, a).is_symmetric()
 
 
 def lie_triple_residual(a: JordanElement, b: JordanElement,

@@ -2,14 +2,15 @@
 
 Everything here recomputes a quantity by a route different from the library:
 pair-indexed recursion for the doubled products, Leibniz determinants,
-Fraction-based Gaussian elimination, classical cofactor adjugates. None of
-it is imported by the package itself.
+Fraction-based Gaussian elimination, classical cofactor adjugates, and
+Newton's identities over Fractions on the traces of iterated Jordan products.
+None of it is imported by the package itself.
 """
 
 from fractions import Fraction
 from itertools import permutations
 
-from jordal.jordan import JordanElement
+from jordal.jordan import JordanElement, jordan_power
 
 
 def doubled_mul(x, y):
@@ -160,3 +161,21 @@ def dense_symmetric_product(a: JordanElement, b: JordanElement) -> JordanElement
     diag = [prod[i][i][0] for i in range(size)]
     upper = [prod[i][j] for (i, j) in spec.pairs]
     return JordanElement(spec, diag, upper)
+
+
+def power_traces(a: JordanElement, upto: int):
+    """[p_1, ..., p_upto] with p_m = T(A^m), A^m the iterated Jordan product."""
+    return [sum(jordan_power(a, m).diag) for m in range(1, upto + 1)]
+
+
+def newton_coeffs(p, degree: int):
+    """sigma_1..sigma_degree from power sums via Newton's identities."""
+    e = [1]
+    for j in range(1, degree + 1):
+        acc = 0
+        sign = 1
+        for i in range(1, j + 1):
+            acc = acc + sign * e[j - i] * p[i - 1]
+            sign = -sign
+        e.append(acc * Fraction(1, j))
+    return tuple(e[1:])

@@ -285,6 +285,16 @@ def test_criterion_8_lie_triple(capsys):
     assert not bad, bad[:5]
 
 
+def failing_checks(path):
+    """[(id, witness)] of the failed checks in a JSON report, for messages."""
+    try:
+        doc = json.loads(path.read_bytes())
+    except (OSError, ValueError) as exc:
+        return f"no readable report: {exc}"
+    return [(c["id"], c.get("witness")) for c in doc["checks"]
+            if c["status"] == "fail"]
+
+
 def test_criterion_9_deterministic_reports(capsys, tmp_path):
     """The flagship configuration emits byte-identical JSON with 8 worker
     threads and with 1."""
@@ -299,7 +309,15 @@ def test_criterion_9_deterministic_reports(capsys, tmp_path):
         subprocess.Popen(base + ["--threads", "8", "--report", str(out8)],
                          stdout=subprocess.PIPE, stderr=subprocess.PIPE),
     ]
-    codes = [p.wait() for p in procs]
+    stderrs = [p.communicate()[1].decode("utf-8", "replace") for p in procs]
+    codes = [p.returncode for p in procs]
+    diagnosis = {
+        f"threads{n}": {"exit": code, "stderr": err,
+                        "failed": failing_checks(out)}
+        for n, code, err, out in zip((1, 8), codes, stderrs, (out1, out8))}
+    if codes != [0, 0]:
+        announce(capsys, 9, "deterministic reports", False, f"exit codes {codes}")
+    assert codes == [0, 0], diagnosis
     bytes1 = out1.read_bytes()
     bytes8 = out8.read_bytes()
     identical = bytes1 == bytes8
@@ -307,9 +325,8 @@ def test_criterion_9_deterministic_reports(capsys, tmp_path):
     ok = identical and codes == [0, 0] and summary["failed"] == 0
     announce(capsys, 9, "deterministic reports", ok,
              f"{len(bytes1)} bytes, summary {summary}")
-    assert codes == [0, 0], [p.stderr.read() for p in procs]
-    assert summary["failed"] == 0
-    assert identical
+    assert summary["failed"] == 0, diagnosis
+    assert identical, diagnosis
 
 
 if __name__ == "__main__":

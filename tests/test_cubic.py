@@ -15,7 +15,6 @@ from jordal.cubic import (
     fourth_power_residuals,
     mixed_adjoint_residual,
     power_coefficients,
-    rank_characterization,
     scalar_reduction_residual,
     square_decomposition_residual,
     unit_reduction_residual,
@@ -28,6 +27,7 @@ from jordal.jordan import (
     identity,
     jordan_mul,
     jordan_power,
+    jordan_rank,
     random_element,
 )
 from jordal.rng import stream_rng
@@ -172,7 +172,9 @@ def test_rank_characterization():
             diagonal_element(spec, [0, 0, 0]),       # rank 0
         ]
         for a in cases:
-            assert rank_characterization(ctx, a) == (True, True)
+            r = jordan_rank(a)
+            assert (r <= 1) == adjoint(ctx, a).is_zero()
+            assert (r <= 2) == (ctx.norm(a) == 0)
         # direct statements at pinned ranks
         one = sample_rank_one(spec, rng).element
         assert adjoint(ctx, one).is_zero()

@@ -8,7 +8,6 @@ from jordal.composition import DimensionMismatch
 from jordal.jordan import (
     JordanElement,
     JordanSpec,
-    _newton_coeffs,
     char_coeffs,
     diagonal_element,
     generic_norm,
@@ -19,12 +18,12 @@ from jordal.jordan import (
     jordan_power,
     jordan_rank,
     mult_operator,
-    power_traces,
     quadratic_rep,
     random_element,
 )
 from jordal.rng import sample_coords, stream_rng
-from oracles import dense_symmetric_product, gauss_det, leibniz_det
+from oracles import (dense_symmetric_product, gauss_det, leibniz_det,
+                     newton_coeffs, power_traces)
 
 ALL_SPECS = [(2, 1), (2, 2), (2, 4), (2, 8), (3, 1), (3, 2), (3, 4),
              (4, 1), (4, 2), (5, 1)]
@@ -109,7 +108,8 @@ def test_unit_and_commutativity():
 
 
 def test_char_coeffs_against_fraction_newton():
-    # integer-only Newton recursion vs the direct Fraction version
+    # integer-only Newton recursion on doubled grid powers vs the Fraction
+    # recursion on traces of iterated Jordan products
     for (k, delta) in ALL_SPECS:
         spec = JordanSpec(k, delta)
         rng = stream_rng(4, "newton", k, delta)
@@ -117,7 +117,7 @@ def test_char_coeffs_against_fraction_newton():
             a = random_element(spec, rng)
             sigma = char_coeffs(a)
             p = power_traces(a, spec.degree)
-            expected = _newton_coeffs(p, spec.degree)
+            expected = newton_coeffs(p, spec.degree)
             # integer inputs give exact integer coefficients
             assert all(s.denominator == 1 for s in sigma)
             assert tuple(sigma) == tuple(expected)

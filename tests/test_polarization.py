@@ -113,6 +113,23 @@ def test_cache_rescales_to_integers():
     assert f.evaluations == 1
 
 
+@pytest.mark.parametrize("k,delta", [(2, 2), (2, 4)])
+def test_float_and_exact_calls_keep_their_types(k, delta):
+    # 1.0 == 1 and hash(1.0) == hash(1): the cache must still answer an
+    # exact vector exactly and a float vector in floats, in either order
+    norm = norm_form(JordanSpec(k, delta))
+    form = PolarizedForm(norm.degree, norm.dim, norm.func, name="fresh")
+    ints = tuple(sample_coords(stream_rng(23, "types", k, delta), norm.dim))
+    floats = tuple(float(v) for v in ints)
+    exact = form(ints)
+    assert isinstance(exact, Fraction)
+    assert type(form(floats)) is float
+    assert form(ints) == exact and isinstance(form(ints), Fraction)
+    other = PolarizedForm(norm.degree, norm.dim, norm.func, name="fresh")
+    assert type(other(floats)) is float
+    assert other(ints) == exact and isinstance(other(ints), Fraction)
+
+
 def test_cache_eviction_under_threads():
     # a tiny cache forces constant eviction; hammering it from several
     # threads must neither crash nor corrupt any returned value

@@ -1,8 +1,12 @@
 """Check registry, suite execution, determinism, and the report formats."""
 
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -185,6 +189,37 @@ def test_float_mode():
     assert all(isinstance(e, (int, float)) for e in errs)
     assert any(e > 0 for e in errs)
     assert all(e < 1e-6 for e in errs)
+
+
+CORRUPTED_DUAL_POINT = """
+import jordal.geometry as geometry
+from jordal.runner import CHECKS, RunConfig, RunEnv, _run_check
+
+honest = geometry.tau_covector
+
+def corrupted(fr, m, x):
+    cov = honest(fr, m, x)
+    return (cov[0] + 1,) + cov[1:]
+
+geometry.tau_covector = corrupted
+env = RunEnv(RunConfig(k=2, delta=1, suite="geometry", trials=2).validate())
+check = next(c for c in CHECKS if c.id == "dual-point")
+result = _run_check(env, check, 1)
+print(result.status, (result.witness or {}).get("error", "").split(":")[0])
+"""
+
+
+def test_dual_point_fails_under_optimize_flag():
+    # python -O strips assert statements; the dual-point claims must still
+    # be tested, so a corrupted tangent covector has to fail the check
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(src)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run([sys.executable, "-O", "-c", CORRUPTED_DUAL_POINT],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["fail", "DualityViolation"]
 
 
 def test_dimension_table():

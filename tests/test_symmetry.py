@@ -10,23 +10,26 @@ from jordal.jordan import (
     jordan_mul,
     random_element,
 )
-from jordal.linalg import LinearOperator
-from jordal.reconstruction import frame
+from jordal.linalg import LinearOperator, identity_matrix
+from jordal.reconstruction import frame, tau
 from jordal.rng import stream_rng
 from jordal.symmetry import (
     DegenerateSample,
     GroupElementSample,
     automorphism_trichotomy,
-    composite_sample,
-    identity_sample,
     lie_triple_residual,
-    operator_symmetry_check,
     permutation_conjugation_sample,
     structural_sample,
 )
 
 JORDAN_SPECS = [(2, 1), (2, 2), (2, 4), (2, 8), (3, 1), (3, 2), (3, 4),
                 (4, 1), (4, 2), (5, 1)]
+
+
+def identity_sample(fr, rng):
+    op = LinearOperator(tuple(tuple(r) for r in identity_matrix(fr.spec.dim)),
+                        "V", "V")
+    return GroupElementSample(fr, op, "identity", rng)
 
 
 def test_identity_sample():
@@ -69,9 +72,11 @@ def test_structural_sample_norm_factor():
 def test_composite_sample_multiplies_factors():
     fr = frame(JordanSpec(2, 2))
     rng = stream_rng(73, "comp")
-    g = composite_sample(fr, rng)
+    p = permutation_conjugation_sample(fr, rng)
+    h = structural_sample(fr, rng)
+    g = GroupElementSample(fr, p.operator.compose(h.operator), "composite", rng)
     assert g.provenance == "composite"
-    assert g.norm_factor != 0
+    assert g.norm_factor == p.norm_factor * h.norm_factor != 0
 
 
 def test_automorphism_trichotomy():
@@ -100,7 +105,8 @@ def test_operator_symmetry_check():
     fr = frame(JordanSpec(2, 4))
     rng = stream_rng(76, "symm")
     a = fr.random_invertible(rng)
-    assert operator_symmetry_check(fr, a)
+    # tau_A, viewed as a bilinear form, equals its transpose exactly
+    assert tau(fr, a).is_symmetric()
 
 
 def test_lie_triple_residual_zero_on_jordan_specs():
