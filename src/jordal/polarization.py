@@ -2,7 +2,8 @@
 
 For a degree-q form F, the symmetric multilinear polarization F~ satisfies
 F~(x,...,x) = F(x). The full polarization over q distinct slots is the
-classical alternating-subset-sum identity. Partial polarization with a
+classical alternating-subset-sum identity, which is the case m = q, B = 0
+of the partial polarization below. Partial polarization with a
 repeated base B (multiplicity q - m) and slots r_1..r_m uses
 
     h(u) = sum_{S subset {1..m}} (-1)^(m-|S|) F(B + u * sum_{i in S} r_i),
@@ -16,15 +17,15 @@ the integer nodes u = 1..q-m+1:
 
 So one call costs (2^m - 1)(q - m + 1) + 1 evaluations of F (2^m - 1
 subset directions plus the shared base value); for m = q this collapses to
-the classical 2^q - 1.
+the classical 2^q - 1 plus F(0).
 
 Forms cache evaluations keyed by the coordinate tuple. Exact input (ints
-and Fractions) is keyed by the tuple itself, and rational input is rescaled
-to integers once per evaluation (F(z/d) = F(z)/d^q), which keeps the
-expensive inner arithmetic on plain ints. A tuple holding any float is
-evaluated as given and keyed as (float, tuple): 1.0 == 1 and
-hash(1.0) == hash(1), so without the tag a float vector would be answered
-from an exact entry and an exact vector from a float one.
+and Fractions only) is keyed by the tuple itself, and rational input is
+rescaled to integers once per evaluation (F(z/d) = F(z)/d^q), which keeps
+the expensive inner arithmetic on plain ints. Any other tuple, such as the
+floats of float mode, is evaluated as given and keyed as (float, tuple):
+1.0 == 1 and hash(1.0) == hash(1), so without the tag a float vector would
+be answered from an exact entry and an exact vector from a float one.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from math import factorial
 from .linalg import common_denominator
 
 _MISS = object()
+_EXACT_TYPES = frozenset((int, Fraction))
 
 
 class ArityError(ValueError):
@@ -66,7 +68,7 @@ class PolarizedForm:
             raise ArityError(f"{self.name}: expected {self.dim} coordinates, "
                              f"got {len(vec)}")
         self.calls += 1
-        exact = float not in map(type, vec)
+        exact = _EXACT_TYPES.issuperset(map(type, vec))
         key = vec if exact else (float, vec)
         cached = self._cache.get(key, _MISS)
         if cached is not _MISS:

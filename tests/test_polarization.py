@@ -3,6 +3,7 @@
 import threading
 from fractions import Fraction
 
+import numpy
 import pytest
 
 from jordal.jordan import JordanSpec, norm_form
@@ -125,6 +126,8 @@ def test_float_and_exact_calls_keep_their_types(k, delta):
     assert isinstance(exact, Fraction)
     assert type(form(floats)) is float
     assert form(ints) == exact and isinstance(form(ints), Fraction)
+    # float subclasses such as numpy's are not exact either
+    assert isinstance(form(tuple(numpy.float64(v) for v in ints)), float)
     other = PolarizedForm(norm.degree, norm.dim, norm.func, name="fresh")
     assert type(other(floats)) is float
     assert other(ints) == exact and isinstance(other(ints), Fraction)
