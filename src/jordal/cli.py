@@ -10,8 +10,8 @@ import argparse
 import sys
 
 from .report import emit_report
-from .runner import (FORMATS, MODES, SUITES, InvalidConfig, RunConfig,
-                     default_seed, dimension_table, run_suite)
+from .runner import (FORMATS, MODES, SUITES, RunConfig, default_seed,
+                     dimension_table, run_suite)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -63,10 +63,7 @@ def main(argv=None) -> int:
                            trials=args.trials, seed=seed, mode=args.mode,
                            tol=args.tol, report=args.report, format=args.format)
         report = run_suite(config, threads=args.threads)
-    except InvalidConfig as exc:
-        sys.stderr.write(f"invalid configuration: {exc}\n")
-        return 2
-    except ValueError as exc:
+    except ValueError as exc:  # InvalidConfig is a ValueError
         sys.stderr.write(f"invalid configuration: {exc}\n")
         return 2
     if args.report:

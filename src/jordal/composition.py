@@ -10,13 +10,14 @@ so that e_{i + d/2} = e_i * e_{d/2} at every level. With this convention
 dimension 1, 2, 4 are the reals, complexes and quaternions; dimension 8 is
 the octonions (alternative but not associative).
 
-Basis products are memoized as a table  table[i][j] = (k, sign)  meaning
-e_i e_j = sign * e_k; general products expand bilinearly over the table.
+Products run through one kernel, ``grid_matmul``: the plain product of two
+square matrices with entries in the algebra, unrolled for each dimension.
+A single product x y is its 1 x 1 case. The kernel computes every entry
+without skipping zeros, so callers that hold Fractions clear denominators
+first and feed it int numerators.
 """
 
 from __future__ import annotations
-
-from functools import lru_cache
 
 ALLOWED_DIMS = (1, 2, 4, 8)
 
@@ -31,52 +32,72 @@ def _check_dim(delta: int) -> None:
                                 f"{ALLOWED_DIMS}, got {delta}")
 
 
-@lru_cache(maxsize=None)
-def basis_table(delta: int):
-    """table[i][j] = (k, sign) with e_i e_j = sign e_k."""
-    _check_dim(delta)
+def grid_matmul(a, b, size: int, delta: int):
+    """Plain (nonassociative-entry) product of size x size matrices.
+
+    Entries are coordinate tuples of the dimension-``delta`` algebra; each
+    of the four dimensions has its own unrolled branch. No entry is skipped
+    when zero, so the kernel is fastest on plain int coordinates.
+    """
+    out = [[None] * size for _ in range(size)]
+    rng = range(size)
     if delta == 1:
-        return (((0, 1),),)
-    n = delta // 2
-    sub = basis_table(n)
-    table = [[None] * delta for _ in range(delta)]
-    for i in range(delta):
-        for j in range(delta):
-            if i < n and j < n:
-                k, s = sub[i][j]
-                table[i][j] = (k, s)
-            elif i < n:  # (e_i, 0)(0, e_b) = (0, e_b e_i)
-                b = j - n
-                k, s = sub[b][i]
-                table[i][j] = (k + n, s)
-            elif j < n:  # (0, e_a)(e_j, 0) = (0, e_a conj(e_j))
-                a = i - n
-                k, s = sub[a][j]
-                table[i][j] = (k + n, s if j == 0 else -s)
-            else:  # (0, e_a)(0, e_b) = (-conj(e_b) e_a, 0)
-                a, b = i - n, j - n
-                k, s = sub[b][a]
-                table[i][j] = (k, -s if b == 0 else s)
-    return tuple(tuple(row) for row in table)
+        for i in rng:
+            ai = a[i]
+            for j in rng:
+                out[i][j] = (sum(ai[l][0] * b[l][j][0] for l in rng),)
+        return out
+    if delta == 2:
+        for i in rng:
+            ai = a[i]
+            for j in rng:
+                a0 = a1 = 0
+                for l in rng:
+                    x0, x1 = ai[l]
+                    y0, y1 = b[l][j]
+                    a0 += x0 * y0 - x1 * y1
+                    a1 += x0 * y1 + x1 * y0
+                out[i][j] = (a0, a1)
+        return out
+    if delta == 4:
+        # Hamilton product in this basis (e1 e2 = e3, cyclic)
+        for i in rng:
+            ai = a[i]
+            for j in rng:
+                a0 = a1 = a2 = a3 = 0
+                for l in rng:
+                    x0, x1, x2, x3 = ai[l]
+                    y0, y1, y2, y3 = b[l][j]
+                    a0 += x0 * y0 - x1 * y1 - x2 * y2 - x3 * y3
+                    a1 += x0 * y1 + x1 * y0 + x2 * y3 - x3 * y2
+                    a2 += x0 * y2 - x1 * y3 + x2 * y0 + x3 * y1
+                    a3 += x0 * y3 + x1 * y2 - x2 * y1 + x3 * y0
+                out[i][j] = (a0, a1, a2, a3)
+        return out
+    _check_dim(delta)
+    # delta == 8: the doubling formula applied to the Hamilton product above
+    for i in rng:
+        ai = a[i]
+        for j in rng:
+            a0 = a1 = a2 = a3 = a4 = a5 = a6 = a7 = 0
+            for l in rng:
+                x0, x1, x2, x3, x4, x5, x6, x7 = ai[l]
+                y0, y1, y2, y3, y4, y5, y6, y7 = b[l][j]
+                a0 += x0*y0 - x1*y1 - x2*y2 - x3*y3 - x4*y4 - x5*y5 - x6*y6 - x7*y7
+                a1 += x0*y1 + x1*y0 + x2*y3 - x3*y2 + x4*y5 - x5*y4 - x6*y7 + x7*y6
+                a2 += x0*y2 - x1*y3 + x2*y0 + x3*y1 + x4*y6 + x5*y7 - x6*y4 - x7*y5
+                a3 += x0*y3 + x1*y2 - x2*y1 + x3*y0 + x4*y7 - x5*y6 + x6*y5 - x7*y4
+                a4 += x0*y4 - x1*y5 - x2*y6 - x3*y7 + x4*y0 + x5*y1 + x6*y2 + x7*y3
+                a5 += x0*y5 + x1*y4 - x2*y7 + x3*y6 - x4*y1 + x5*y0 - x6*y3 + x7*y2
+                a6 += x0*y6 + x1*y7 + x2*y4 - x3*y5 - x4*y2 + x5*y3 + x6*y0 - x7*y1
+                a7 += x0*y7 - x1*y6 + x2*y5 + x3*y4 - x4*y3 - x5*y2 + x6*y1 + x7*y0
+            out[i][j] = (a0, a1, a2, a3, a4, a5, a6, a7)
+    return out
 
 
 def cd_mul(x, y, delta: int):
     """Product of coordinate tuples in the dimension-``delta`` algebra."""
-    table = basis_table(delta)
-    out = [0] * delta
-    for i, xi in enumerate(x):
-        if xi == 0:
-            continue
-        row = table[i]
-        for j, yj in enumerate(y):
-            if yj == 0:
-                continue
-            k, s = row[j]
-            if s > 0:
-                out[k] += xi * yj
-            else:
-                out[k] -= xi * yj
-    return tuple(out)
+    return grid_matmul(((x,),), ((y,),), 1, delta)[0][0]
 
 
 def cd_conj(x):
@@ -207,8 +228,3 @@ class CDElement:
             terms.append(f"{v}" if s == 0 else f"{v}*e{s}")
         return " + ".join(terms) if terms else "0"
 
-
-def associator(x, y, z, delta: int):
-    """(xy)z - x(yz) on coordinate tuples."""
-    return cd_sub(cd_mul(cd_mul(x, y, delta), z, delta),
-                  cd_mul(x, cd_mul(y, z, delta), delta))

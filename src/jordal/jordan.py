@@ -2,7 +2,9 @@
 
 Elements are (k+1)x(k+1) matrices with scalar diagonal and entries in the
 dimension-delta composition algebra above the diagonal, the conjugates
-below. The product is the symmetrized one, A*B = (AB + BA)/2.
+below. The product is the symmetrized one, A*B = (AB + BA)/2, computed as
+one matrix product on composition.grid_matmul: AB + BA = AB + (AB)^H, and
+both operands are first cleared to int numerators over one denominator.
 
 Canonical coordinates: the k+1 diagonal units first, then for each pair
 i < j (lexicographic) and each algebra basis unit e_s the matrix E_ij(e_s)
@@ -24,11 +26,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .composition import ALLOWED_DIMS, basis_table, cd_conj, DimensionMismatch
-from .linalg import LinearOperator
+from .composition import ALLOWED_DIMS, DimensionMismatch, cd_conj, grid_matmul
+from .linalg import LinearOperator, clear_row_denominators
 from .polarization import PolarizedForm
-
-HALF = Fraction(1, 2)
 
 
 class SpecMismatch(ValueError):
@@ -237,67 +237,6 @@ def _grid_from_coords(spec: JordanSpec, vec):
     return grid
 
 
-def _grid_matmul(a, b, size: int, delta: int):
-    """Plain (nonassociative-entry) matrix product of grids.
-
-    JordanSpec admits only delta in {1, 2, 4, 8}; each has an unrolled
-    branch below.
-    """
-    out = [[None] * size for _ in range(size)]
-    rng = range(size)
-    if delta == 1:
-        for i in rng:
-            ai = a[i]
-            for j in rng:
-                out[i][j] = (sum(ai[l][0] * b[l][j][0] for l in rng),)
-        return out
-    if delta == 2:
-        for i in rng:
-            ai = a[i]
-            for j in rng:
-                a0 = a1 = 0
-                for l in rng:
-                    x0, x1 = ai[l]
-                    y0, y1 = b[l][j]
-                    a0 += x0 * y0 - x1 * y1
-                    a1 += x0 * y1 + x1 * y0
-                out[i][j] = (a0, a1)
-        return out
-    if delta == 4:
-        # Hamilton product in the table's basis (e1 e2 = e3, cyclic)
-        for i in rng:
-            ai = a[i]
-            for j in rng:
-                a0 = a1 = a2 = a3 = 0
-                for l in rng:
-                    x0, x1, x2, x3 = ai[l]
-                    y0, y1, y2, y3 = b[l][j]
-                    a0 += x0 * y0 - x1 * y1 - x2 * y2 - x3 * y3
-                    a1 += x0 * y1 + x1 * y0 + x2 * y3 - x3 * y2
-                    a2 += x0 * y2 - x1 * y3 + x2 * y0 + x3 * y1
-                    a3 += x0 * y3 + x1 * y2 - x2 * y1 + x3 * y0
-                out[i][j] = (a0, a1, a2, a3)
-        return out
-    # delta == 8: doubled Hamilton product, unrolled from the doubling table
-    for i in rng:
-        ai = a[i]
-        for j in rng:
-            a0 = a1 = a2 = a3 = a4 = a5 = a6 = a7 = 0
-            for l in rng:
-                x0, x1, x2, x3, x4, x5, x6, x7 = ai[l]
-                y0, y1, y2, y3, y4, y5, y6, y7 = b[l][j]
-                a0 += x0*y0 - x1*y1 - x2*y2 - x3*y3 - x4*y4 - x5*y5 - x6*y6 - x7*y7
-                a1 += x0*y1 + x1*y0 + x2*y3 - x3*y2 + x4*y5 - x5*y4 - x6*y7 + x7*y6
-                a2 += x0*y2 - x1*y3 + x2*y0 + x3*y1 + x4*y6 + x5*y7 - x6*y4 - x7*y5
-                a3 += x0*y3 + x1*y2 - x2*y1 + x3*y0 + x4*y7 - x5*y6 + x6*y5 - x7*y4
-                a4 += x0*y4 - x1*y5 - x2*y6 - x3*y7 + x4*y0 + x5*y1 + x6*y2 + x7*y3
-                a5 += x0*y5 + x1*y4 - x2*y7 + x3*y6 - x4*y1 + x5*y0 - x6*y3 + x7*y2
-                a6 += x0*y6 + x1*y7 + x2*y4 - x3*y5 - x4*y2 + x5*y3 + x6*y0 - x7*y1
-                a7 += x0*y7 - x1*y6 + x2*y5 + x3*y4 - x4*y3 - x5*y2 + x6*y1 + x7*y0
-            out[i][j] = (a0, a1, a2, a3, a4, a5, a6, a7)
-    return out
-
-
 def _grid_sym_double(p, size: int):
     """P + P^H (conjugate transpose) entrywise."""
     out = [[None] * size for _ in range(size)]
@@ -338,7 +277,7 @@ def _doubled_traces_from_grid(grid, size: int, delta: int, upto: int):
     for m in range(2, upto + 1):
         doubled.append(2 * _grid_flat_dot(grid, d, size))
         if m < upto:
-            d = _grid_sym_double(_grid_matmul(grid, d, size, delta), size)
+            d = _grid_sym_double(grid_matmul(grid, d, size, delta), size)
     return doubled
 
 
@@ -405,46 +344,23 @@ def _newton_integers(doubled, degree: int):
 # public operations
 
 def jordan_mul(a: JordanElement, b: JordanElement) -> JordanElement:
-    """Symmetrized product (AB + BA)/2."""
+    """Symmetrized product (AB + BA)/2.
+
+    Both operands become int numerators over one denominator each, so the
+    kernel multiplies plain ints. (AB)^H = BA for Hermitian A and B, since
+    conj(xy) = conj(y) conj(x), so AB + BA = AB + (AB)^H needs one product.
+    """
     a._check(b)
     spec = a.spec
-    size, delta = spec.size, spec.delta
-    ga = a.grid()
-    gb = b.grid()
-    diag = []
-    for i in range(size):
-        # ((AB+BA)/2)_ii = sum_l Re(A_il conj(B_il)) = flat dot of row i
-        acc = 0
-        for l in range(size):
-            x = ga[i][l]
-            y = gb[i][l]
-            for s in range(delta):
-                if x[s] != 0 and y[s] != 0:
-                    acc += x[s] * y[s]
-        diag.append(acc)
-    table = basis_table(delta) if delta > 1 else None
-    upper = []
-    for (i, j) in spec.pairs:
-        acc = [0] * delta
-        for l in range(size):
-            for x, y in ((ga[i][l], gb[l][j]), (gb[i][l], ga[l][j])):
-                if delta == 1:
-                    if x[0] != 0 and y[0] != 0:
-                        acc[0] += x[0] * y[0]
-                    continue
-                for s, xs in enumerate(x):
-                    if xs == 0:
-                        continue
-                    row = table[s]
-                    for t, yt in enumerate(y):
-                        if yt == 0:
-                            continue
-                        kk, sg = row[t]
-                        if sg > 0:
-                            acc[kk] += xs * yt
-                        else:
-                            acc[kk] -= xs * yt
-        upper.append(tuple(HALF * v for v in acc))
+    size = spec.size
+    na, da = clear_row_denominators(a.coords())
+    nb, db = clear_row_denominators(b.coords())
+    p = _grid_sym_double(grid_matmul(_grid_from_coords(spec, na),
+                                     _grid_from_coords(spec, nb), size, spec.delta),
+                         size)
+    scale = Fraction(1, 2 * da * db)
+    diag = [p[i][i][0] * scale for i in range(size)]
+    upper = [tuple(v * scale for v in p[i][j]) for (i, j) in spec.pairs]
     return JordanElement(spec, diag, upper)
 
 
@@ -456,10 +372,6 @@ def jordan_power(a: JordanElement, m: int) -> JordanElement:
     for _ in range(m):
         result = jordan_mul(a, result)
     return result
-
-
-def generic_trace(a: JordanElement):
-    return sum(a.diag)
 
 
 def char_coeffs(a: JordanElement) -> tuple:

@@ -13,6 +13,10 @@ from fractions import Fraction
 from math import gcd
 
 
+# the number types of exact mode; anything else (floats) is left as given
+EXACT_TYPES = frozenset((int, Fraction))
+
+
 class SingularMatrix(ValueError):
     pass
 
@@ -34,11 +38,19 @@ def common_denominator(values) -> int:
 
 
 def clear_row_denominators(row):
-    """Scale a rational row to integers; returns (int_row, denominator)."""
+    """(numerators, d): int numerators over one common denominator d.
+
+    Integral Fractions become ints too, so the caller's arithmetic runs on
+    plain ints. A row holding anything but ints and Fractions (the floats
+    of float mode) comes back unchanged with d = 1.
+    """
+    row = tuple(row)
+    if not EXACT_TYPES.issuperset(map(type, row)):
+        return row, 1
     d = common_denominator(row)
     if d == 1:
-        return [int(v) for v in row], 1
-    return [int(v * d) for v in row], d
+        return tuple(int(v) for v in row), 1
+    return tuple(int(v * d) for v in row), d
 
 
 def to_integer_matrix(rows):
@@ -213,26 +225,6 @@ def mat_mul(a, b):
     return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a)
 
 
-def transpose(rows):
-    return tuple(zip(*rows))
-
-
-def identity_matrix(n):
-    return tuple(tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n))
-
-
-def primitive_integer_vector(vec):
-    """Clear denominators and divide by content; zero vector maps to itself."""
-    d = common_denominator(vec)
-    ints = [int(v * d) for v in vec]
-    g = 0
-    for v in ints:
-        g = gcd(g, abs(v))
-    if g == 0:
-        return tuple(ints)
-    return tuple(v // g for v in ints)
-
-
 def proportional(u, v) -> bool:
     """True when u and v span the same line (or either is zero... both zero)."""
     nu = any(x != 0 for x in u)
@@ -271,10 +263,6 @@ class LinearOperator:
         return LinearOperator(mat_mul(self.matrix, other.matrix),
                               other.domain, self.codomain)
 
-    def transpose_op(self) -> "LinearOperator":
-        flip = {"V": "V*", "V*": "V"}
-        return LinearOperator(transpose(self.matrix), flip[self.codomain], flip[self.domain])
-
     def det(self):
         if self.dim and len(self.matrix[0]) != self.dim:
             raise ValueError("determinant of a non-square operator")
@@ -282,11 +270,6 @@ class LinearOperator:
 
     def trace(self):
         return sum(self.matrix[i][i] for i in range(self.dim))
-
-    def is_symmetric(self) -> bool:
-        m = self.matrix
-        n = self.dim
-        return all(m[i][j] == m[j][i] for i in range(n) for j in range(i + 1, n))
 
     def __eq__(self, other):
         return (isinstance(other, LinearOperator) and self.matrix == other.matrix

@@ -35,10 +35,9 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
-from .linalg import common_denominator
+from .linalg import EXACT_TYPES, common_denominator
 
 _MISS = object()
-_EXACT_TYPES = frozenset((int, Fraction))
 
 
 class ArityError(ValueError):
@@ -68,7 +67,7 @@ class PolarizedForm:
             raise ArityError(f"{self.name}: expected {self.dim} coordinates, "
                              f"got {len(vec)}")
         self.calls += 1
-        exact = _EXACT_TYPES.issuperset(map(type, vec))
+        exact = EXACT_TYPES.issuperset(map(type, vec))
         key = vec if exact else (float, vec)
         cached = self._cache.get(key, _MISS)
         if cached is not _MISS:

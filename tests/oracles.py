@@ -1,16 +1,50 @@
 """Independent reference implementations used only by the tests.
 
 Everything here recomputes a quantity by a route different from the library:
-pair-indexed recursion for the doubled products, Leibniz determinants,
-Fraction-based Gaussian elimination, classical cofactor adjugates, and
-Newton's identities over Fractions on the traces of iterated Jordan products.
+pair-indexed recursion for the doubled products, the Cayley-Dickson basis
+multiplication table (the rule the library's unrolled kernel encodes),
+Leibniz determinants, Fraction-based Gaussian elimination, classical
+cofactor adjugates, and Newton's identities over Fractions on the traces of
+iterated Jordan products.
+It also holds the small matrix and vector helpers that only tests use.
 None of it is imported by the package itself.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import permutations
+from math import gcd
 
 from jordal.jordan import JordanElement, jordan_power
+from jordal.linalg import LinearOperator, common_denominator
+
+
+@lru_cache(maxsize=None)
+def basis_table(delta: int):
+    """table[i][j] = (k, sign) with e_i e_j = sign e_k, by doubling."""
+    if delta == 1:
+        return (((0, 1),),)
+    n = delta // 2
+    sub = basis_table(n)
+    table = [[None] * delta for _ in range(delta)]
+    for i in range(delta):
+        for j in range(delta):
+            if i < n and j < n:
+                k, s = sub[i][j]
+                table[i][j] = (k, s)
+            elif i < n:  # (e_i, 0)(0, e_b) = (0, e_b e_i)
+                b = j - n
+                k, s = sub[b][i]
+                table[i][j] = (k + n, s)
+            elif j < n:  # (0, e_a)(e_j, 0) = (0, e_a conj(e_j))
+                a = i - n
+                k, s = sub[a][j]
+                table[i][j] = (k + n, s if j == 0 else -s)
+            else:  # (0, e_a)(0, e_b) = (-conj(e_b) e_a, 0)
+                a, b = i - n, j - n
+                k, s = sub[b][a]
+                table[i][j] = (k, -s if b == 0 else s)
+    return tuple(tuple(row) for row in table)
 
 
 def doubled_mul(x, y):
@@ -179,3 +213,34 @@ def newton_coeffs(p, degree: int):
             sign = -sign
         e.append(acc * Fraction(1, j))
     return tuple(e[1:])
+
+
+def identity_matrix(n):
+    return tuple(tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n))
+
+
+def transpose(rows):
+    return tuple(zip(*rows))
+
+
+def transpose_op(op: LinearOperator) -> LinearOperator:
+    """The dual operator: transposed matrix, tags swapped and dualized."""
+    flip = {"V": "V*", "V*": "V"}
+    return LinearOperator(transpose(op.matrix), flip[op.codomain], flip[op.domain])
+
+
+def is_symmetric(rows) -> bool:
+    n = len(rows)
+    return all(rows[i][j] == rows[j][i] for i in range(n) for j in range(i + 1, n))
+
+
+def primitive_integer_vector(vec):
+    """Clear denominators and divide by content; zero vector maps to itself."""
+    d = common_denominator(vec)
+    ints = [int(v * d) for v in vec]
+    g = 0
+    for v in ints:
+        g = gcd(g, abs(v))
+    if g == 0:
+        return tuple(ints)
+    return tuple(v // g for v in ints)

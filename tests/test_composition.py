@@ -8,14 +8,19 @@ from jordal.composition import (
     ALLOWED_DIMS,
     CDElement,
     DimensionMismatch,
-    associator,
-    basis_table,
     cd_conj,
     cd_mul,
     cd_norm,
+    cd_sub,
     cd_unit,
 )
-from oracles import conj_half, doubled_mul
+from oracles import basis_table, conj_half, doubled_mul
+
+
+def associator(x, y, z, delta):
+    """(xy)z - x(yz) on coordinate tuples."""
+    return cd_sub(cd_mul(cd_mul(x, y, delta), z, delta),
+                  cd_mul(x, cd_mul(y, z, delta), delta))
 
 
 def test_basis_table_conventions():
@@ -32,6 +37,15 @@ def test_basis_table_conventions():
         for i in range(delta):
             assert t[0][i] == (i, 1)
             assert t[i][0] == (i, 1)
+    # the unrolled kernel multiplies every basis pair as the table says,
+    # which by bilinearity pins every product
+    for delta in ALLOWED_DIMS:
+        t = basis_table(delta)
+        for i in range(delta):
+            for j in range(delta):
+                k, s = t[i][j]
+                expected = tuple(s * v for v in cd_unit(delta, k))
+                assert cd_mul(cd_unit(delta, i), cd_unit(delta, j), delta) == expected
 
 
 def test_doubling_index_rule():
@@ -114,7 +128,7 @@ def test_cdelement_arithmetic():
 
 def test_dimension_errors():
     with pytest.raises(DimensionMismatch):
-        basis_table(3)
+        cd_mul((1, 2, 3), (1, 2, 3), 3)
     with pytest.raises(DimensionMismatch):
         CDElement(4, (1, 2, 3))
     with pytest.raises(DimensionMismatch):

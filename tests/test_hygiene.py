@@ -1,8 +1,9 @@
 """Guards against regrowth of dead code and of checks that python -O empties.
 
 Every module of the package except ``__init__.py`` (which re-exports names)
-must use each name it imports, and no library module may check a claim with
-an ``assert`` statement, because ``python -O`` removes them.
+must use each name it imports, every module-level def or class must be used
+by the library or exported by the package, and no library module may check
+a claim with an ``assert`` statement, because ``python -O`` removes them.
 """
 
 import ast
@@ -50,4 +51,29 @@ def test_no_assert_statements():
         tree = ast.parse(path.read_text(), filename=str(path))
         found.extend(f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                      if isinstance(node, ast.Assert))
+    assert found == []
+
+
+def test_every_definition_is_used_or_exported():
+    # a module-level def or class must be read by library code outside its
+    # own body, or be exported by the package; otherwise it is a test helper
+    # that belongs in tests/oracles.py
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path))
+             for path in modules()}
+    init = trees.pop("__init__.py")
+    exported = next(ast.literal_eval(node.value) for node in init.body
+                    if isinstance(node, ast.Assign)
+                    and any(getattr(t, "id", None) == "__all__" for t in node.targets))
+    found = []
+    for name, tree in trees.items():
+        for definition in tree.body:
+            if (not isinstance(definition, (ast.FunctionDef, ast.ClassDef))
+                    or definition.name in exported):
+                continue
+            own = {id(n) for n in ast.walk(definition)}
+            used = any(isinstance(n, ast.Name) and n.id == definition.name
+                       and id(n) not in own
+                       for other in trees.values() for n in ast.walk(other))
+            if not used:
+                found.append(f"{name}:{definition.lineno} {definition.name}")
     assert found == []

@@ -11,7 +11,6 @@ from jordal.jordan import (
     char_coeffs,
     diagonal_element,
     generic_norm,
-    generic_trace,
     identity,
     jordan_identity_residual,
     jordan_mul,
@@ -87,13 +86,32 @@ def test_element_arithmetic():
 
 
 def test_product_matches_dense_oracle():
-    for (k, delta) in [(2, 1), (2, 2), (2, 4), (2, 8), (3, 2), (4, 1)]:
+    for (k, delta) in [(2, 1), (2, 2), (2, 4), (2, 8), (3, 2), (3, 4), (3, 8),
+                       (4, 1)]:
         spec = JordanSpec(k, delta)
         rng = stream_rng(2, "dense", k, delta)
         for _ in range(5):
             a = random_element(spec, rng)
             b = random_element(spec, rng)
             assert jordan_mul(a, b) == dense_symmetric_product(a, b)
+
+        def lift(x, to):
+            return JordanElement.from_coords(spec, [to(v) for v in x.coords()])
+
+        # Fraction coordinates with mixed denominators
+        fa = lift(a, lambda v: Fraction(v, rng.randint(1, 9)))
+        fb = lift(b, lambda v: Fraction(v, rng.randint(1, 9)))
+        assert jordan_mul(fa, fb) == dense_symmetric_product(fa, fb)
+        # integral Fractions, which a product of int elements returns
+        sq = jordan_mul(a, a)
+        assert any(isinstance(v, Fraction) for v in sq.coords())
+        assert jordan_mul(sq, fb) == dense_symmetric_product(sq, fb)
+        # floats stay floats, within rounding of the exact product
+        xa, xb = lift(fa, float), lift(fb, float)
+        got = jordan_mul(xa, xb).coords()
+        assert all(type(v) is float for v in got)
+        want = dense_symmetric_product(lift(xa, Fraction), lift(xb, Fraction))
+        assert max(abs(g - w) for g, w in zip(got, want.coords())) < 1e-9
 
 
 def test_unit_and_commutativity():
@@ -121,7 +139,7 @@ def test_char_coeffs_against_fraction_newton():
             # integer inputs give exact integer coefficients
             assert all(s.denominator == 1 for s in sigma)
             assert tuple(sigma) == tuple(expected)
-            assert sigma[0] == generic_trace(a)
+            assert sigma[0] == sum(a.diag)
             assert sigma[-1] == generic_norm(a)
 
 

@@ -12,21 +12,21 @@ from jordal.linalg import (
     LinearOperator,
     SingularMatrix,
     TagMismatch,
+    clear_row_denominators,
     common_denominator,
     exact_det,
     exact_inverse,
     exact_nullspace,
     exact_rank,
     exact_solve,
-    identity_matrix,
     mat_mul,
     mat_vec,
-    primitive_integer_vector,
     proportional,
     to_integer_matrix,
-    transpose,
 )
-from oracles import gauss_det, gauss_rank, gauss_solve
+from oracles import (gauss_det, gauss_rank, gauss_solve, identity_matrix,
+                     is_symmetric, primitive_integer_vector, transpose,
+                     transpose_op)
 
 
 def random_matrix(rng, nrows, ncols, rational=False, deficient=0):
@@ -141,12 +141,26 @@ def test_integer_normalization_helpers():
     assert common_denominator([1, 2, 3]) == 1
     m = to_integer_matrix([[Fraction(1, 2), 1], [2, Fraction(1, 3)]])
     assert all(isinstance(v, int) for row in m for v in row)
+    # one shared denominator; integral Fractions come back as plain ints
+    for row, want in (([Fraction(1, 2), Fraction(2, 3), 5], ((3, 4, 30), 6)),
+                      ([Fraction(4), 2, Fraction(-6, 3)], ((4, 2, -2), 1))):
+        nums, d = clear_row_denominators(row)
+        assert (nums, d) == want
+        assert type(nums) is tuple
+        assert all(type(v) is int for v in nums)
     # row scalings preserve rank
     assert exact_rank(m) == 2
     assert primitive_integer_vector([Fraction(2, 3), Fraction(4, 3)]) == (1, 2)
     # content is divided out, sign of the entries is kept
     assert primitive_integer_vector([-2, -4, -6]) == (-1, -2, -3)
     assert primitive_integer_vector([0, 0]) == (0, 0)
+
+
+def test_clear_row_denominators_keeps_float_rows():
+    # float mode: the row passes through as given, never truncated to ints
+    nums, d = clear_row_denominators([0.5, 2.5])
+    assert (nums, d) == ((0.5, 2.5), 1)
+    assert all(type(v) is float for v in nums)
 
 
 def test_proportional():
@@ -172,11 +186,11 @@ def test_linear_operator_tags_and_compose():
     assert c.apply((1, 0)) == (2, 0)
     with pytest.raises(TagMismatch):
         a.compose(a)
-    t = a.transpose_op()
+    t = transpose_op(a)
     assert t.domain == "V" and t.codomain == "V*"
     assert t.matrix == transpose(a.matrix)
     sym = LinearOperator(((2, 5), (5, 1)))
-    assert sym.is_symmetric()
-    assert not a.is_symmetric()
+    assert is_symmetric(sym.matrix)
+    assert not is_symmetric(a.matrix)
     assert sym.det() == 2 * 1 - 25
     assert sym.trace() == 3

@@ -6,7 +6,6 @@ import pytest
 
 from jordal.jordan import (
     JordanSpec,
-    generic_trace,
     identity,
     jordan_mul,
     mult_operator,
@@ -30,6 +29,7 @@ from jordal.reconstruction import (
     unit_pairing,
 )
 from jordal.rng import stream_rng
+from oracles import is_symmetric
 
 JORDAN_SPECS = [(2, 1), (2, 2), (2, 4), (2, 8), (3, 1), (3, 2), (3, 4),
                 (4, 1), (4, 2), (5, 1)]
@@ -41,7 +41,7 @@ def test_frame_basics():
     assert fr.norm(identity(fr.spec)) == 1
     # the gram operator of the unit pairing is symmetric and invertible
     g = fr.gram
-    assert g.is_symmetric()
+    assert is_symmetric(g.matrix)
     assert fr.det_gram != 0
     assert g.domain == "V" and g.codomain == "V*"
 
@@ -53,7 +53,7 @@ def test_unit_pairing_is_normalized_trace():
         fr = frame(spec)
         rng = stream_rng(30, "phi", k, delta)
         a = random_element(spec, rng)
-        assert unit_pairing(fr, a) == Fraction(generic_trace(a), k + 1)
+        assert unit_pairing(fr, a) == Fraction(sum(a.diag), k + 1)
         assert unit_pairing(fr, identity(spec)) == 1
 
 
@@ -170,7 +170,7 @@ def test_tau_properties():
         m = fr.random_invertible(rng)
         t = tau(fr, m)
         assert t.domain == "V" and t.codomain == "V*"
-        assert t.is_symmetric()
+        assert is_symmetric(t.matrix)
         # covector route agrees with the full operator
         x = random_element(spec, rng)
         assert tau_covector(fr, m, x) == t.apply(x.coords())
