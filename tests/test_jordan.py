@@ -17,6 +17,7 @@ from jordal.jordan import (
     jordan_power,
     jordan_rank,
     mult_operator,
+    norm_form,
     quadratic_rep,
     random_element,
 )
@@ -154,14 +155,28 @@ def test_norm_against_leibniz_determinant():
 
 
 def test_norm_against_gauss_determinant():
-    # real symmetric case only: grids are plain scalar matrices
+    # real symmetric case only: grids are plain scalar matrices; both the
+    # element route (generic_norm) and the coordinate form (norm_form, the
+    # one that is polarized) must give the determinant
     for k in (2, 3, 4, 5):
         spec = JordanSpec(k, 1)
+        form = norm_form(spec)
         rng = stream_rng(6, "gauss", k)
         for _ in range(4):
             a = random_element(spec, rng)
             rows = [[c[0] for c in row] for row in a.grid()]
             assert generic_norm(a) == gauss_det(rows)
+            assert form(a.coords()) == gauss_det(rows)
+        mixed = JordanElement.from_coords(
+            spec, [Fraction(3 * i - 7, i % 4 + 2) for i in range(spec.dim)])
+        rows = [[c[0] for c in row] for row in mixed.grid()]
+        assert form(mixed.coords()) == gauss_det(rows)
+        floats = [rng.uniform(-9, 9) for _ in range(spec.dim)]
+        rows = [[c[0] for c in row]
+                for row in JordanElement.from_coords(spec, floats).grid()]
+        value = form(floats)
+        assert isinstance(value, float)
+        assert value == pytest.approx(float(gauss_det(rows)), rel=1e-9)
 
 
 def test_norm_homogeneity():
