@@ -38,7 +38,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="write the report to this file")
     verify.add_argument("--format", default="json", choices=FORMATS)
     verify.add_argument("--threads", type=int, default=1,
-                        help="worker threads per check (results identical)")
+                        help="has no effect: trials run one after another")
 
     dims = sub.add_parser("dims", help="print the dimension table")
     dims.add_argument("--k", type=int, required=True)
@@ -62,7 +62,7 @@ def main(argv=None) -> int:
         config = RunConfig(k=args.k, delta=args.delta, suite=args.suite,
                            trials=args.trials, seed=seed, mode=args.mode,
                            tol=args.tol, report=args.report, format=args.format)
-        report = run_suite(config, threads=args.threads)
+        report = run_suite(config)
     except ValueError as exc:  # InvalidConfig is a ValueError
         sys.stderr.write(f"invalid configuration: {exc}\n")
         return 2

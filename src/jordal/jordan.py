@@ -281,30 +281,6 @@ def _doubled_traces_from_grid(grid, size: int, delta: int, upto: int):
     return doubled
 
 
-def _scalar_doubled_traces(spec: JordanSpec, vec, upto: int):
-    """delta = 1 specialization on plain scalar symmetric matrices."""
-    size = spec.size
-    rows = [[0] * size for _ in range(size)]
-    for i in range(size):
-        rows[i][i] = vec[i]
-    base = size
-    for (i, j) in spec.pairs:
-        rows[i][j] = vec[base]
-        rows[j][i] = vec[base]
-        base += 1
-    doubled = [sum(rows[i][i] for i in range(size))]
-    d = rows
-    rng = range(size)
-    for m in range(2, upto + 1):
-        doubled.append(2 * sum(x * y for ar, dr in zip(rows, d)
-                               for x, y in zip(ar, dr)))
-        if m < upto:
-            cols = list(zip(*d))
-            p = [[sum(x * y for x, y in zip(ar, col)) for col in cols] for ar in rows]
-            d = [[p[i][j] + p[j][i] for j in rng] for i in rng]
-    return doubled
-
-
 @lru_cache(maxsize=None)
 def _newton_tables(degree: int):
     """Integer-only Newton data: coefficients and final scale factors.
@@ -433,15 +409,10 @@ def norm_form(spec: JordanSpec) -> PolarizedForm:
     # products per evaluation on the hottest path
     scale = _newton_tables(q)[1][q - 1]
 
-    if delta == 1:
-        def evaluate(vec):
-            return _newton_integers(
-                _scalar_doubled_traces(spec, vec, q), q)[q] * scale
-    else:
-        def evaluate(vec):
-            grid = _grid_from_coords(spec, vec)
-            return _newton_integers(
-                _doubled_traces_from_grid(grid, size, delta, q), q)[q] * scale
+    def evaluate(vec):
+        grid = _grid_from_coords(spec, vec)
+        return _newton_integers(
+            _doubled_traces_from_grid(grid, size, delta, q), q)[q] * scale
 
     return PolarizedForm(degree=q, dim=spec.dim, func=evaluate,
                          name=f"Q[k={spec.k},delta={spec.delta}]")

@@ -226,7 +226,10 @@ def mat_mul(a, b):
 
 
 def proportional(u, v) -> bool:
-    """True when u and v span the same line (or either is zero... both zero)."""
+    """True when nonzero u and v span the same line.
+
+    When either vector is zero, True exactly when both are.
+    """
     nu = any(x != 0 for x in u)
     nv = any(x != 0 for x in v)
     if not nu or not nv:

@@ -30,7 +30,6 @@ be answered from an exact entry and an exact vector from a float one.
 
 from __future__ import annotations
 
-import threading
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
@@ -55,9 +54,6 @@ class PolarizedForm:
         self.name = name
         self.cache_size = cache_size
         self._cache = {}
-        # forms are shared (frames cache them), so eviction plus insert must
-        # be atomic when trials run on worker threads; plain reads are fine
-        self._lock = threading.Lock()
         self.evaluations = 0  # underlying func calls (cache misses)
         self.calls = 0
 
@@ -82,10 +78,9 @@ class PolarizedForm:
         else:
             value = self.func(vec)
             self.evaluations += 1
-        with self._lock:
-            if len(self._cache) >= self.cache_size:
-                self._cache.pop(next(iter(self._cache)))
-            self._cache[key] = value
+        if len(self._cache) >= self.cache_size:
+            self._cache.pop(next(iter(self._cache)))
+        self._cache[key] = value
         return value
 
     def __repr__(self):

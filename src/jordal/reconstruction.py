@@ -24,7 +24,6 @@ of <.,.> and its exact inverse), computed once and shared read-only.
 
 from __future__ import annotations
 
-import threading
 from fractions import Fraction
 from functools import lru_cache
 
@@ -54,26 +53,19 @@ class NormFrame:
         self._gram = None
         self._gram_inv = None
         self._det_gram = None
-        self._gram_lock = threading.Lock()
 
-    # Gram data is built lazily; many light uses never need it.  First use
-    # may happen on several worker threads at once, so building is locked,
-    # and _gram is assigned last: a reader that sees it non-None can rely
-    # on the inverse and determinant being in place too.
+    # Gram data is built lazily; many light uses never need it.
     def _build_gram(self):
         if self._gram is not None:
             return
-        with self._gram_lock:
-            if self._gram is not None:
-                return
-            q, dim = self.q, self.spec.dim
-            s_mat = _pair_matrix(self, self.unit_coords)
-            phi = self.unit_covector
-            rows = tuple(tuple(q * phi[i] * phi[j] - (q - 1) * s_mat[i][j]
-                               for j in range(dim)) for i in range(dim))
-            self._gram_inv = LinearOperator(exact_inverse(rows), "V*", "V")
-            self._det_gram = exact_det(rows)
-            self._gram = LinearOperator(rows, "V", "V*")
+        q, dim = self.q, self.spec.dim
+        s_mat = _pair_matrix(self, self.unit_coords)
+        phi = self.unit_covector
+        rows = tuple(tuple(q * phi[i] * phi[j] - (q - 1) * s_mat[i][j]
+                           for j in range(dim)) for i in range(dim))
+        self._gram_inv = LinearOperator(exact_inverse(rows), "V*", "V")
+        self._det_gram = exact_det(rows)
+        self._gram = LinearOperator(rows, "V", "V*")
 
     @property
     def gram(self) -> LinearOperator:

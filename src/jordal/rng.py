@@ -2,7 +2,7 @@
 
 Every randomized trial draws from its own ``random.Random`` instance whose
 seed is derived from (seed, suite, check, trial index) with a fixed 64-bit
-mixing function, so results never depend on execution order or thread count.
+mixing function, so a trial's draws never depend on which trials ran before.
 
 Mixing: each label is hashed with FNV-1a (64-bit), folded into the state by
 XOR, and the state is scrambled with the splitmix64 finalizer. The final

@@ -4,7 +4,7 @@ Every claim the package makes is wrapped as a named check. A check runs a
 number of independent randomized trials; trial i of check c under seed s
 draws from a ``random.Random`` seeded by the 64-bit mix of
 (s, suite-of-c, id-of-c, i) (see rng.py), so results are reproducible and
-independent of execution order and thread count. Aggregation is a pure
+no trial depends on which trials ran before it. Aggregation is a pure
 max/all reduction over the trial list indexed by trial number.
 
 Exact mode verifies identities with rational arithmetic and zero tolerance.
@@ -24,7 +24,6 @@ negative suite skips everywhere else.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -853,14 +852,10 @@ def _run_one_trial(env, check, i):
                             {"error": f"{type(exc).__name__}: {exc}"})
 
 
-def _run_check(env: RunEnv, check: CheckDef, threads: int) -> CheckResult:
+# the unused third parameter keeps the signature that perfbench/layers.py wraps
+def _run_check(env: RunEnv, check: CheckDef, _threads: int) -> CheckResult:
     trials = env.config.trials
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(lambda i: _run_one_trial(env, check, i),
-                                     range(trials)))
-    else:
-        outcomes = [_run_one_trial(env, check, i) for i in range(trials)]
+    outcomes = [_run_one_trial(env, check, i) for i in range(trials)]
 
     errs = [o.err for o in outcomes if o.err is not None]
     max_err = max(errs) if errs else None
@@ -879,18 +874,16 @@ def _run_check(env: RunEnv, check: CheckDef, threads: int) -> CheckResult:
     return CheckResult(check.id, check.anchor, status, trials, max_err, witness)
 
 
-def run_suite(config: RunConfig, threads: int = 1) -> VerificationReport:
+def run_suite(config: RunConfig) -> VerificationReport:
     """Execute the configured checks and assemble (optionally write) a report."""
     config.validate()
-    if threads < 1:
-        raise InvalidConfig(f"threads must be >= 1, got {threads}")
     env = RunEnv(config)
     results = []
     for check in checks_for(config):
         if not check.supported(env):
             results.append(CheckResult(check.id, check.anchor, SKIP, 0))
             continue
-        results.append(_run_check(env, check, threads))
+        results.append(_run_check(env, check, 1))
     rep = VerificationReport(config.echo(), results)
     if config.report:
         write_report(rep, config.report, config.format)

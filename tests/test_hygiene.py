@@ -4,6 +4,8 @@ Every module of the package except ``__init__.py`` (which re-exports names)
 must use each name it imports, every module-level def or class must be used
 by the library or exported by the package, and no library module may check
 a claim with an ``assert`` statement, because ``python -O`` removes them.
+No module may import ``threading`` or ``concurrent.futures``: the trials
+hold the GIL, so worker threads bought no speed, only locks.
 """
 
 import ast
@@ -51,6 +53,23 @@ def test_no_assert_statements():
         tree = ast.parse(path.read_text(), filename=str(path))
         found.extend(f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                      if isinstance(node, ast.Assert))
+    assert found == []
+
+
+def test_no_thread_machinery():
+    banned = ("threading", "concurrent")
+    found = []
+    for path in modules():
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            found.extend(f"{path.name}:{node.lineno} {name}" for name in names
+                         if name.split(".")[0] in banned)
     assert found == []
 
 

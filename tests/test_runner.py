@@ -10,6 +10,9 @@ from pathlib import Path
 
 import pytest
 
+from jordal.cubic import cubic_context
+from jordal.jordan import JordanSpec, norm_form
+from jordal.reconstruction import frame
 from jordal.report import (
     PASS,
     SKIP,
@@ -87,8 +90,6 @@ def test_invalid_configs():
     for kw in bad:
         with pytest.raises(InvalidConfig):
             RunConfig(**kw).validate()
-    with pytest.raises(InvalidConfig):
-        run_suite(small_config(), threads=0)
 
 
 def test_all_pass_on_smallest_shape():
@@ -145,13 +146,6 @@ def test_terracini_witness_kept():
                            "expected": [3, 5, 6]}
 
 
-def test_thread_count_does_not_change_bytes():
-    cfg = small_config(trials=5, seed=9)
-    a = emit_report(run_suite(cfg, threads=1), "json")
-    b = emit_report(run_suite(cfg, threads=4), "json")
-    assert a == b
-
-
 def test_report_destination_does_not_change_bytes():
     # the config echo carries only result-determining parameters, so runs
     # that differ in output path or format still compare byte for byte
@@ -163,6 +157,31 @@ def test_report_destination_does_not_change_bytes():
     echoed = json.loads(a)["config"]
     assert "report" not in echoed and "format" not in echoed
     assert echoed["seed"] == 9
+
+
+def clear_shared_caches():
+    for cached in (frame, norm_form, cubic_context):
+        cached.cache_clear()
+
+
+def test_cache_state_does_not_change_bytes():
+    # cold caches, warm caches and a one-entry evaluation cache that evicts
+    # on every miss must all give the same report bytes
+    cfg = RunConfig(k=2, delta=2, suite="all", trials=2, seed=9)
+    clear_shared_caches()
+    try:
+        cold = emit_report(run_suite(cfg), "json")
+        warm = emit_report(run_suite(cfg), "json")
+        form = frame(JordanSpec(2, 2)).form
+        form.cache_size = 1
+        form._cache.clear()
+        before = form.evaluations
+        evicting = emit_report(run_suite(cfg), "json")
+        assert form.evaluations > before and len(form._cache) == 1
+    finally:
+        clear_shared_caches()
+    assert cold == warm
+    assert cold == evicting
 
 
 def test_seed_changes_sampled_witnesses():
