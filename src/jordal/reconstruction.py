@@ -16,10 +16,12 @@ polarizations, and the distinguished unit element I with Q(I) = 1:
               + (k+1)/2 [Q(I,..,I,A) B + Q(I,..,I,B) A]
               - k(k+1)/2 Q(I,..,I,A,B) I;
   - an independent derivative route  A*B = -1/2 d/dt H_{I+tA}(B) at t = 0,
-    evaluated by exact polynomial interpolation in t.
+    whose t-derivatives are polarizations of Q by the product rule.
 
-A NormFrame caches the per-spec shared data (unit covector, the Gram matrix
-of <.,.> and its exact inverse), computed once and shared read-only.
+Q enters as its monomial table (polarization.PolarizedForm), so every
+polarization above is a contraction of that table. A NormFrame holds the
+per-spec shared data (the table, unit covector, the Gram matrix of <.,.>
+and its exact inverse), computed once and shared read-only.
 """
 
 from __future__ import annotations
@@ -29,8 +31,7 @@ from functools import lru_cache
 
 from .jordan import JordanSpec, JordanElement, identity, basis_element, norm_form
 from .linalg import LinearOperator, exact_det, exact_inverse
-from .polarization import (PolarizedForm, covector_slot, derivative_at_zero_weights,
-                           partial_polarize)
+from .polarization import PolarizedForm, covector_slot, partial_polarize
 
 
 class SingularPoint(ValueError):
@@ -105,15 +106,9 @@ def frame(spec: JordanSpec) -> NormFrame:
 
 def _pair_matrix(fr: NormFrame, m_coords):
     """Symmetric matrix W[i][j] = Q(M,..,M,e_i,e_j) over the canonical basis."""
-    q, dim = fr.q, fr.spec.dim
-    basis = fr.basis_coords
-    rows = [[None] * dim for _ in range(dim)]
-    for i in range(dim):
-        for j in range(i, dim):
-            v = partial_polarize(fr.form, m_coords, q - 2, [basis[i], basis[j]])
-            rows[i][j] = v
-            rows[j][i] = v
-    return rows
+    q = fr.q
+    return [list(covector_slot(fr.form, [m_coords] * (q - 2) + [e]))
+            for e in fr.basis_coords]
 
 
 def unit_pairing(fr: NormFrame, a: JordanElement):
@@ -206,56 +201,32 @@ def reconstructed_product(fr: NormFrame, a: JordanElement,
 
 def _structural_line_derivative(fr: NormFrame, a: JordanElement,
                                 b: JordanElement):
-    """d/dt [tau_I^{-1} tau_{I+tA}(B)] at t = 0, by exact interpolation.
+    """d/dt [tau_I^{-1} tau_{I+tA}(B)] at t = 0, by the product rule.
 
-    The four polynomial pieces in t are sampled at integer nodes and their
-    values/derivatives at 0 recovered with exact Lagrange weights:
+    With M = I + tA, the four polynomial pieces in t are
         c1(t) = Q(M,..,M,B,.)  (degree q-2, covector)
         c2(t) = Q(M,..,M,B)    (degree q-1)
         c3(t) = Q(M,..,M,.)    (degree q-1, covector)
-        c4(t) = Q(M)           (degree q), with M = I + tA.
+        c4(t) = Q(M)           (degree q),
+    and each t-derivative at 0 trades one I for A: c1' = (q-2) Q(I,..,I,A,B,.),
+    c2' = (q-1) Q(I,..,I,A,B), c3' = (q-1) Q(I,..,I,A,.), c4' = q Q(I,..,I,A).
     """
-    q, dim = fr.q, fr.spec.dim
-    basis = fr.basis_coords
+    q = fr.q
+    unit = fr.unit_coords
     a_coords = a.coords()
     b_coords = b.coords()
-    unit = fr.unit_coords
-
-    def m_at(t):
-        return tuple(u + t * x for u, x in zip(unit, a_coords))
-
-    nodes1 = tuple(range(q - 1))
-    nodes2 = tuple(range(q))
-    nodes4 = tuple(range(q + 1))
-    d1 = derivative_at_zero_weights(nodes1)
-    d2 = derivative_at_zero_weights(nodes2)
-    d4 = derivative_at_zero_weights(nodes4)
-
-    c1_samples = []
-    for t in nodes1:
-        mt = m_at(t)
-        c1_samples.append(tuple(
-            partial_polarize(fr.form, mt, q - 2, [b_coords, e]) for e in basis))
-    c2_samples = []
-    c3_samples = []
-    for t in nodes2:
-        mt = m_at(t)
-        c2_samples.append(partial_polarize(fr.form, mt, q - 1, [b_coords]))
-        c3_samples.append(covector_slot(fr.form, [mt] * (q - 1)))
-    c4_samples = [fr.form(m_at(t)) for t in nodes4]
-
-    c1_0 = c1_samples[0]
-    c1_d = tuple(sum(w * s[c] for w, s in zip(d1, c1_samples)) for c in range(dim))
-    c2_0 = c2_samples[0]
-    c2_d = sum(w * s for w, s in zip(d2, c2_samples))
-    c3_0 = c3_samples[0]
-    c3_d = tuple(sum(w * s[c] for w, s in zip(d2, c3_samples)) for c in range(dim))
-    c4_d = sum(w * s for w, s in zip(d4, c4_samples))
-
+    c1_0 = covector_slot(fr.form, [unit] * (q - 2) + [b_coords])
+    c1_d = [(q - 2) * v for v in
+            covector_slot(fr.form, [unit] * (q - 3) + [a_coords, b_coords])]
+    c2_0 = unit_pairing(fr, b)
+    c2_d = (q - 1) * partial_polarize(fr.form, unit, q - 2, [a_coords, b_coords])
+    c3_0 = fr.unit_covector
+    c3_d = [(q - 1) * v for v in covector_slot(fr.form, [unit] * (q - 2) + [a_coords])]
+    c4_d = q * unit_pairing(fr, a)
     phi_d = tuple(
         -(q - 1) * (c1_d[c] - c1_0[c] * c4_d)
         + q * (c2_d * c3_0[c] + c2_0 * c3_d[c] - 2 * c2_0 * c3_0[c] * c4_d)
-        for c in range(dim))
+        for c in range(fr.spec.dim))
     return fr.element(fr.gram_inv.apply(phi_d))
 
 

@@ -847,7 +847,9 @@ def _run_one_trial(env, check, i):
     rng = stream_rng(env.config.seed, check.suite, check.id, i)
     try:
         return check.run(env, rng)
-    except Exception as exc:  # a failed construction is a failed trial
+    # a failed construction is a failed trial; any other exception is a bug
+    # in the program, which must stop the run instead of reading as a fail
+    except (ValueError, ArithmeticError) as exc:
         return TrialOutcome(False, None,
                             {"error": f"{type(exc).__name__}: {exc}"})
 

@@ -4,8 +4,9 @@ Everything here recomputes a quantity by a route different from the library:
 pair-indexed recursion for the doubled products, the Cayley-Dickson basis
 multiplication table (the rule the library's unrolled kernel encodes),
 Leibniz determinants, Fraction-based Gaussian elimination, classical
-cofactor adjugates, and Newton's identities over Fractions on the traces of
-iterated Jordan products.
+cofactor adjugates, Newton's identities over Fractions on the traces of
+iterated Jordan products, polarization by inclusion-exclusion over black-box
+evaluations of a form, and t-derivatives by exact Lagrange interpolation.
 It also holds the small matrix and vector helpers that only tests use.
 None of it is imported by the package itself.
 """
@@ -13,10 +14,11 @@ None of it is imported by the package itself.
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
-from math import gcd
+from math import factorial, gcd
 
 from jordal.jordan import JordanElement, jordan_power
 from jordal.linalg import LinearOperator, common_denominator
+from jordal.polarization import covector_slot, partial_polarize
 
 
 @lru_cache(maxsize=None)
@@ -244,3 +246,95 @@ def primitive_integer_vector(vec):
     if g == 0:
         return tuple(ints)
     return tuple(v // g for v in ints)
+
+
+@lru_cache(maxsize=None)
+def derivative_at_zero_weights(nodes: tuple, order: int = 1) -> tuple:
+    """Weights w with sum w_j p(x_j) = p^(order)(0) for deg(p) < len(nodes).
+
+    Computed by expanding each Lagrange basis polynomial exactly.
+    """
+    n = len(nodes)
+    ws = []
+    for j, xj in enumerate(nodes):
+        # expand prod_{l != j} (x - x_l)
+        coeffs = [Fraction(1)]
+        denom = Fraction(1)
+        for l, xl in enumerate(nodes):
+            if l == j:
+                continue
+            denom *= xj - xl
+            nxt = [Fraction(0)] * (len(coeffs) + 1)
+            for p, c in enumerate(coeffs):
+                nxt[p + 1] += c
+                nxt[p] -= c * xl
+            coeffs = nxt
+        w = coeffs[order] * factorial(order) / denom if order < n else Fraction(0)
+        ws.append(w)
+    return tuple(ws)
+
+
+def inclusion_exclusion_polarize(form, base, mult: int, rest):
+    """F~(base^mult, rest_1..rest_m) from black-box evaluations of form.func.
+
+    h(u) = sum_{S subset {1..m}} (-1)^(m-|S|) F(B + u sum_{i in S} r_i) has
+    valuation >= m, and its u^m coefficient, recovered by interpolating
+    h(u)/u^m at u = 1..q-m+1, is q!/(q-m)! times the mixed-linear term.
+    """
+    q = form.degree
+    rest = [tuple(r) for r in rest]
+    m = len(rest)
+    if mult + m != q:
+        raise ValueError(f"multiplicity {mult} plus {m} slots must equal degree {q}")
+    base = tuple(base)
+    if m == 0:
+        return form.func(base)
+    nodes = tuple(range(1, q - m + 2))
+    weights = derivative_at_zero_weights(nodes, 0)
+    sign_base = -1 if m % 2 else 1
+    dirs = [(0,) * form.dim]
+    for mask in range(1, 1 << m):
+        low = mask & -mask
+        dirs.append(tuple(a + b for a, b in
+                          zip(dirs[mask ^ low], rest[low.bit_length() - 1])))
+    base_value = form.func(base)
+    acc = 0
+    for u, w in zip(nodes, weights):
+        h = sign_base * base_value
+        for mask in range(1, 1 << m):
+            value = form.func(tuple(b + u * d for b, d in zip(base, dirs[mask])))
+            h = h - value if (m - mask.bit_count()) % 2 else h + value
+        acc = acc + w * h / u ** m
+    return acc * Fraction(factorial(q - m), factorial(q))
+
+
+def interpolated_line_derivative(fr, a: JordanElement, b: JordanElement):
+    """d/dt [tau_I^{-1} tau_{I+tA}(B)] at t = 0, by exact interpolation in t.
+
+    The pieces c1(t) = Q(M,..,M,B,.), c2(t) = Q(M,..,M,B), c3(t) = Q(M,..,M,.)
+    and c4(t) = Q(M), M = I + tA, are sampled at integer nodes and their
+    derivatives at 0 recovered with exact Lagrange weights.
+    """
+    q, dim = fr.q, fr.spec.dim
+    a_coords, b_coords = a.coords(), b.coords()
+
+    def m_at(t):
+        return tuple(u + t * x for u, x in zip(fr.unit_coords, a_coords))
+
+    d1 = derivative_at_zero_weights(tuple(range(q - 1)))
+    d2 = derivative_at_zero_weights(tuple(range(q)))
+    d4 = derivative_at_zero_weights(tuple(range(q + 1)))
+    c1 = [covector_slot(fr.form, [m_at(t)] * (q - 2) + [b_coords])
+          for t in range(q - 1)]
+    c2 = [partial_polarize(fr.form, m_at(t), q - 1, [b_coords]) for t in range(q)]
+    c3 = [covector_slot(fr.form, [m_at(t)] * (q - 1)) for t in range(q)]
+    c4 = [fr.form(m_at(t)) for t in range(q + 1)]
+    c1_d = [sum(w * s[c] for w, s in zip(d1, c1)) for c in range(dim)]
+    c2_d = sum(w * s for w, s in zip(d2, c2))
+    c3_d = [sum(w * s[c] for w, s in zip(d2, c3)) for c in range(dim)]
+    c4_d = sum(w * s for w, s in zip(d4, c4))
+    phi_d = tuple(
+        -(q - 1) * (c1_d[c] - c1[0][c] * c4_d)
+        + q * (c2_d * c3[0][c] + c2[0] * c3_d[c] - 2 * c2[0] * c3[0][c] * c4_d)
+        for c in range(dim))
+    return fr.element(fr.gram_inv.apply(phi_d))

@@ -1,5 +1,7 @@
-"""Polarization machinery on forms with hand-checkable polarizations."""
+"""Polarization machinery on forms with hand-checkable polarizations, and
+the monomial table against inclusion-exclusion over evaluations of Q."""
 
+import math
 from fractions import Fraction
 
 import numpy
@@ -10,11 +12,12 @@ from jordal.polarization import (
     ArityError,
     PolarizedForm,
     covector_slot,
-    derivative_at_zero_weights,
     full_polarize,
     partial_polarize,
 )
+from jordal.reconstruction import _pair_matrix, frame
 from jordal.rng import sample_coords, stream_rng
+from oracles import derivative_at_zero_weights, inclusion_exclusion_polarize
 
 
 def cube_form():
@@ -102,45 +105,53 @@ def test_rational_arguments():
 
 
 def test_cache_rescales_to_integers():
+    # rational arguments are cleared to int numerators, F(z/d) = F(z)/d^q,
+    # and equal rationals give equal values however they are written
     f = cube_form()
     value = f((Fraction(1, 2), Fraction(3, 2)))
-    # only the cleared-denominator key hits the underlying function
-    assert f.evaluations == 1
-    assert (1, 3) in f._cache
-    assert value == Fraction(1 + 27, 8)
-    # a second call with equivalent rationals is a pure cache hit
-    f((Fraction(2, 4), Fraction(3, 2)))
-    assert f.evaluations == 1
+    assert value == f((1, 3)) / 2 ** 3 == Fraction(1 + 27, 8)
+    assert f((Fraction(2, 4), Fraction(3, 2))) == value
 
 
 @pytest.mark.parametrize("k,delta", [(2, 2), (2, 4)])
 def test_float_and_exact_calls_keep_their_types(k, delta):
-    # 1.0 == 1 and hash(1.0) == hash(1): the cache must still answer an
-    # exact vector exactly and a float vector in floats, in either order
+    # an exact vector is answered exactly and a float vector in floats, in
+    # either order, although 1.0 == 1
     norm = norm_form(JordanSpec(k, delta))
     form = PolarizedForm(norm.degree, norm.dim, norm.func, name="fresh")
     ints = tuple(sample_coords(stream_rng(23, "types", k, delta), norm.dim))
     floats = tuple(float(v) for v in ints)
     exact = form(ints)
-    assert isinstance(exact, Fraction)
+    assert isinstance(exact, (int, Fraction))
     assert type(form(floats)) is float
-    assert form(ints) == exact and isinstance(form(ints), Fraction)
+    assert form(ints) == exact and isinstance(form(ints), (int, Fraction))
     # float subclasses such as numpy's are not exact either
     assert isinstance(form(tuple(numpy.float64(v) for v in ints)), float)
     other = PolarizedForm(norm.degree, norm.dim, norm.func, name="fresh")
     assert type(other(floats)) is float
-    assert other(ints) == exact and isinstance(other(ints), Fraction)
+    assert other(ints) == exact and isinstance(other(ints), (int, Fraction))
 
 
 def test_cache_eviction():
-    # a tiny cache forces constant eviction; no returned value may come
-    # from a stale or evicted entry, and the cache never outgrows its size
+    # many distinct inputs in a row: every value comes from the table, none
+    # from an earlier call
     f = PolarizedForm(2, 2, lambda v: v[0] * v[0] + 3 * v[1] * v[1],
-                      name="stress", cache_size=4)
+                      name="stress")
     inputs = [(i % 13 - 6, (7 * i) % 11 - 5) for i in range(400)]
     for x, y in inputs:
         assert f((x, y)) == x * x + 3 * y * y
-    assert len(f._cache) <= 4
+
+
+def test_table_of_known_forms():
+    # sorted variable-index tuples with integer coefficients over one
+    # denominator; cancelled terms do not appear
+    f = PolarizedForm(2, 2, lambda v: v[0] * v[0] + 3 * v[1] * v[1] - 0 * v[0])
+    assert f.terms == (((0, 0), 1), ((1, 1), 3)) and f.denominator == 1
+    g = PolarizedForm(3, 3, lambda v: (v[0] - v[2]) ** 2 * v[1] * Fraction(1, 6)
+                      + Fraction(1, 3) * v[0] * v[2] * v[1] - v[1] ** 3 + v[1] ** 3)
+    assert g.terms == (((0, 0, 1), 1), ((1, 2, 2), 1)) and g.denominator == 6
+    with pytest.raises(ArityError):
+        PolarizedForm(2, 2, lambda v: v[0] * v[0] + v[1])
 
 
 def test_derivative_weights():
@@ -169,3 +180,87 @@ def test_arity_errors():
         partial_polarize(f, (1, 0), 2, [(0, 1), (1, 1)])
     with pytest.raises(ArityError):
         covector_slot(f, [(1, 0)])
+
+
+ORACLE_SHAPES = [(2, 1), (2, 8), (3, 4), (4, 1)]
+KINDS = ["int", "fraction", "float"]
+
+
+def oracle_args(spec, kind, count, tag):
+    """count sample vectors: ints, Fractions with a different denominator in
+    each coordinate, or floats that are exact binary fractions."""
+    rng = stream_rng(24, tag, spec.k, spec.delta, kind)
+    vecs = [sample_coords(rng, spec.dim) for _ in range(count)]
+    if kind == "fraction":
+        return [tuple(Fraction(v, 1 + (i + j) % 6) for i, v in enumerate(vec))
+                for j, vec in enumerate(vecs)]
+    if kind == "float":
+        return [tuple(v / 4 for v in vec) for vec in vecs]
+    return vecs
+
+
+def exact(vec):
+    return tuple(Fraction(v) for v in vec)
+
+
+def assert_agrees(got, want, kind):
+    """Exact kinds agree exactly; floats agree with the exact value of the
+    same (exactly representable) arguments up to rounding."""
+    if kind == "float":
+        assert type(got) is float
+        assert math.isclose(got, want, rel_tol=1e-9, abs_tol=1e-9), (got, want)
+    else:
+        assert got == want
+
+
+def pairing(cov, x):
+    return sum(c * v for c, v in zip(cov, x))
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("k,delta", ORACLE_SHAPES)
+def test_table_matches_inclusion_exclusion(k, delta, kind):
+    spec = JordanSpec(k, delta)
+    form = norm_form(spec)
+    q = form.degree
+    args = oracle_args(spec, kind, q + 1, "values")
+    base, rest = args[0], args[1:]
+    assert_agrees(form(base), form.func(exact(base)), kind)
+    for mult in range(q + 1):
+        slots = rest[:q - mult]
+        assert_agrees(partial_polarize(form, base, mult, slots),
+                      inclusion_exclusion_polarize(
+                          form, exact(base), mult, [exact(r) for r in slots]),
+                      kind)
+    # covectors with one repeated base, then with two further slots, paired
+    # with a sampled vector and with the last basis vector
+    x = rest[-1]
+    e_last = tuple(int(i == form.dim - 1) for i in range(form.dim))
+    for fixed in ([base] * (q - 2) + [rest[0]],
+                  [base] * (q - 3) + [rest[0], rest[1]]):
+        cov = covector_slot(form, fixed)
+        mult = fixed.count(base)
+        others = [exact(f) for f in fixed[mult:]]
+        assert_agrees(pairing(cov, x), inclusion_exclusion_polarize(
+            form, exact(base), mult, others + [exact(x)]), kind)
+        assert_agrees(cov[-1], inclusion_exclusion_polarize(
+            form, exact(base), mult, others + [e_last]), kind)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("k,delta", ORACLE_SHAPES)
+def test_pair_matrix_matches_inclusion_exclusion(k, delta, kind):
+    spec = JordanSpec(k, delta)
+    fr = frame(spec)
+    m, x, y = oracle_args(spec, kind, 3, "pairs")
+    w = _pair_matrix(fr, m)
+    assert all(w[i][j] == w[j][i] for i in range(spec.dim) for j in range(i))
+    assert_agrees(pairing([pairing(row, y) for row in w], x),
+                  inclusion_exclusion_polarize(fr.form, exact(m), fr.q - 2,
+                                               [exact(x), exact(y)]), kind)
+    # one diagonal and one off-diagonal entry on their own
+    e = [tuple(int(i == c) for i in range(spec.dim)) for c in (0, spec.dim - 1)]
+    for i, j in ((0, 0), (0, 1)):
+        assert_agrees(w[i * (spec.dim - 1)][j * (spec.dim - 1)],
+                      inclusion_exclusion_polarize(fr.form, exact(m), fr.q - 2,
+                                                   [e[i], e[j]]), kind)

@@ -29,7 +29,7 @@ from jordal.reconstruction import (
     unit_pairing,
 )
 from jordal.rng import stream_rng
-from oracles import is_symmetric
+from oracles import interpolated_line_derivative, is_symmetric
 
 JORDAN_SPECS = [(2, 1), (2, 2), (2, 4), (2, 8), (3, 1), (3, 2), (3, 4),
                 (4, 1), (4, 2), (5, 1)]
@@ -124,6 +124,21 @@ def test_orbit_map_derivative():
         rng = stream_rng(36, "orbit", k, delta)
         a = random_element(spec, rng)
         assert orbit_map_derivative(fr, a) == a.scale(-2)
+
+
+@pytest.mark.parametrize("k,delta", [(2, 1), (2, 8), (3, 4), (4, 1)])
+def test_product_rule_derivatives_match_interpolation(k, delta):
+    # the closed t-derivatives of the derivative route against Lagrange
+    # interpolation of the same pieces sampled along I + tA
+    spec = JordanSpec(k, delta)
+    fr = frame(spec)
+    rng = stream_rng(37, "line-derivative", k, delta)
+    a = random_element(spec, rng)
+    b = random_element(spec, rng)
+    assert derivative_product_oracle(fr, a, b) == \
+        interpolated_line_derivative(fr, a, b).scale(Fraction(-1, 2))
+    assert orbit_map_derivative(fr, a) == \
+        interpolated_line_derivative(fr, a, fr.unit)
 
 
 def test_trace_of_mult_operator():
