@@ -403,10 +403,12 @@ def jordan_identity_residual(a: JordanElement, b: JordanElement):
 
 @lru_cache(maxsize=None)
 def norm_form(spec: JordanSpec) -> PolarizedForm:
-    """The generic norm as a polarizable degree-(k+1) form on coordinates."""
+    """The generic norm as a polarizable degree-(k+1) form on coordinates.
+
+    The trace evaluator runs once, on symbolic coordinates, and the form
+    keeps the monomial table it expands to.
+    """
     size, delta, q = spec.size, spec.delta, spec.degree
-    # only f_q is scaled: scaling every sigma would cost q more Fraction
-    # products per evaluation on the hottest path
     scale = _newton_tables(q)[1][q - 1]
 
     def evaluate(vec):

@@ -207,7 +207,7 @@ def _structural_line_derivative(fr: NormFrame, a: JordanElement,
         c1(t) = Q(M,..,M,B,.)  (degree q-2, covector)
         c2(t) = Q(M,..,M,B)    (degree q-1)
         c3(t) = Q(M,..,M,.)    (degree q-1, covector)
-        c4(t) = Q(M)           (degree q),
+        c4(t) = Q(M)           (degree q, c4(0) = Q(I) = 1),
     and each t-derivative at 0 trades one I for A: c1' = (q-2) Q(I,..,I,A,B,.),
     c2' = (q-1) Q(I,..,I,A,B), c3' = (q-1) Q(I,..,I,A,.), c4' = q Q(I,..,I,A).
     """
