@@ -131,9 +131,9 @@ def test_negative_suite_via_cli(capsys):
 
 
 def test_float_mode_quintic_passes(capsys):
-    # float mode at (4,1) once reported a spurious norm-semisimilarity fail
-    # here; more trials still find one (see ROADMAP), so this pins only the
-    # configuration that is known to pass
+    # norm-semisimilarity is ill-conditioned in floats at (4,1): with
+    # --trials 10, seeds 1 and 3 still fail (ROADMAP item 5). These three
+    # trials must pass, as they do in exact mode.
     code, out, _ = run_cli(capsys, "verify", "--k", "4", "--delta", "1",
                            "--suite", "all", "--trials", "3", "--seed", "7",
                            "--mode", "float")
