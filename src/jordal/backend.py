@@ -1,0 +1,117 @@
+"""The arithmetic of a run: exact rationals, or floats against a tolerance.
+
+Every check has one body and leaves each step that depends on the mode to a
+backend: lifting sampled coordinates, zero tests and comparisons, rank,
+solve, proportionality and determinant ratios. ``EXACT`` keeps ints and
+Fractions, compares with zero tolerance and calls the exact routines of
+``linalg``. ``FloatBackend(tol)`` lifts coordinates to floats, so everything
+built from them is computed in floats; it reads a value as zero when it is
+at most tol * (1 + the size of what is compared), and does linear algebra
+with numpy, which it imports on first use: exact runs never load it.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from fractions import Fraction
+
+from . import linalg
+
+
+@dataclass(frozen=True)
+class TrialOutcome:
+    ok: bool
+    err: object = None
+    witness: object = None
+
+
+class ExactBackend:
+    """Zero tolerance over ints and Fractions."""
+
+    def lift(self, coords):
+        return tuple(coords)
+
+    def is_zero(self, value, scale) -> bool:
+        return value == 0
+
+    def small(self, value, scale) -> TrialOutcome:
+        err = abs(value)
+        return TrialOutcome(err == 0, err)
+
+    def close_scalars(self, lhs, rhs) -> TrialOutcome:
+        return self.small(lhs - rhs, None)
+
+    def close_elements(self, lhs, rhs) -> TrialOutcome:
+        return self.small((lhs - rhs).max_abs(), None)
+
+    # linalg is read at call time, so a tracer that patches it sees the calls
+    def rank(self, rows) -> int:
+        return linalg.exact_rank(rows)
+
+    def solve(self, rows, rhs):
+        return linalg.exact_solve(rows, rhs)
+
+    def proportional(self, u, v) -> bool:
+        return linalg.proportional(u, v)
+
+    def det_ratio(self, rows, den, base, power) -> TrialOutcome:
+        """Whether det(rows) / den = base ** power."""
+        return self.close_scalars(linalg.exact_det(rows) / den,
+                                  Fraction(base) ** power)
+
+
+EXACT = ExactBackend()
+
+
+@dataclass(frozen=True)
+class FloatBackend:
+    """Floats; zero means at most tol * (1 + scale)."""
+
+    tol: float
+
+    def lift(self, coords):
+        return tuple(float(c) for c in coords)
+
+    def is_zero(self, value, scale) -> bool:
+        return abs(float(value)) <= self.tol * (1 + float(scale))
+
+    def small(self, value, scale) -> TrialOutcome:
+        return TrialOutcome(self.is_zero(value, scale), float(abs(value)))
+
+    def close_scalars(self, lhs, rhs) -> TrialOutcome:
+        return self.small(lhs - rhs, max(abs(float(lhs)), abs(float(rhs))))
+
+    def close_elements(self, lhs, rhs) -> TrialOutcome:
+        return self.small((lhs - rhs).max_abs(),
+                          max(float(lhs.max_abs()), float(rhs.max_abs())))
+
+    def rank(self, rows) -> int:
+        import numpy
+        if not rows:
+            return 0
+        return int(numpy.linalg.matrix_rank(numpy.array(rows, dtype=float)))
+
+    def solve(self, rows, rhs):
+        import numpy
+        x = numpy.linalg.solve(numpy.array(rows, dtype=float),
+                               numpy.array(rhs, dtype=float))
+        return tuple(float(v) for v in x)
+
+    def proportional(self, u, v) -> bool:
+        return self.rank([u, v]) == 1 and any(u) and any(v)
+
+    def det_ratio(self, rows, den, base, power) -> TrialOutcome:
+        """det(rows) / den against base ** power, compared in log space.
+
+        The determinant of a float matrix and the power both leave the
+        float range on larger shapes; their logarithms do not. The signs
+        must match and the logarithms agree within 1e-6 per row.
+        """
+        import numpy
+        sign, log_det = numpy.linalg.slogdet(numpy.array(rows, dtype=float))
+        want_sign = numpy.sign(float(den)) * numpy.sign(float(base)) ** power
+        err = float(abs(log_det - math.log(abs(den))
+                        - power * math.log(abs(float(base)))))
+        return TrialOutcome(bool(sign == want_sign) and err <= 1e-6 * len(rows),
+                            err)

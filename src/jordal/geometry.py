@@ -2,15 +2,17 @@
 
 The projectivized rank-one elements form the variety whose secant behavior
 drives everything else in this package. All dimension counts here are exact
-integer statements computed over the rationals.
+integer statements computed over the rationals by default; the functions
+that take a ``backend`` compute in its arithmetic instead (see backend.py).
 """
 
 from fractions import Fraction
 
+from .backend import EXACT
 from .composition import cd_conj, cd_mul
 from .jordan import (JordanElement, JordanSpec, SpecMismatch, char_coeffs,
-                     mult_operator)
-from .linalg import exact_det, exact_nullspace, exact_rank, exact_solve, proportional
+                     jordan_rank, mult_operator)
+from .linalg import exact_det, exact_nullspace, exact_rank, exact_solve
 from .polarization import PolarizedForm, covector_slot, full_polarize, partial_polarize
 from .reconstruction import NormFrame, inner, tau, tau_covector, unit_pairing
 
@@ -100,7 +102,7 @@ def sample_rank_one(spec: JordanSpec, rng, lo: int = -9, hi: int = 9) -> RankOne
             "so rejection sampling would not terminate")
     size, delta = spec.size, spec.delta
     nonzero = [c for c in range(lo, hi + 1) if c != 0]
-    while True:
+    for _ in range(200):
         v = [[rng.randint(lo, hi) for _ in range(delta)] for _ in range(size)]
         scalar_slot = rng.randrange(size)
         v[scalar_slot] = [rng.choice(nonzero)] + [0] * (delta - 1)
@@ -108,6 +110,7 @@ def sample_rank_one(spec: JordanSpec, rng, lo: int = -9, hi: int = 9) -> RankOne
             return RankOnePoint(spec, v)
         except ValueError:
             continue
+    raise SingularConfiguration("no rank-one point in 200 draws")
 
 
 class TangentFrame:
@@ -167,22 +170,21 @@ def terracini_expected(spec: JordanSpec, l: int) -> int:
     return min(spec.dim, raw)
 
 
-def terracini_dim(spec: JordanSpec, l: int, rng) -> int:
+def terracini_dim(spec: JordanSpec, l: int, rng, backend=EXACT) -> int:
     """Measured rank of l+1 stacked tangent frames at random points."""
     if not 0 <= l <= spec.k:
         raise ValueError(f"l must lie in [0, {spec.k}]")
     rows = []
     for _ in range(l + 1):
         rows.extend(tangent_frame(sample_rank_one(spec, rng)).rows())
-    return exact_rank(rows)
+    return backend.rank(rows)
 
 
-def secant_membership(a: JordanElement, l: int) -> bool:
+def secant_membership(a: JordanElement, l: int, backend=EXACT) -> bool:
     """Whether A lies on the l-th secant locus, i.e. has rank at most l+1."""
     if not 0 <= l <= a.spec.k:
         raise ValueError(f"l must lie in [0, {a.spec.k}]")
-    sigma = char_coeffs(a)
-    return all(s == 0 for s in sigma[l + 1:])
+    return jordan_rank(a, backend) <= l + 1
 
 
 def rank_one_double_slot(fr: NormFrame, x: RankOnePoint, fillers):
@@ -192,7 +194,7 @@ def rank_one_double_slot(fr: NormFrame, x: RankOnePoint, fillers):
     return full_polarize(fr.form, args)
 
 
-def dual_point(fr: NormFrame, x: RankOnePoint, a: JordanElement):
+def dual_point(fr: NormFrame, x: RankOnePoint, a: JordanElement, backend=EXACT):
     """The hypersurface point x' cut out by x and A, with its tangent covector.
 
     Returns (x', tau_A(x)). x' = A - [Q(A) / (q Q(x,A,...,A))] x lands on
@@ -202,42 +204,45 @@ def dual_point(fr: NormFrame, x: RankOnePoint, a: JordanElement):
     any of these claims fails.
     """
     q = fr.q
+    a = fr.element(backend.lift(a.coords()))
+    xe = fr.element(backend.lift(x.element.coords()))
     qa = fr.norm(a)
-    if qa == 0:
+    if backend.is_zero(qa, 0):
         raise SingularConfiguration("Q(A) = 0")
-    xe = x.element
     pairing = partial_polarize(fr.form, a.coords(), q - 1, [xe.coords()])
-    if pairing == 0:
+    if backend.is_zero(pairing, 0):
         raise SingularConfiguration("Q(x, A, ..., A) = 0")
+    # Fraction(qa) keeps exact division exact; a float quotient stays float
     xp = a - xe.scale(Fraction(qa) / (q * pairing))
-    if fr.norm(xp) != 0:
+    if not backend.is_zero(fr.norm(xp), (1 + xp.max_abs()) ** q):
         raise DualityViolation("Q(x') != 0")
     cov = tau_covector(fr, a, xe)
     grad_a = covector_slot(fr.form, [a.coords()] * (q - 1))
     mixed = covector_slot(fr.form, [a.coords()] * (q - 2) + [xe.coords()])
     coef = (q - 1) * qa * Fraction(1, q) / pairing
     displayed = tuple(g - coef * m for g, m in zip(grad_a, mixed))
-    if not proportional(cov, displayed):
+    if not backend.proportional(cov, displayed):
         raise DualityViolation("tau_A(x) is not proportional to the displayed "
                                "covector")
     hyper_grad = covector_slot(fr.form, [xp.coords()] * (q - 1))
     if all(v == 0 for v in hyper_grad):
         raise SingularConfiguration("x' is a singular hypersurface point")
-    for w in exact_nullspace([list(hyper_grad)]):
-        if sum(c * t for c, t in zip(cov, w)) != 0:
-            raise DualityViolation("tau_A(x) does not kill the tangent "
-                                   "hyperplane at x'")
+    # the tangent hyperplane at x' is the kernel of the gradient there, so
+    # tau_A(x) kills it exactly when the two covectors are proportional
+    if not backend.proportional(cov, hyper_grad):
+        raise DualityViolation("tau_A(x) does not kill the tangent "
+                               "hyperplane at x'")
     return xp, cov
 
 
 def homogeneity_witness(fr: NormFrame, a: JordanElement, b: JordanElement,
-                        x: RankOnePoint) -> JordanElement:
+                        x: RankOnePoint, backend=EXACT) -> JordanElement:
     """tau_A^{-1} tau_B applied to a rank-one point; stays rank one."""
-    if fr.norm(a) == 0 or fr.norm(b) == 0:
+    a, b, xe = (fr.element(backend.lift(e.coords())) for e in (a, b, x.element))
+    if backend.is_zero(fr.norm(a), 0) or backend.is_zero(fr.norm(b), 0):
         raise SingularConfiguration("need Q(A) != 0 and Q(B) != 0")
-    target = tau_covector(fr, b, x.element)
-    ta = tau(fr, a)
-    return fr.element(exact_solve([list(r) for r in ta.matrix], list(target)))
+    target = tau_covector(fr, b, xe)
+    return fr.element(backend.solve(tau(fr, a).matrix, target))
 
 
 def tangent_intersection(fr: NormFrame, xa: RankOnePoint, xb: RankOnePoint):
@@ -248,6 +253,15 @@ def tangent_intersection(fr: NormFrame, xa: RankOnePoint, xb: RankOnePoint):
     for frame_rows in (fa.rows(), fb.rows()):
         stacked.extend(list(row) for row in exact_nullspace(frame_rows))
     return exact_nullspace(stacked)
+
+
+def tangent_intersection_dim(xa: RankOnePoint, xb: RankOnePoint,
+                             backend=EXACT) -> int:
+    """dim(T_A int T_B) = dim T_A + dim T_B - dim(T_A + T_B)."""
+    rows_a = tangent_frame(xa).rows()
+    rows_b = tangent_frame(xb).rows()
+    return (backend.rank(rows_a) + backend.rank(rows_b)
+            - backend.rank(rows_a + rows_b))
 
 
 def product_projection(fr: NormFrame, xa: RankOnePoint, xb: RankOnePoint,
@@ -290,10 +304,9 @@ def expected_mult_kernel_dim(spec: JordanSpec) -> int:
     return spec.k + spec.delta * spec.k * (spec.k - 1) // 2
 
 
-def mult_kernel_dim(x: RankOnePoint) -> int:
+def mult_kernel_dim(x: RankOnePoint, backend=EXACT) -> int:
     """Measured nullity of B -> x * B."""
-    op = mult_operator(x.element)
-    return x.spec.dim - exact_rank([list(r) for r in op.matrix])
+    return x.spec.dim - backend.rank(mult_operator(x.element).matrix)
 
 
 def cone_vertex_stack(form: PolarizedForm, rng, rows=None,

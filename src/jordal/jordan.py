@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
+from .backend import EXACT
 from .composition import ALLOWED_DIMS, DimensionMismatch, cd_conj, grid_matmul
 from .linalg import LinearOperator, clear_row_denominators
 from .polarization import PolarizedForm
@@ -364,16 +365,12 @@ def generic_norm(a: JordanElement):
     return char_coeffs(a)[-1]
 
 
-def jordan_rank(a: JordanElement, tol=0) -> int:
-    """Largest j with sigma_j != 0 (float backend: above a scaled tolerance)."""
+def jordan_rank(a: JordanElement, backend=EXACT) -> int:
+    """Largest j with sigma_j nonzero; sigma_j is compared at scale |A|^j."""
     sigma = char_coeffs(a)
-    if tol:
-        norm = sum(float(c) * float(c) for c in a.coords()) ** 0.5
-        nonzero = [j + 1 for j, s in enumerate(sigma)
-                   if abs(float(s)) > tol * (1 + norm ** (j + 1))]
-    else:
-        nonzero = [j + 1 for j, s in enumerate(sigma) if s != 0]
-    return max(nonzero, default=0)
+    norm = sum(float(c) * float(c) for c in a.coords()) ** 0.5
+    return max((j + 1 for j, s in enumerate(sigma)
+                if not backend.is_zero(s, norm ** (j + 1))), default=0)
 
 
 def mult_operator(a: JordanElement) -> LinearOperator:

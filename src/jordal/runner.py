@@ -7,12 +7,12 @@ draws from a ``random.Random`` seeded by the 64-bit mix of
 no trial depends on which trials ran before it. Aggregation is a pure
 max/all reduction over the trial list indexed by trial number.
 
-Exact mode verifies identities with rational arithmetic and zero tolerance.
-Float mode re-evaluates residual-style identities in floating point against
-a scaled tolerance and measures dimension-style claims with SVD ranks;
-discrete constructions (rank-one vectors, permutation operators) are always
-built over the integers because the claims are about what is built from
-them.
+One backend object (backend.py) decides the arithmetic mode, and each check
+has one body that runs in both modes: exact mode uses rational arithmetic
+and zero tolerance, float mode lifts sampled elements to floats, compares
+against a scaled tolerance and takes ranks and solves with numpy. Discrete
+constructions (rank-one vectors, permutation operators) are always built
+over the integers because the claims are about what is built from them.
 
 Shapes where a claim's hypotheses fail are reported as skips: everything
 that needs the commutative product to satisfy the defining identity (the
@@ -27,21 +27,21 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .backend import EXACT, FloatBackend, TrialOutcome
 from .composition import cd_mul, cd_norm
 from .jordan import (JordanElement, JordanSpec, identity, jordan_identity_residual,
                      jordan_mul, jordan_rank, mult_operator, quadratic_rep)
-from .linalg import exact_rank
-from .polarization import covector_slot, partial_polarize
+from .polarization import covector_slot
 from .reconstruction import (NormFrame, SingularPoint, derivative_product_oracle,
                              frame, inner, orbit_map_derivative,
                              reconstructed_product, sharp, structural_map, tau,
-                             tau_covector, tau_det_normalized, unit_pairing)
+                             unit_pairing)
 from .geometry import (DegenerateFrame, DegenerateIntersection,
                        SingularConfiguration, cone_vertex_stack, dual_point,
                        expected_mult_kernel_dim, expected_tangent_rank,
                        homogeneity_witness, mult_kernel_dim, product_projection,
                        rank_one_double_slot, sample_rank_one, secant_membership,
-                       tangent_frame, tangent_intersection, terracini_dim,
+                       tangent_frame, tangent_intersection_dim, terracini_dim,
                        terracini_expected)
 from .symmetry import (DegenerateSample, GroupElementSample,
                        automorphism_trichotomy, lie_triple_residual,
@@ -113,70 +113,23 @@ class RunConfig:
         return {name: getattr(self, name) for name in keep}
 
 
-@dataclass(frozen=True)
-class TrialOutcome:
-    ok: bool
-    err: object = None
-    witness: object = None
-
-
 class RunEnv:
-    """Per-run bundle: spec, frame, arithmetic mode, tolerance."""
+    """Per-run bundle: spec, frame and the arithmetic backend of the mode."""
 
     def __init__(self, config: RunConfig):
         self.config = config
         self.spec = JordanSpec(config.k, config.delta)
         self.frame: NormFrame = frame(self.spec)
-        self.exact = config.mode == "exact"
-        self.tol = config.tol
+        self.backend = EXACT if config.mode == "exact" else FloatBackend(config.tol)
         self.unit = identity(self.spec)
 
-    # --- sampling -------------------------------------------------------
-
-    def lift(self, coords):
-        """Backend coordinates: ints in exact mode, floats otherwise."""
-        if self.exact:
-            return tuple(coords)
-        return tuple(float(c) for c in coords)
-
     def sample(self, rng) -> JordanElement:
-        return JordanElement.from_coords(self.spec,
-                                         self.lift(sample_coords(rng, self.spec.dim)))
+        return JordanElement.from_coords(
+            self.spec, self.backend.lift(sample_coords(rng, self.spec.dim)))
 
     def sample_invertible(self, rng) -> JordanElement:
         return JordanElement.from_coords(
-            self.spec, self.lift(self.frame.random_invertible(rng).coords()))
-
-    # --- comparisons ----------------------------------------------------
-
-    def close_elements(self, lhs: JordanElement, rhs: JordanElement) -> TrialOutcome:
-        err = (lhs - rhs).max_abs()
-        if self.exact:
-            return TrialOutcome(err == 0, err)
-        scale = 1 + max(float(lhs.max_abs()), float(rhs.max_abs()))
-        return TrialOutcome(abs(float(err)) <= self.tol * scale, float(abs(err)))
-
-    def close_scalars(self, lhs, rhs) -> TrialOutcome:
-        err = abs(lhs - rhs)
-        if self.exact:
-            return TrialOutcome(err == 0, err)
-        scale = 1 + max(abs(float(lhs)), abs(float(rhs)))
-        return TrialOutcome(float(err) <= self.tol * scale, float(err))
-
-    def small(self, value, scale) -> TrialOutcome:
-        """|value| = 0 exactly, or below tol * (1 + scale) in float mode."""
-        err = abs(value)
-        if self.exact:
-            return TrialOutcome(err == 0, err)
-        return TrialOutcome(float(err) <= self.tol * (1 + float(scale)), float(err))
-
-    def rank(self, rows) -> int:
-        if self.exact:
-            return exact_rank([list(r) for r in rows])
-        import numpy
-        if not rows:
-            return 0
-        return int(numpy.linalg.matrix_rank(numpy.array(rows, dtype=float)))
+            self.spec, self.backend.lift(self.frame.random_invertible(rng).coords()))
 
 
 def _retry(rng, fn, attempts: int = 64):
@@ -212,12 +165,12 @@ def _is_counterexample_shape(env: RunEnv) -> bool:
 
 def _ck_unit_law(env, rng):
     a = env.sample(rng)
-    return env.close_elements(jordan_mul(env.unit, a), a)
+    return env.backend.close_elements(jordan_mul(env.unit, a), a)
 
 
 def _ck_commutativity(env, rng):
     a, b = env.sample(rng), env.sample(rng)
-    return env.close_elements(jordan_mul(a, b), jordan_mul(b, a))
+    return env.backend.close_elements(jordan_mul(a, b), jordan_mul(b, a))
 
 
 def _ck_jordan_identity(env, rng):
@@ -225,20 +178,21 @@ def _ck_jordan_identity(env, rng):
     sq = jordan_mul(a, a)
     lhs = jordan_mul(a, jordan_mul(b, sq))
     rhs = jordan_mul(jordan_mul(a, b), sq)
-    return env.close_elements(lhs, rhs)
+    return env.backend.close_elements(lhs, rhs)
 
 
 def _ck_power_associativity(env, rng):
     a = env.sample(rng)
     sq = jordan_mul(a, a)
-    return env.close_elements(jordan_mul(sq, sq), jordan_mul(a, jordan_mul(a, sq)))
+    return env.backend.close_elements(jordan_mul(sq, sq),
+                                      jordan_mul(a, jordan_mul(a, sq)))
 
 
 def _ck_norm_multiplicativity(env, rng):
     d = env.spec.delta
-    x = env.lift(sample_coords(rng, d))
-    y = env.lift(sample_coords(rng, d))
-    return env.close_scalars(cd_norm(cd_mul(x, y, d)), cd_norm(x) * cd_norm(y))
+    x = env.backend.lift(sample_coords(rng, d))
+    y = env.backend.lift(sample_coords(rng, d))
+    return env.backend.close_scalars(cd_norm(cd_mul(x, y, d)), cd_norm(x) * cd_norm(y))
 
 
 # --------------------------------------------------------------------------
@@ -247,32 +201,32 @@ def _ck_norm_multiplicativity(env, rng):
 
 def _ck_product_reconstruction(env, rng):
     a, b = env.sample(rng), env.sample(rng)
-    return env.close_elements(reconstructed_product(env.frame, a, b),
-                              jordan_mul(a, b))
+    return env.backend.close_elements(reconstructed_product(env.frame, a, b),
+                                      jordan_mul(a, b))
 
 
 def _ck_derivative_oracle(env, rng):
     a, b = env.sample(rng), env.sample(rng)
-    return env.close_elements(derivative_product_oracle(env.frame, a, b),
-                              jordan_mul(a, b))
+    return env.backend.close_elements(derivative_product_oracle(env.frame, a, b),
+                                      jordan_mul(a, b))
 
 
 def _ck_orbit_derivative(env, rng):
     a = env.sample(rng)
-    return env.close_elements(orbit_map_derivative(env.frame, a), a.scale(-2))
+    return env.backend.close_elements(orbit_map_derivative(env.frame, a), a.scale(-2))
 
 
 def _ck_trace_lemma(env, rng):
     m = env.sample(rng)
     op = mult_operator(m)
     tr = sum(op.matrix[j][j] for j in range(env.spec.dim))
-    return env.close_scalars(tr, env.spec.dim * unit_pairing(env.frame, m))
+    return env.backend.close_scalars(tr, env.spec.dim * unit_pairing(env.frame, m))
 
 
 def _ck_pairing_product(env, rng):
     a, b = env.sample(rng), env.sample(rng)
-    return env.close_scalars(inner(env.frame, a, b),
-                             unit_pairing(env.frame, jordan_mul(a, b)))
+    return env.backend.close_scalars(inner(env.frame, a, b),
+                                     unit_pairing(env.frame, jordan_mul(a, b)))
 
 
 def _ck_sharp_identity(env, rng):
@@ -282,7 +236,7 @@ def _ck_sharp_identity(env, rng):
     lhs = sharp(fr, cov)
     k = spec.k
     rhs = (env.unit.scale((k + 1) * unit_pairing(fr, a)) - a).scale(Fraction(1, k))
-    return env.close_elements(lhs, rhs)
+    return env.backend.close_elements(lhs, rhs)
 
 
 def _ck_norm_semisimilarity(env, rng):
@@ -291,7 +245,7 @@ def _ck_norm_semisimilarity(env, rng):
     b = env.sample(rng)
     hb = fr.element(structural_map(fr, a).apply(b.coords()))
     qa = fr.norm(a)
-    return env.close_scalars(fr.norm(hb) * qa * qa, fr.norm(b))
+    return env.backend.close_scalars(fr.norm(hb) * qa * qa, fr.norm(b))
 
 
 def _ck_quadratic_structural(env, rng):
@@ -301,7 +255,7 @@ def _ck_quadratic_structural(env, rng):
     dev = max(abs(comp.matrix[i][j] - (1 if i == j else 0))
               for i in range(env.spec.dim) for j in range(env.spec.dim))
     scale = max(abs(float(v)) for row in comp.matrix for v in row)
-    return env.small(dev, scale)
+    return env.backend.small(dev, scale)
 
 
 def _ck_tau_symmetry(env, rng):
@@ -312,28 +266,14 @@ def _ck_tau_symmetry(env, rng):
     dev = max((abs(t.matrix[i][j] - t.matrix[j][i])
                for i in range(n) for j in range(i + 1, n)), default=0)
     scale = max(abs(float(v)) for row in t.matrix for v in row)
-    return env.small(dev, scale)
+    return env.backend.small(dev, scale)
 
 
 def _ck_tau_normalized_det(env, rng):
     fr, spec = env.frame, env.spec
     m = env.sample_invertible(rng)
-    power = 2 + spec.k * spec.delta
-    if env.exact:
-        lhs = tau_det_normalized(fr, m)
-        rhs = Fraction(1, fr.norm(m) ** power)
-        return env.close_scalars(lhs, rhs)
-    import numpy
-    t = numpy.array([[float(v) for v in row] for row in tau(fr, m).matrix])
-    sign_t, log_t = numpy.linalg.slogdet(t)
-    g = numpy.array([[float(v) for v in row] for row in fr.gram.matrix])
-    sign_g, log_g = numpy.linalg.slogdet(g)
-    qm = float(fr.norm(m))
-    want_log = -power * numpy.log(abs(qm))
-    want_sign = sign_g * (1 if qm > 0 else (-1) ** power)
-    err = abs((log_t - log_g) - want_log)
-    ok = sign_t == want_sign and err <= 1e-6 * env.spec.dim
-    return TrialOutcome(ok, err)
+    return env.backend.det_ratio(tau(fr, m).matrix, fr.det_gram, fr.norm(m),
+                                 -2 - spec.k * spec.delta)
 
 
 # --------------------------------------------------------------------------
@@ -344,47 +284,31 @@ def _ck_tangent_rank(env, rng):
     x = sample_rank_one(env.spec, rng)
     tf = tangent_frame(x, check=False)
     want = expected_tangent_rank(env.spec)
-    got = env.rank(tf.rows())
+    got = env.backend.rank(tf.rows())
     return TrialOutcome(got == want, None, {"rank": got, "expected": want})
 
 
 def _ck_terracini(env, rng):
     spec = env.spec
-    ls, dims, wants = [], [], []
-    ok = True
-    for l in range(spec.k + 1):
-        want = terracini_expected(spec, l)
-        if env.exact:
-            got = _retry(rng, lambda: terracini_dim(spec, l, rng))
-        else:
-            def stacked_rank():
-                rows = []
-                for _ in range(l + 1):
-                    rows.extend(tangent_frame(sample_rank_one(spec, rng)).rows())
-                return env.rank(rows)
-            got = _retry(rng, stacked_rank)
-        ls.append(l)
-        dims.append(got)
-        wants.append(want)
-        ok = ok and got == want
-    return TrialOutcome(ok, None, {"l": ls, "dims": dims, "expected": wants})
+    ls = list(range(spec.k + 1))
+    dims = [_retry(rng, lambda: terracini_dim(spec, l, rng, env.backend)) for l in ls]
+    wants = [terracini_expected(spec, l) for l in ls]
+    return TrialOutcome(dims == wants, None, {"l": ls, "dims": dims, "expected": wants})
 
 
 def _ck_secant_membership(env, rng):
     spec = env.spec
-    tol = 0 if env.exact else env.tol
 
     def one_level(l):
         total = sample_rank_one(spec, rng).element
         for _ in range(l):
             total = total + sample_rank_one(spec, rng).element
-        backend = JordanElement.from_coords(spec, env.lift(total.coords()))
-        r = jordan_rank(backend, tol)
+        point = JordanElement.from_coords(spec, env.backend.lift(total.coords()))
+        r = jordan_rank(point, env.backend)
         if r < l + 1:
             # the random points were linearly degenerate; draw again
             raise SingularConfiguration(f"degenerate secant sample at l={l}")
-        member = secant_membership(total, l) if env.exact else r == l + 1
-        return r == l + 1 and member, r
+        return r == l + 1 and secant_membership(point, l, env.backend), r
 
     for l in range(spec.k + 1):
         ok, r = _retry(rng, lambda: one_level(l))
@@ -401,48 +325,19 @@ def _ck_double_point(env, rng):
     scale = float(x.element.max_abs())
     for f in fillers:
         scale *= 1 + float(f.max_abs())
-    return env.small(value, scale ** 2)
+    return env.backend.small(value, scale ** 2)
 
 
 def _ck_dual_point(env, rng):
     fr, spec = env.frame, env.spec
 
-    def build_and_check():
+    # dual_point raises DualityViolation when a claim fails
+    def build():
         x = sample_rank_one(spec, rng)
-        a = fr.random_invertible(rng)
-        if env.exact:
-            dual_point(fr, x, a)
-            return TrialOutcome(True, 0)
-        return _float_dual_point(env, x, a)
+        return dual_point(fr, x, fr.random_invertible(rng), env.backend)
 
-    return _retry(rng, build_and_check)
-
-
-def _float_dual_point(env, x, a):
-    import numpy
-    fr = env.frame
-    q = fr.q
-    af = env.lift(a.coords())
-    xf = env.lift(x.element.coords())
-    qa = fr.form(af)
-    pairing = partial_polarize(fr.form, af, q - 1, [xf])
-    if abs(pairing) <= env.tol:
-        raise SingularConfiguration("nearly orthogonal pair")
-    xp = tuple(av - qa / (q * pairing) * xv for av, xv in zip(af, xf))
-    scale = (1 + max(abs(v) for v in xp)) ** q
-    res = fr.form(xp)
-    ok1 = abs(res) <= env.tol * scale
-    cov = tau_covector(fr, fr.element(af), fr.element(xf))
-    grad = covector_slot(fr.form, [af] * (q - 1))
-    mixed = covector_slot(fr.form, [af] * (q - 2) + [xf])
-    coef = (q - 1) * qa / (q * pairing)
-    displayed = tuple(g - coef * m for g, m in zip(grad, mixed))
-    stack = numpy.array([[float(v) for v in cov],
-                         [float(v) for v in displayed]])
-    norms = numpy.linalg.norm(stack, axis=1)
-    ok2 = norms.min() > 0 and numpy.linalg.matrix_rank(stack) == 1
-    err = float(abs(res)) / scale
-    return TrialOutcome(ok1 and ok2, err)
+    xp, _ = _retry(rng, build)
+    return TrialOutcome(True, abs(fr.norm(xp)))
 
 
 def _ck_homogeneity(env, rng):
@@ -455,21 +350,7 @@ def _ck_homogeneity(env, rng):
         return a, b, x
 
     a, b, x = _retry(rng, build)
-    if env.exact:
-        y = homogeneity_witness(fr, a, b, x)
-        return TrialOutcome(jordan_rank(y) == 1)
-    import numpy
-    af = fr.element(env.lift(a.coords()))
-    target = numpy.array([float(v)
-                          for v in tau_covector(fr, fr.element(env.lift(b.coords())),
-                                                fr.element(env.lift(x.element.coords())))])
-    ta = numpy.array([[float(v) for v in row] for row in tau(fr, af).matrix])
-    y = numpy.linalg.solve(ta, target)
-    top = numpy.abs(y).max()
-    if top == 0:
-        return TrialOutcome(False, None, {"error": "zero solution"})
-    ye = JordanElement.from_coords(spec, tuple(float(v) for v in y / top))
-    r = jordan_rank(ye, env.tol * spec.dim)
+    r = jordan_rank(homogeneity_witness(fr, a, b, x, env.backend), env.backend)
     return TrialOutcome(r == 1, None, {"rank": r})
 
 
@@ -479,13 +360,7 @@ def _ck_tangent_intersection(env, rng):
     def build():
         xa = sample_rank_one(spec, rng)
         xb = sample_rank_one(spec, rng)
-        if env.exact:
-            basis = tangent_intersection(env.frame, xa, xb)
-            return len(basis)
-        ra = env.rank(tangent_frame(xa).rows())
-        rb = env.rank(tangent_frame(xb).rows())
-        both = env.rank(tangent_frame(xa).rows() + tangent_frame(xb).rows())
-        return ra + rb - both
+        return tangent_intersection_dim(xa, xb, env.backend)
 
     got = _retry(rng, build)
     return TrialOutcome(got == spec.delta, None,
@@ -502,29 +377,20 @@ def _ck_projection_formula(env, rng):
         return xa, xb, proj
 
     xa, xb, proj = _retry(rng, build)
-    want = jordan_mul(xa.element, xb.element)
-    if env.exact:
-        return env.close_elements(proj, want)
-    err = float((proj - want).max_abs())
-    scale = 1 + float(want.max_abs())
-    return TrialOutcome(err <= env.tol * scale, err)
+    return env.backend.close_elements(proj, jordan_mul(xa.element, xb.element))
 
 
 def _ck_mult_kernel(env, rng):
     spec = env.spec
-    x = sample_rank_one(spec, rng)
+    got = mult_kernel_dim(sample_rank_one(spec, rng), env.backend)
     want = expected_mult_kernel_dim(spec)
-    if env.exact:
-        got = mult_kernel_dim(x)
-    else:
-        got = spec.dim - env.rank([list(r) for r in mult_operator(x.element).matrix])
     return TrialOutcome(got == want, None, {"dim": got, "expected": want})
 
 
 def _ck_cone_vertex(env, rng):
     fr, spec = env.frame, env.spec
     stack = cone_vertex_stack(fr.form, rng)
-    got = env.rank(stack)
+    got = env.backend.rank(stack)
     return TrialOutcome(got == spec.dim, None, {"rank": got, "expected": spec.dim})
 
 
@@ -533,12 +399,8 @@ def _ck_cone_vertex(env, rng):
 
 
 def _ck_permutation_similarity(env, rng):
-    g = _retry(rng, lambda: permutation_conjugation_sample(env.frame, rng))
-    ok = g.norm_factor == 1
-    if not env.exact:
-        m = env.sample(rng)
-        probe = env.close_scalars(env.frame.norm(g.apply(m)), env.frame.norm(m))
-        return TrialOutcome(ok and probe.ok, probe.err)
+    g = _retry(rng, lambda: permutation_conjugation_sample(env.frame, rng, env.backend))
+    ok = env.backend.close_scalars(g.norm_factor, 1).ok
     return TrialOutcome(ok, None, None if ok else {"factor": g.norm_factor})
 
 
@@ -561,7 +423,7 @@ def _ck_structural_norm_factor(env, rng):
 
     a, g = _retry(rng, build)
     qa = fr.norm(a)
-    return env.close_scalars(g.norm_factor, Fraction(1, qa * qa))
+    return env.backend.close_scalars(g.norm_factor, Fraction(1, qa * qa))
 
 
 def _ck_composite_similarity(env, rng):
@@ -576,8 +438,8 @@ def _ck_composite_similarity(env, rng):
 
     g, a, comp = _retry(rng, build)
     qa = fr.norm(a)
-    return env.close_scalars(comp.norm_factor,
-                             g.norm_factor * Fraction(1, qa * qa))
+    return env.backend.close_scalars(comp.norm_factor,
+                                     g.norm_factor * Fraction(1, qa * qa))
 
 
 def _ck_lie_triple(env, rng):
@@ -587,14 +449,14 @@ def _ck_lie_triple(env, rng):
     scale = 1.0
     for e in (a, b, x, y):
         scale *= 1 + float(e.max_abs())
-    return env.small(res, scale)
+    return env.backend.small(res, scale)
 
 
 # --------------------------------------------------------------------------
 # severi suite (cubic norm)
 
 
-def _cubic_scale(env, power, *elements):
+def _cubic_scale(power, *elements):
     scale = 1.0
     for e in elements:
         scale = max(scale, 1 + float(e.max_abs()))
@@ -604,7 +466,7 @@ def _cubic_scale(env, power, *elements):
 def _ck_adjoint_comatrix(env, rng):
     ctx = cubic_context(env.spec)
     a = env.sample(rng)
-    out = env.small(comatrix_product_residual(ctx, a), _cubic_scale(env, 3, a))
+    out = env.backend.small(comatrix_product_residual(ctx, a), _cubic_scale(3, a))
     # the adjoint normalization is pinned by evaluating at the unit; record
     # the outcome so reports document which convention is in force
     unit_fixed = adjoint(ctx, env.unit) == env.unit
@@ -615,48 +477,48 @@ def _ck_adjoint_comatrix(env, rng):
 def _ck_double_adjoint(env, rng):
     ctx = cubic_context(env.spec)
     a = env.sample(rng)
-    return env.small(double_adjoint_residual(ctx, a), _cubic_scale(env, 5, a))
+    return env.backend.small(double_adjoint_residual(ctx, a), _cubic_scale(5, a))
 
 
 def _ck_mixed_adjoint(env, rng):
     ctx = cubic_context(env.spec)
     a, b = env.sample(rng), env.sample(rng)
-    return env.small(mixed_adjoint_residual(ctx, a, b),
-                     _cubic_scale(env, 5, a, b))
+    return env.backend.small(mixed_adjoint_residual(ctx, a, b),
+                             _cubic_scale(5, a, b))
 
 
 def _ck_unit_reduction(env, rng):
     ctx = cubic_context(env.spec)
     a = env.sample(rng)
-    return env.small(unit_reduction_residual(ctx, a), _cubic_scale(env, 4, a))
+    return env.backend.small(unit_reduction_residual(ctx, a), _cubic_scale(4, a))
 
 
 def _ck_scalar_reduction(env, rng):
     ctx = cubic_context(env.spec)
     a = env.sample(rng)
-    return env.small(scalar_reduction_residual(ctx, a), _cubic_scale(env, 3, a))
+    return env.backend.small(scalar_reduction_residual(ctx, a), _cubic_scale(3, a))
 
 
 def _ck_square_decomposition(env, rng):
     ctx = cubic_context(env.spec)
     a = env.sample(rng)
-    return env.small(square_decomposition_residual(ctx, a),
-                     _cubic_scale(env, 2, a))
+    return env.backend.small(square_decomposition_residual(ctx, a),
+                             _cubic_scale(2, a))
 
 
 def _ck_cayley_hamilton(env, rng):
     ctx = cubic_context(env.spec)
     a = env.sample(rng)
-    return env.small(cayley_hamilton_residual(ctx, a), _cubic_scale(env, 3, a))
+    return env.backend.small(cayley_hamilton_residual(ctx, a), _cubic_scale(3, a))
 
 
 def _ck_fourth_power(env, rng):
     ctx = cubic_context(env.spec)
     a = env.sample(rng)
     r1, r2 = fourth_power_residuals(ctx, a)
-    scale = _cubic_scale(env, 4, a)
-    first = env.small(r1, scale)
-    second = env.small(r2, scale)
+    scale = _cubic_scale(4, a)
+    first = env.backend.small(r1, scale)
+    second = env.backend.small(r2, scale)
     err = max(first.err, second.err)
     return TrialOutcome(first.ok and second.ok, err)
 
@@ -664,14 +526,13 @@ def _ck_fourth_power(env, rng):
 def _ck_bracketing_words(env, rng):
     ctx = cubic_context(env.spec)
     a = env.sample(rng)
-    return env.small(bracketing_residual(ctx, a, upto=6),
-                     _cubic_scale(env, 6, a))
+    return env.backend.small(bracketing_residual(ctx, a, upto=6),
+                             _cubic_scale(6, a))
 
 
 def _ck_rank_characterization(env, rng):
     ctx = cubic_context(env.spec)
     spec = env.spec
-    tol = 0 if env.exact else env.tol
     samples = [
         _retry(rng, lambda: sample_rank_one(spec, rng)).element,
         _retry(rng, lambda: sample_rank_one(spec, rng)).element
@@ -679,17 +540,11 @@ def _ck_rank_characterization(env, rng):
         env.sample(rng),
     ]
     for m in samples:
-        backend = JordanElement.from_coords(spec, env.lift(m.coords()))
-        r = jordan_rank(backend, tol)
-        adj = adjoint(ctx, backend)
-        q = ctx.norm(backend)
-        if env.exact:
-            adj_zero = adj.is_zero()
-            q_zero = q == 0
-        else:
-            s2 = _cubic_scale(env, 2, backend)
-            adj_zero = float(adj.max_abs()) <= env.tol * s2
-            q_zero = abs(float(q)) <= env.tol * s2 * (1 + float(backend.max_abs()))
+        point = JordanElement.from_coords(spec, env.backend.lift(m.coords()))
+        r = jordan_rank(point, env.backend)
+        adj_zero = env.backend.is_zero(adjoint(ctx, point).max_abs(),
+                                       _cubic_scale(2, point))
+        q_zero = env.backend.is_zero(ctx.norm(point), _cubic_scale(3, point))
         if ((r <= 1) != adj_zero) or ((r <= 2) != q_zero):
             return TrialOutcome(False, None,
                                 {"rank": r, "adj_zero": adj_zero, "q_zero": q_zero})
@@ -704,12 +559,12 @@ def _ck_jordan_violation(env, rng):
     a, b = env.sample(rng), env.sample(rng)
     diff = jordan_identity_residual(a, b)
     scale = ((1 + float(a.max_abs())) ** 3) * (1 + float(b.max_abs()))
-    found = diff != 0 if env.exact else float(diff) > env.tol * scale
+    out = env.backend.small(diff, scale)
     witness = None
-    if found:
+    if not out.ok:
         witness = {"a": list(a.coords()), "b": list(b.coords()),
                    "residual": diff}
-    return TrialOutcome(found, diff if env.exact else float(diff), witness)
+    return TrialOutcome(not out.ok, out.err, witness)
 
 
 # --------------------------------------------------------------------------

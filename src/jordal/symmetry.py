@@ -7,6 +7,7 @@ the identities they are supposed to satisfy.
 
 from fractions import Fraction
 
+from .backend import EXACT
 from .jordan import (JordanElement, JordanSpec, basis_element, identity,
                      jordan_mul, random_element)
 from .linalg import LinearOperator
@@ -15,6 +16,13 @@ from .reconstruction import NormFrame, inner, structural_map
 
 class DegenerateSample(ValueError):
     """A sampled operator failed its construction probes."""
+
+
+class TrichotomyViolation(ValueError):
+    """Sampled probes break a coupling of the automorphism trichotomy.
+
+    Not a resampling signal: it reports a failed claim.
+    """
 
 
 def _operator_from_action(spec: JordanSpec, action) -> LinearOperator:
@@ -39,22 +47,22 @@ class GroupElementSample:
     """A sampled norm-similarity operator with a provenance label.
 
     Construction probes that Q(g M) = lam * Q(M) for one constant lam on
-    several random M; anything else raises DegenerateSample.
+    several random M, in the arithmetic of ``backend``; anything else raises
+    DegenerateSample.
     """
 
     __slots__ = ("operator", "provenance", "norm_factor", "frame")
 
     def __init__(self, fr: NormFrame, operator: LinearOperator,
-                 provenance: str, rng, probes: int = 10):
+                 provenance: str, rng, probes: int = 10, backend=EXACT):
         lam = None
         for _ in range(probes):
-            m = fr.random_invertible(rng)
-            qm = fr.norm(m)
-            qg = fr.norm(fr.element(operator.apply(m.coords())))
-            ratio = Fraction(qg) / qm if not isinstance(qg, float) else qg / qm
+            m = backend.lift(fr.random_invertible(rng).coords())
+            # an exact quotient of exact norms; floats divide as floats
+            ratio = Fraction(fr.form(operator.apply(m))) / fr.form(m)
             if lam is None:
                 lam = ratio
-            elif ratio != lam:
+            elif not backend.close_scalars(ratio, lam).ok:
                 raise DegenerateSample(
                     f"{provenance}: norm ratio not constant ({ratio} vs {lam})")
         if lam == 0:
@@ -74,7 +82,8 @@ class GroupElementSample:
         return f"GroupElementSample({self.provenance}, factor={self.norm_factor})"
 
 
-def permutation_conjugation_sample(fr: NormFrame, rng) -> GroupElementSample:
+def permutation_conjugation_sample(fr: NormFrame, rng,
+                                   backend=EXACT) -> GroupElementSample:
     """Conjugation by a random signed permutation of the diagonal frame."""
     spec = fr.spec
     perm = list(range(spec.size))
@@ -82,24 +91,26 @@ def permutation_conjugation_sample(fr: NormFrame, rng) -> GroupElementSample:
     signs = [rng.choice((1, -1)) for _ in range(spec.size)]
     op = _operator_from_action(
         spec, lambda e: _conjugate_signed_permutation(e, perm, signs))
-    return GroupElementSample(fr, op, "permutation-conjugation", rng)
+    return GroupElementSample(fr, op, "permutation-conjugation", rng,
+                              backend=backend)
 
 
 def structural_sample(fr: NormFrame, rng) -> GroupElementSample:
     """H_A for a random A with Q(A) not in {0, 1, -1}."""
-    while True:
+    for _ in range(200):
         a = fr.random_invertible(rng)
         qa = fr.norm(a)
-        if qa * qa == 1:
-            continue
-        return GroupElementSample(fr, structural_map(fr, a), "structural", rng)
+        if qa * qa != 1:
+            return GroupElementSample(fr, structural_map(fr, a), "structural", rng)
+    raise DegenerateSample("no A with Q(A)^2 != 1 in 200 draws")
 
 
 def automorphism_trichotomy(g: GroupElementSample, rng, probes: int = 5):
     """Probe three conditions: product preserved, unit fixed, pairing preserved.
 
     Returns (cond1, cond2, cond3) over the sampled probes and checks the
-    logical couplings: 1 and 2 come together, and 1 forces 3.
+    logical couplings: 1 and 2 come together, and 1 forces 3. A broken
+    coupling raises TrichotomyViolation.
     """
     fr = g.frame
     spec = fr.spec
@@ -119,9 +130,9 @@ def automorphism_trichotomy(g: GroupElementSample, rng, probes: int = 5):
             witnesses.append(("pairing", a, b))
     cond2 = g.apply(identity(spec)) == identity(spec)
     if cond1 != cond2:
-        raise AssertionError("conditions 1 and 2 must agree on samples")
+        raise TrichotomyViolation("conditions 1 and 2 must agree on samples")
     if cond1 and not cond3:
-        raise AssertionError("condition 1 must force condition 3")
+        raise TrichotomyViolation("condition 1 must force condition 3")
     return cond1, cond2, cond3
 
 

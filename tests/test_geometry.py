@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from jordal.backend import FloatBackend
 from jordal.geometry import (
     DegenerateFrame,
     DegenerateIntersection,
@@ -21,6 +22,7 @@ from jordal.geometry import (
     secant_membership,
     tangent_frame,
     tangent_intersection,
+    tangent_intersection_dim,
     terracini_dim,
     terracini_expected,
 )
@@ -225,6 +227,35 @@ def test_tangent_intersection_dimension():
             continue
         assert len(basis) == delta
         assert exact_rank(basis) == delta
+        assert tangent_intersection_dim(xa, xb) == delta
+
+
+def test_float_backend_runs_the_exact_constructions():
+    # float mode has no constructions of its own: each function run on the
+    # float backend must give the exact dimensions and, within rounding,
+    # the exact points
+    fb = FloatBackend(1e-8)
+    for (k, delta) in [(2, 2), (2, 8), (3, 1), (4, 1)]:
+        spec = JordanSpec(k, delta)
+        fr = frame(spec)
+        rng = stream_rng(61, "float", k, delta)
+        x, y = sample_rank_one(spec, rng), sample_rank_one(spec, rng)
+        a, b = fr.random_invertible(rng), fr.random_invertible(rng)
+        for l in range(k + 1):
+            assert (terracini_dim(spec, l, stream_rng(62, k, delta, l), fb)
+                    == terracini_dim(spec, l, stream_rng(62, k, delta, l)))
+        assert mult_kernel_dim(x, fb) == mult_kernel_dim(x)
+        assert tangent_intersection_dim(x, y, fb) == tangent_intersection_dim(x, y)
+        total = x.element + y.element
+        assert jordan_rank(total, fb) == jordan_rank(total) == 2
+        assert secant_membership(total, 1, fb) and not secant_membership(total, 0, fb)
+        for exact, floats in [(dual_point(fr, x, a)[0], dual_point(fr, x, a, fb)[0]),
+                              (homogeneity_witness(fr, a, b, x),
+                               homogeneity_witness(fr, a, b, x, fb))]:
+            assert all(isinstance(v, float) for v in floats.coords())
+            err = max(abs(float(u) - v) for u, v in zip(exact.coords(), floats.coords()))
+            assert err <= 1e-9 * (1 + float(exact.max_abs()))
+        assert jordan_rank(homogeneity_witness(fr, a, b, x, fb), fb) == 1
 
 
 def test_product_projection_is_the_product():

@@ -6,6 +6,12 @@ by the library or exported by the package, and no library module may check
 a claim with an ``assert`` statement, because ``python -O`` removes them.
 No module may import ``threading`` or ``concurrent.futures``: the trials
 hold the GIL, so worker threads bought no speed, only locks.
+
+Float mode lives behind one arithmetic backend: only ``backend.py`` may
+import numpy, and no check in ``runner.py`` may read an ``.exact`` attribute
+to pick a float-only route. A failed claim raises a ValueError subclass,
+which the runner reports as ``fail``; ``raise AssertionError`` would stop
+the run instead, so the library may not raise it.
 """
 
 import ast
@@ -29,6 +35,17 @@ def unused_imports(tree):
             bound.extend((node.lineno, a.asname or a.name) for a in node.names)
     used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
     return [(line, name) for line, name in bound if name not in used]
+
+
+def imported_modules(tree):
+    """[(line, dotted module name)] of every import statement."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found.extend((node.lineno, a.name) for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            found.append((node.lineno, node.module or ""))
+    return found
 
 
 def test_package_has_modules():
@@ -61,15 +78,43 @@ def test_no_thread_machinery():
     found = []
     for path in modules():
         tree = ast.parse(path.read_text(), filename=str(path))
+        found.extend(f"{path.name}:{line} {name}"
+                     for line, name in imported_modules(tree)
+                     if name.split(".")[0] in banned)
+    assert found == []
+
+
+def test_numpy_only_in_the_backend():
+    found = []
+    for path in modules():
+        if path.name == "backend.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found.extend(f"{path.name}:{line} {name}"
+                     for line, name in imported_modules(tree)
+                     if name.split(".")[0] == "numpy")
+    assert found == []
+
+
+def test_no_raised_assertion_errors():
+    found = []
+    for path in modules():
+        tree = ast.parse(path.read_text(), filename=str(path))
         for node in ast.walk(tree):
-            if isinstance(node, ast.Import):
-                names = [a.name for a in node.names]
-            elif isinstance(node, ast.ImportFrom):
-                names = [node.module or ""]
-            else:
+            if not isinstance(node, ast.Raise) or node.exc is None:
                 continue
-            found.extend(f"{path.name}:{node.lineno} {name}" for name in names
-                         if name.split(".")[0] in banned)
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name) and exc.id == "AssertionError":
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
+def test_checks_do_not_read_the_mode():
+    tree = ast.parse((PACKAGE / "runner.py").read_text())
+    found = [f"runner.py:{node.lineno} {fn.name}" for fn in tree.body
+             if isinstance(fn, ast.FunctionDef) and fn.name.startswith("_ck_")
+             for node in ast.walk(fn)
+             if isinstance(node, ast.Attribute) and node.attr == "exact"]
     assert found == []
 
 
@@ -85,12 +130,17 @@ def test_every_definition_is_used_or_exported():
                     and any(getattr(t, "id", None) == "__all__" for t in node.targets))
     found = []
     for name, tree in trees.items():
+        module = name[:-len(".py")]
         for definition in tree.body:
             if (not isinstance(definition, (ast.FunctionDef, ast.ClassDef))
                     or definition.name in exported):
                 continue
             own = {id(n) for n in ast.walk(definition)}
-            used = any(isinstance(n, ast.Name) and n.id == definition.name
+            # read by name, or through its module as in linalg.exact_rank
+            used = any((isinstance(n, ast.Name) and n.id == definition.name
+                        or isinstance(n, ast.Attribute)
+                        and n.attr == definition.name
+                        and isinstance(n.value, ast.Name) and n.value.id == module)
                        and id(n) not in own
                        for other in trees.values() for n in ast.walk(other))
             if not used:

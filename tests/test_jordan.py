@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from jordal.backend import FloatBackend
 from jordal.composition import DimensionMismatch
 from jordal.jordan import (
     JordanElement,
@@ -198,10 +199,10 @@ def test_jordan_rank():
     assert jordan_rank(diagonal_element(spec, [5, 0, 0, 0])) == 1
     assert jordan_rank(diagonal_element(spec, [5, -2, 0, 0])) == 2
     assert jordan_rank(diagonal_element(spec, [5, -2, 1, 0])) == 3
-    # float route with tolerance
+    # float backend with tolerance
     a = diagonal_element(spec, [1, 1, 0, 0])
     af = JordanElement.from_coords(spec, [float(c) for c in a.coords()])
-    assert jordan_rank(af, tol=1e-9) == 2
+    assert jordan_rank(af, FloatBackend(1e-9)) == 2
 
 
 def test_powers_associate():

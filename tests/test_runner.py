@@ -14,6 +14,7 @@ from jordal.cubic import cubic_context
 from jordal.jordan import norm_form
 from jordal.reconstruction import frame
 from jordal.report import (
+    FAIL,
     PASS,
     SKIP,
     CheckResult,
@@ -221,17 +222,74 @@ print(result.status, (result.witness or {}).get("error", "").split(":")[0])
 """
 
 
-def test_dual_point_fails_under_optimize_flag():
-    # python -O strips assert statements; the dual-point claims must still
-    # be tested, so a corrupted tangent covector has to fail the check
+def run_script(source, *flags, timeout=300):
+    """Run python source against this checkout's package in a new process."""
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(src)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    proc = subprocess.run([sys.executable, "-O", "-c", CORRUPTED_DUAL_POINT],
-                          capture_output=True, text=True, env=env, timeout=300)
+    proc = subprocess.run([sys.executable, *flags, "-c", source],
+                          capture_output=True, text=True, env=env, timeout=timeout)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["fail", "DualityViolation"]
+    return proc.stdout.split()
+
+
+def test_dual_point_fails_under_optimize_flag():
+    # python -O strips assert statements; the dual-point claims must still
+    # be tested, so a corrupted tangent covector has to fail the check
+    assert run_script(CORRUPTED_DUAL_POINT, "-O") == ["fail", "DualityViolation"]
+
+
+NEVER_ADMISSIBLE = """
+import random
+import jordal.geometry as geometry
+from jordal.jordan import JordanSpec
+from jordal.runner import _RESAMPLE
+from jordal.symmetry import structural_sample
+
+class NeverRankOne:
+    def __init__(self, *args):
+        raise ValueError("not rank one")
+
+class UnitNormFrame:
+    def random_invertible(self, rng):
+        return None
+
+    def norm(self, a):
+        return 1
+
+geometry.RankOnePoint = NeverRankOne
+for draw in (lambda rng: geometry.sample_rank_one(JordanSpec(2, 1), rng),
+             lambda rng: structural_sample(UnitNormFrame(), rng)):
+    try:
+        draw(random.Random(0))
+    except _RESAMPLE as exc:
+        print(type(exc).__name__)
+"""
+
+
+def test_samplers_give_up_after_bounded_draws():
+    # a sampler that never meets an admissible draw must raise a resample
+    # error instead of looping; the timeout catches a loop that never ends
+    assert run_script(NEVER_ADMISSIBLE, timeout=60) == [
+        "SingularConfiguration", "DegenerateSample"]
+
+
+def test_trichotomy_violation_is_a_fail(monkeypatch):
+    # a broken coupling of the trichotomy is a counterexample, so it must be
+    # reported as `fail` with its exception class, not stop the run
+    import itertools
+
+    import jordal.symmetry as symmetry
+
+    counter = itertools.count()
+    honest = symmetry.inner
+    monkeypatch.setattr(symmetry, "inner",
+                        lambda fr, a, b: honest(fr, a, b) + next(counter) % 2)
+    rep = run_suite(RunConfig(k=2, delta=1, suite="symmetric", trials=1))
+    (check,) = [c for c in rep.checks if c.id == "automorphism-trichotomy"]
+    assert check.status == FAIL
+    assert check.witness["error"].startswith("TrichotomyViolation:")
 
 
 def test_crash_in_check_code_stops_the_run(monkeypatch):
