@@ -134,7 +134,7 @@ def test_negative_suite_via_cli(capsys):
                                              (3, 8, 11)])
 def test_float_mode_quintic_passes(capsys, k, delta, passed):
     # norm-semisimilarity is ill-conditioned in floats at (4,1): with
-    # --trials 10, seeds 1 and 3 still fail (ROADMAP item 4). These three
+    # --trials 10, seeds 1, 2 and 3 still fail (ROADMAP item 4). These three
     # trials must pass, as they do in exact mode; the other shapes pin the
     # float statuses of the cubic, quartic and octonion cases.
     code, out, _ = run_cli(capsys, "verify", "--k", str(k), "--delta", str(delta),
