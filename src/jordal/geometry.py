@@ -12,7 +12,7 @@ from .backend import EXACT
 from .composition import cd_conj, cd_mul
 from .jordan import (JordanElement, JordanSpec, SpecMismatch, char_coeffs,
                      jordan_rank, mult_operator)
-from .linalg import exact_det, exact_nullspace, exact_rank, exact_solve
+from .linalg import SingularMatrix, exact_nullspace, exact_rank, exact_solve
 from .polarization import PolarizedForm, covector_slot, full_polarize, partial_polarize
 from .reconstruction import NormFrame, inner, tau, tau_covector, unit_pairing
 
@@ -288,11 +288,12 @@ def product_projection(fr: NormFrame, xa: RankOnePoint, xb: RankOnePoint,
     scal = (k + 1) * (k + 1) * pa * pb - Fraction(k * (k + 1), 2) * cross
     elems = [fr.element(w) for w in basis]
     gram = [[inner(fr, wi, wj) for wj in elems] for wi in elems]
-    if exact_det([list(r) for r in gram]) == 0:
-        raise DegenerateIntersection("intersection meets its orthogonal space")
     # <scal*I, w> = scal * Q(I,...,I,w) because tau_I fixes I
     rhs = [scal * unit_pairing(fr, w) for w in elems]
-    coeffs = exact_solve(gram, rhs)
+    try:
+        coeffs = exact_solve(gram, rhs)
+    except SingularMatrix:
+        raise DegenerateIntersection("intersection meets its orthogonal space")
     out = JordanElement.zero(spec)
     for c, w in zip(coeffs, elems):
         out = out + w.scale(c)

@@ -373,11 +373,15 @@ def jordan_rank(a: JordanElement, backend=EXACT) -> int:
                 if not backend.is_zero(s, norm ** (j + 1))), default=0)
 
 
+def operator_from_action(spec: JordanSpec, action) -> LinearOperator:
+    """The V -> V operator of a linear map, from its images of the basis."""
+    cols = [action(basis_element(spec, j)).coords() for j in range(spec.dim)]
+    return LinearOperator(tuple(zip(*cols)), "V", "V")
+
+
 def mult_operator(a: JordanElement) -> LinearOperator:
     """Matrix of B -> A*B in canonical coordinates."""
-    spec = a.spec
-    cols = [jordan_mul(a, basis_element(spec, j)).coords() for j in range(spec.dim)]
-    return LinearOperator(tuple(zip(*cols)), "V", "V")
+    return operator_from_action(a.spec, lambda b: jordan_mul(a, b))
 
 
 def quadratic_rep(a: JordanElement) -> LinearOperator:
@@ -385,9 +389,10 @@ def quadratic_rep(a: JordanElement) -> LinearOperator:
     m = mult_operator(a)
     m2 = mult_operator(jordan_mul(a, a))
     mm = m.compose(m)
-    mat = tuple(tuple(2 * x - y for x, y in zip(r1, r2))
-                for r1, r2 in zip(mm.matrix, m2.matrix))
-    return LinearOperator(mat, "V", "V")
+    d1, d2 = mm.denominator, m2.denominator
+    nums = tuple(tuple(2 * d2 * x - d1 * y for x, y in zip(r1, r2))
+                 for r1, r2 in zip(mm.numerators, m2.numerators))
+    return LinearOperator.from_numerators(nums, d1 * d2, "V", "V")
 
 
 def jordan_identity_residual(a: JordanElement, b: JordanElement):

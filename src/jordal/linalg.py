@@ -1,16 +1,17 @@
 """Exact dense linear algebra over the rationals.
 
-Matrices are tuples (or lists) of row tuples holding ints / Fractions.
-Rank, nullspace, determinant and solves run fraction-free where possible:
-rational input is scaled to an integer matrix once, then eliminated with
-integer Bareiss pivoting, which is much faster than Fraction arithmetic in
-the inner loop.
+Matrices are sequences of rows of ints / Fractions. Each row is cleared to
+int numerators, and one fraction-free (Bareiss) echelon of the int rows
+gives rank, nullspace, determinant, solve and inverse, the last three
+finished by one back-substitution. A LinearOperator holds int numerators
+over one denominator, so it composes, applies and takes traces on ints;
+Fractions appear only in what leaves (``.matrix``, ``apply`` results).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm, prod
 
 
 # the number types of exact mode; anything else (floats) is left as given
@@ -25,16 +26,8 @@ class TagMismatch(ValueError):
     pass
 
 
-def lcm(a: int, b: int) -> int:
-    return a // gcd(a, b) * b
-
-
 def common_denominator(values) -> int:
-    d = 1
-    for v in values:
-        if isinstance(v, Fraction):
-            d = lcm(d, v.denominator)
-    return d
+    return lcm(*(v.denominator for v in values if isinstance(v, Fraction)))
 
 
 def clear_row_denominators(row):
@@ -45,184 +38,130 @@ def clear_row_denominators(row):
     of float mode) comes back unchanged with d = 1.
     """
     row = tuple(row)
-    if not EXACT_TYPES.issuperset(map(type, row)):
+    types = set(map(type, row))
+    if types <= {int} or not EXACT_TYPES.issuperset(types):
         return row, 1
     d = common_denominator(row)
-    if d == 1:
-        return tuple(int(v) for v in row), 1
-    return tuple(int(v * d) for v in row), d
+    return tuple(v * d if type(v) is int else v.numerator * (d // v.denominator)
+                 for v in row), d
 
 
-def to_integer_matrix(rows):
-    """Scale each row to integers independently (rank/nullspace-safe)."""
-    return [clear_row_denominators(r)[0] for r in rows]
+def _echelon(rows, ncols):
+    """Bareiss echelon form of rational rows: (int rows, pivots, sign).
 
-
-def _int_echelon(rows, ncols):
-    """Integer row echelon via cross-multiplication. Returns (rows, pivots).
-
-    Eliminates with piv*row_i - v_i*row_piv (no divisions to go wrong) and
-    renormalizes each updated row by its gcd to keep entries small. Row
-    scalings are arbitrary, which rank, nullspace, and back substitution
-    all tolerate. ``rows`` must contain ints.
+    Each row is cleared to ints first. Pivots are sought in the first ncols
+    columns, skipping columns without one; later columns (right-hand sides)
+    are eliminated along, and sign is that of the row swaps. Every entry
+    below a pivot is a minor of the input, so dividing by the previous pivot
+    is exact. A row with a zero in the pivot column would only be rescaled,
+    so it is left alone: it keeps the pivot it was last divided by (its
+    level) and catches up when next used.
     """
-    rows = [list(r) for r in rows]
-    pivots = []
-    r = 0
+    rows = [list(clear_row_denominators(r)[0]) for r in rows]
+    level = [1] * len(rows)
+    pivots, sign, prev = [], 1, 1
     for c in range(ncols):
-        # pick the smallest nonzero pivot to slow entry growth
-        best = None
-        for i in range(r, len(rows)):
-            v = rows[i][c]
-            if v != 0 and (best is None or abs(v) < abs(rows[best][c])):
-                best = i
-        if best is None:
+        r = len(pivots)
+        p = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if p is None:
             continue
-        rows[r], rows[best] = rows[best], rows[r]
+        if p != r:
+            rows[r], rows[p] = rows[p], rows[r]
+            level[r], level[p] = level[p], level[r]
+            sign = -sign
         row_r = rows[r]
+        if level[r] != prev:
+            row_r = rows[r] = [v * prev // level[r] for v in row_r]
         piv = row_r[c]
         for i in range(r + 1, len(rows)):
-            vi = rows[i][c]
-            if vi == 0:
-                continue
-            row_i = rows[i]
-            for j in range(c, ncols):
-                row_i[j] = piv * row_i[j] - vi * row_r[j]
-            g = 0
-            for x in row_i:
-                g = gcd(g, x)
-                if g == 1:
-                    break
-            if g > 1:
-                rows[i] = [x // g for x in row_i]
+            row_i, vi = rows[i], rows[i][c]
+            if vi:
+                row_i[c:] = [(piv * x - vi * y) // level[i]
+                             for x, y in zip(row_i[c:], row_r[c:])]
+                level[i] = piv
         pivots.append(c)
-        r += 1
-        if r == len(rows):
+        prev = piv
+        if len(pivots) == len(rows):
             break
-    return rows[:r], pivots
+    return rows[:len(pivots)], pivots, sign
+
+
+def _back_substitute(ech, pivots, xs):
+    """Set the pivot entries of each x in xs so the echelon rows kill x; the
+    others come scaled by the last pivot, so every division is exact."""
+    rows = [(pc, row[pc], [(j, a) for j, a in enumerate(row) if a and j != pc])
+            for row, pc in zip(ech, pivots)][::-1]
+    for x in xs:
+        for pc, piv, rest in rows:
+            x[pc] = -sum(a * x[j] for j, a in rest) // piv
+    return xs
 
 
 def exact_rank(rows) -> int:
-    rows = [r for r in rows if any(v != 0 for v in r)]
-    if not rows:
-        return 0
-    ncols = len(rows[0])
-    int_rows = to_integer_matrix(rows)
-    _, pivots = _int_echelon(int_rows, ncols)
-    return len(pivots)
+    return len(_echelon(rows, len(rows[0]) if rows else 0)[1])
 
 
 def exact_nullspace(rows):
-    """Basis of {x : R x = 0} as a list of Fraction tuples."""
-    rows = [r for r in rows if any(v != 0 for v in r)]
+    """Basis of {x : R x = 0} as Fraction tuples, one per free column,
+    with 1 there and 0 at the other free columns."""
     if not rows:
         return []
     ncols = len(rows[0])
-    int_rows = to_integer_matrix(rows)
-    ech, pivots = _int_echelon(int_rows, ncols)
-    # back substitution on the echelon form (entries are ints)
-    free_cols = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free_cols:
-        x = [Fraction(0)] * ncols
-        x[fc] = Fraction(1)
-        for i in reversed(range(len(pivots))):
-            pc = pivots[i]
-            s = sum(ech[i][j] * x[j] for j in range(pc + 1, ncols))
-            x[pc] = -Fraction(s, ech[i][pc])
-        basis.append(tuple(x))
-    return basis
+    ech, pivots, _ = _echelon(rows, ncols)
+    den = abs(ech[-1][pivots[-1]]) if pivots else 1
+    xs = [[den if c == free else 0 for c in range(ncols)]
+          for free in range(ncols) if free not in pivots]
+    return [tuple(Fraction(v, den) for v in x)
+            for x in _back_substitute(ech, pivots, xs)]
 
 
 def exact_det(rows):
     """Determinant of a square rational matrix (exact Fraction)."""
     n = len(rows)
-    if n == 0:
-        return Fraction(1)
-    scale = Fraction(1)
-    int_rows = []
-    for r in rows:
-        ir, d = clear_row_denominators(r)
-        scale *= d
-        int_rows.append(ir)
-    det = _int_det(int_rows)
-    return Fraction(det, 1) / scale
+    ech, pivots, sign = _echelon(rows, n)
+    if len(pivots) < n:
+        return Fraction(0)
+    return Fraction(sign * ech[-1][n - 1] if n else 1,
+                    prod(clear_row_denominators(r)[1] for r in rows))
 
 
-def _int_det(rows) -> int:
-    """Bareiss determinant of an integer matrix (consumes rows)."""
+def _solve(rows, rhs):
+    """(X, den): int columns X over den with R X / den = rhs, rhs given as
+    rows; raises SingularMatrix if R is singular."""
     n = len(rows)
-    rows = [list(r) for r in rows]
-    sign = 1
-    prev = 1
-    for c in range(n - 1):
-        piv_i = None
-        for i in range(c, n):
-            if rows[i][c] != 0 and (piv_i is None or abs(rows[i][c]) < abs(rows[piv_i][c])):
-                piv_i = i
-        if piv_i is None:
-            return 0
-        if piv_i != c:
-            rows[c], rows[piv_i] = rows[piv_i], rows[c]
-            sign = -sign
-        piv = rows[c][c]
-        for i in range(c + 1, n):
-            vi = rows[i][c]
-            row_i = rows[i]
-            row_c = rows[c]
-            for j in range(c + 1, n):
-                row_i[j] = (piv * row_i[j] - vi * row_c[j]) // prev
-            row_i[c] = 0
-        prev = piv
-    return sign * rows[n - 1][n - 1]
+    ech, pivots, _ = _echelon([list(r) + list(b) for r, b in zip(rows, rhs)], n)
+    if len(pivots) != n:
+        raise SingularMatrix("matrix is singular")
+    den, width = abs(ech[-1][n - 1]), len(ech[0])
+    xs = [[0] * n + [-den if j == k else 0 for j in range(n, width)]
+          for k in range(n, width)]
+    return [x[:n] for x in _back_substitute(ech, pivots, xs)], den
 
 
 def exact_solve(rows, rhs):
     """Solve R x = rhs exactly; raises SingularMatrix if R is singular."""
-    n = len(rows)
-    aug = [list(rows[i]) + [rhs[i]] for i in range(n)]
-    scale_cols = n + 1
-    int_rows = [clear_row_denominators(r)[0] for r in aug]
-    ech, pivots = _int_echelon(int_rows, scale_cols)
-    if len(pivots) != n or pivots != list(range(n)):
-        raise SingularMatrix("matrix is singular")
-    x = [Fraction(0)] * n
-    for i in reversed(range(n)):
-        s = sum(ech[i][j] * x[j] for j in range(i + 1, n))
-        x[i] = Fraction(ech[i][n] - s, ech[i][i])
-    return tuple(x)
+    (x,), den = _solve(rows, [[b] for b in rhs])
+    return tuple(Fraction(v, den) for v in x)
 
 
 def exact_inverse(rows):
-    """Inverse of a square rational matrix as Fraction rows."""
+    """(int rows, den): the inverse of a square rational matrix over one
+    positive denominator; raises SingularMatrix if it is singular."""
     n = len(rows)
-    aug = [[Fraction(v) for v in rows[i]] + [Fraction(int(i == j)) for j in range(n)]
-           for i in range(n)]
-    for c in range(n):
-        piv = None
-        for i in range(c, n):
-            if aug[i][c] != 0:
-                piv = i
-                break
-        if piv is None:
-            raise SingularMatrix("matrix is singular")
-        aug[c], aug[piv] = aug[piv], aug[c]
-        pv = aug[c][c]
-        aug[c] = [v / pv for v in aug[c]]
-        for i in range(n):
-            if i != c and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[c])]
-    return tuple(tuple(r[n:]) for r in aug)
+    cols, den = _solve(rows, [[int(i == j) for j in range(n)] for i in range(n)])
+    return tuple(zip(*cols)), den
 
 
 def mat_vec(rows, vec):
-    return tuple(sum(r[j] * vec[j] for j in range(len(vec))) for r in rows)
+    """rows @ vec, skipping the zero entries of rows."""
+    return tuple(sum(a * vec[j] for j, a in enumerate(row) if a) for row in rows)
 
 
 def mat_mul(a, b):
-    bt = list(zip(*b))
-    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a)
+    """a @ b, skipping the zero entries of a."""
+    cols = tuple(zip(*b))
+    return tuple(tuple(sum(x * col[k] for k, x in nonzero) for col in cols)
+                 for nonzero in ([(k, x) for k, x in enumerate(row) if x] for row in a))
 
 
 def proportional(u, v) -> bool:
@@ -242,37 +181,78 @@ def proportional(u, v) -> bool:
 
 
 class LinearOperator:
-    """Dense operator with domain/codomain tags ("V" or "V*")."""
+    """Dense operator with domain/codomain tags ("V" or "V*").
 
-    __slots__ = ("matrix", "domain", "codomain")
+    Its entries are ``numerators`` over one ``denominator``: ints over a
+    positive int in lowest terms, or floats over 1.
+    """
+
+    __slots__ = ("numerators", "denominator", "domain", "codomain", "_matrix")
 
     def __init__(self, matrix, domain: str = "V", codomain: str = "V"):
-        self.matrix = tuple(tuple(row) for row in matrix)
-        self.domain = domain
-        self.codomain = codomain
+        rows = tuple(tuple(row) for row in matrix)
+        flat, self.denominator = clear_row_denominators(v for row in rows for v in row)
+        n = len(rows[0]) if rows else 1
+        self.numerators = tuple(flat[i:i + n] for i in range(0, len(flat), n))
+        self.domain, self.codomain, self._matrix = domain, codomain, rows
+
+    @classmethod
+    def from_numerators(cls, numerators, denominator: int, domain: str,
+                        codomain: str) -> "LinearOperator":
+        """The operator numerators / denominator, brought to lowest terms."""
+        g = 1 if denominator == 1 else gcd(denominator,
+                                           *(v for row in numerators for v in row))
+        op = cls.__new__(cls)
+        op.numerators = numerators if g == 1 else tuple(
+            tuple(v // g for v in row) for row in numerators)
+        op.denominator = denominator // g
+        op.domain, op.codomain, op._matrix = domain, codomain, None
+        return op
+
+    @property
+    def matrix(self):
+        """The entries as values, built once: Fractions unless den is 1."""
+        if self._matrix is None:
+            den = self.denominator
+            self._matrix = self.numerators if den == 1 else tuple(
+                tuple(Fraction(v, den) for v in row) for row in self.numerators)
+        return self._matrix
 
     @property
     def dim(self) -> int:
-        return len(self.matrix)
+        return len(self.numerators)
 
     def apply(self, vec):
-        return mat_vec(self.matrix, vec)
+        nums, d = clear_row_denominators(vec)
+        out, den = mat_vec(self.numerators, nums), self.denominator * d
+        if den == 1:
+            return out
+        if EXACT_TYPES.issuperset(map(type, out)):
+            return tuple(Fraction(v, den) for v in out)
+        return tuple(v / den for v in out)
 
     def compose(self, other: "LinearOperator") -> "LinearOperator":
         """self after other (matrix product self @ other)."""
         if other.codomain != self.domain:
             raise TagMismatch(f"cannot compose {self.domain}->{self.codomain} "
                               f"after {other.domain}->{other.codomain}")
-        return LinearOperator(mat_mul(self.matrix, other.matrix),
-                              other.domain, self.codomain)
+        nums = mat_mul(self.numerators, other.numerators)
+        den = self.denominator * other.denominator
+        if den != 1 and not all(EXACT_TYPES.issuperset(map(type, row))
+                                for row in nums):
+            # exact times float: the floats take the denominator in
+            nums, den = tuple(tuple(v / den for v in row) for row in nums), 1
+        return LinearOperator.from_numerators(nums, den, other.domain,
+                                              self.codomain)
 
     def det(self):
-        if self.dim and len(self.matrix[0]) != self.dim:
+        if self.dim and len(self.numerators[0]) != self.dim:
             raise ValueError("determinant of a non-square operator")
-        return exact_det(self.matrix)
+        return exact_det(self.numerators) / self.denominator ** self.dim
 
     def trace(self):
-        return sum(self.matrix[i][i] for i in range(self.dim))
+        t = sum(self.numerators[i][i] for i in range(self.dim))
+        return t if self.denominator == 1 else Fraction(t, self.denominator)
 
     def __eq__(self, other):
         return (isinstance(other, LinearOperator) and self.matrix == other.matrix

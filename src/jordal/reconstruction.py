@@ -30,7 +30,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .jordan import JordanSpec, JordanElement, identity, basis_element, norm_form
-from .linalg import LinearOperator, exact_det, exact_inverse
+from .linalg import LinearOperator, clear_row_denominators, exact_det, exact_inverse
 from .polarization import PolarizedForm, covector_slot, partial_polarize
 
 
@@ -59,14 +59,14 @@ class NormFrame:
     def _build_gram(self):
         if self._gram is not None:
             return
-        q, dim = self.q, self.spec.dim
-        s_mat = _pair_matrix(self, self.unit_coords)
-        phi = self.unit_covector
-        rows = tuple(tuple(q * phi[i] * phi[j] - (q - 1) * s_mat[i][j]
-                           for j in range(dim)) for i in range(dim))
-        self._gram_inv = LinearOperator(exact_inverse(rows), "V*", "V")
-        self._det_gram = exact_det(rows)
-        self._gram = LinearOperator(rows, "V", "V*")
+        # <A, B> = tau_I(A)(B), and Q(I) = 1
+        rows, den = _tau_numerators(self.q, self.unit_covector,
+                                    _pair_matrix(self, self.unit_coords), 1)
+        inv, inv_den = exact_inverse(rows)
+        self._gram_inv = LinearOperator.from_numerators(
+            tuple(tuple(den * v for v in row) for row in inv), inv_den, "V*", "V")
+        self._det_gram = exact_det(rows) / den ** len(rows)
+        self._gram = LinearOperator.from_numerators(rows, den, "V", "V*")
 
     @property
     def gram(self) -> LinearOperator:
@@ -138,6 +138,19 @@ def inner(fr: NormFrame, a: JordanElement, b: JordanElement):
     return q * unit_pairing(fr, a) * unit_pairing(fr, b) - (q - 1) * cross
 
 
+def _tau_numerators(q: int, g, w, qm):
+    """(int rows, den) of (q g g^T - (q-1) Q(M) W) / Q(M)^2 for exact inputs."""
+    dim = len(g)
+    g, dg = clear_row_denominators(g)
+    w, dw = clear_row_denominators(v for row in w for v in row)
+    qm = Fraction(qm)
+    a = q * dw * qm.denominator ** 2
+    b = (q - 1) * dg * dg * qm.numerator * qm.denominator
+    return (tuple(tuple(a * g[i] * g[j] - b * w[i * dim + j] for j in range(dim))
+                  for i in range(dim)),
+            dg * dg * dw * qm.numerator ** 2)
+
+
 def tau(fr: NormFrame, m: JordanElement) -> LinearOperator:
     """tau_M = -D_M G as a V -> V* operator (rows index the covector)."""
     qm = fr.norm(m)
@@ -147,7 +160,9 @@ def tau(fr: NormFrame, m: JordanElement) -> LinearOperator:
     m_coords = m.coords()
     g = covector_slot(fr.form, [m_coords] * (q - 1))
     w = _pair_matrix(fr, m_coords)
-    inv = Fraction(1) / qm
+    if not isinstance(qm, float):
+        return LinearOperator.from_numerators(*_tau_numerators(q, g, w, qm), "V", "V*")
+    inv = 1 / qm
     inv2 = inv * inv
     rows = tuple(tuple(q * g[i] * g[j] * inv2 - (q - 1) * w[i][j] * inv
                        for j in range(dim)) for i in range(dim))

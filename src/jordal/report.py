@@ -4,7 +4,7 @@ Reports never contain timestamps, hostnames, or float formatting that could
 vary between runs: two reports built from the same check results serialize
 to identical bytes. In exact mode every measured number is emitted as a
 string ("0", "5/3") so nothing is lost to binary floating point; in float
-mode plain JSON numbers are used.
+mode Fractions become JSON floats and counts stay integers.
 """
 
 from __future__ import annotations
@@ -79,9 +79,9 @@ def _exact_number(value):
 def _jsonable(value, exact: bool):
     if value is None or isinstance(value, (str, bool)):
         return value
-    if isinstance(value, (int, Fraction)):
+    if isinstance(value, Fraction) or exact and isinstance(value, int):
         return _exact_number(value) if exact else float(value)
-    if isinstance(value, float):
+    if isinstance(value, (int, float)):
         return value
     if isinstance(value, dict):
         return {str(k): _jsonable(v, exact) for k, v in value.items()}

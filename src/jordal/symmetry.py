@@ -8,8 +8,8 @@ the identities they are supposed to satisfy.
 from fractions import Fraction
 
 from .backend import EXACT
-from .jordan import (JordanElement, JordanSpec, basis_element, identity,
-                     jordan_mul, random_element)
+from .jordan import (JordanElement, identity, jordan_mul, operator_from_action,
+                     random_element)
 from .linalg import LinearOperator
 from .reconstruction import NormFrame, inner, structural_map
 
@@ -23,11 +23,6 @@ class TrichotomyViolation(ValueError):
 
     Not a resampling signal: it reports a failed claim.
     """
-
-
-def _operator_from_action(spec: JordanSpec, action) -> LinearOperator:
-    cols = [action(basis_element(spec, j)).coords() for j in range(spec.dim)]
-    return LinearOperator(tuple(zip(*cols)), "V", "V")
 
 
 def _conjugate_signed_permutation(a: JordanElement, perm, signs) -> JordanElement:
@@ -89,7 +84,7 @@ def permutation_conjugation_sample(fr: NormFrame, rng,
     perm = list(range(spec.size))
     rng.shuffle(perm)
     signs = [rng.choice((1, -1)) for _ in range(spec.size)]
-    op = _operator_from_action(
+    op = operator_from_action(
         spec, lambda e: _conjugate_signed_permutation(e, perm, signs))
     return GroupElementSample(fr, op, "permutation-conjugation", rng,
                               backend=backend)

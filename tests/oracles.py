@@ -143,6 +143,25 @@ def gauss_solve(rows, rhs):
     return [m[r][n] for r in range(n)]
 
 
+def gauss_inverse(rows):
+    """Gauss-Jordan inverse over Fraction; ValueError when singular."""
+    n = len(rows)
+    aug = [[Fraction(v) for v in rows[i]] + [Fraction(int(i == j)) for j in range(n)]
+           for i in range(n)]
+    for c in range(n):
+        piv = next((r for r in range(c, n) if aug[r][c] != 0), None)
+        if piv is None:
+            raise ValueError("singular matrix")
+        aug[c], aug[piv] = aug[piv], aug[c]
+        pv = aug[c][c]
+        aug[c] = [v / pv for v in aug[c]]
+        for i in range(n):
+            if i != c and aug[i][c] != 0:
+                f = aug[i][c]
+                aug[i] = [a - f * b for a, b in zip(aug[i], aug[c])]
+    return tuple(tuple(r[n:]) for r in aug)
+
+
 def gauss_det(rows):
     n = len(rows)
     m = [[Fraction(v) for v in row] for row in rows]

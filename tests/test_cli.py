@@ -85,6 +85,19 @@ def test_invalid_configuration_exits_two(capsys):
     assert "invalid configuration" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("--k", "2", "--delta", "2", "--suite", "all", "--trials", "2", "--seed", "7",
+     "--tol", "inf"),
+    ("--k", "3", "--delta", "8", "--suite", "negative", "--trials", "3",
+     "--seed", "7", "--tol", "1e300"),
+])
+def test_vacuous_tolerance_exits_two(capsys, argv):
+    # a tolerance of 1 or more, or inf, would pass any float error
+    code, out, err = run_cli(capsys, "verify", *argv, "--mode", "float")
+    assert (code, out) == (2, "")
+    assert "tol must be a number in (0, 1)" in err
+
+
 def test_argparse_rejections_exit_two(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["verify", "--k", "2", "--delta", "3"])

@@ -22,11 +22,10 @@ from jordal.linalg import (
     mat_mul,
     mat_vec,
     proportional,
-    to_integer_matrix,
 )
-from oracles import (gauss_det, gauss_rank, gauss_solve, identity_matrix,
-                     is_symmetric, primitive_integer_vector, transpose,
-                     transpose_op)
+from oracles import (gauss_det, gauss_inverse, gauss_rank, gauss_solve,
+                     identity_matrix, is_symmetric, primitive_integer_vector,
+                     transpose, transpose_op)
 
 
 def random_matrix(rng, nrows, ncols, rational=False, deficient=0):
@@ -45,6 +44,67 @@ def random_matrix(rng, nrows, ncols, rational=False, deficient=0):
         c1, c2 = rng.randint(-3, 3), rng.randint(-3, 3)
         rows[t] = [c1 * a + c2 * b for a, b in zip(rows[i], rows[j])]
     return rows
+
+
+def as_fractions(nums, den):
+    return tuple(tuple(Fraction(v, den) for v in row) for row in nums)
+
+
+def matrix_kinds(rng):
+    """(name, matrix) pairs covering each path of the elimination."""
+    for n in range(1, 7):
+        yield "rational", random_matrix(rng, n, n, rational=True)
+        # the Gram matrix is diagonal in canonical coordinates
+        yield "diagonal", [[Fraction(rng.randint(1, 9), rng.choice((1, 2, 3)))
+                            * rng.choice((1, -1)) if i == j else 0
+                            for j in range(n)] for i in range(n)]
+        lead = random_matrix(rng, n, n, rational=True)
+        for row in lead:
+            row[0] = 0
+            if n > 2:
+                row[1] = 0
+        yield "leading-zero-columns", lead
+        yield "singular", random_matrix(rng, n, n, deficient=2)
+    for _ in range(5):
+        yield "tall-deficient", random_matrix(rng, 12, 7, deficient=5)
+
+
+def test_elimination_against_oracles():
+    rng = random.Random(106)
+    seen = set()
+    for kind, m in matrix_kinds(rng):
+        seen.add(kind)
+        rank = gauss_rank(m)
+        assert exact_rank(m) == rank, kind
+        basis = exact_nullspace(m)
+        assert len(basis) == len(m[0]) - rank, kind
+        assert all(sum(a * b for a, b in zip(row, vec)) == 0
+                   for row in m for vec in basis), kind
+        if len(m) != len(m[0]):
+            continue
+        det = gauss_det(m)
+        assert exact_det(m) == det, kind
+        if det == 0:
+            with pytest.raises(SingularMatrix):
+                exact_inverse(m)
+            continue
+        nums, den = exact_inverse(m)
+        assert den > 0 and all(type(v) is int for row in nums for v in row)
+        assert as_fractions(nums, den) == gauss_inverse(m), kind
+    assert seen == {"rational", "diagonal", "leading-zero-columns", "singular",
+                    "tall-deficient"}
+
+
+def test_det_sign_under_row_swaps():
+    rng = random.Random(107)
+    for n in range(2, 7):
+        m = random_matrix(rng, n, n, rational=True)
+        d = exact_det(m)
+        for _ in range(4):
+            i, j = rng.sample(range(n), 2)
+            m[i], m[j] = m[j], m[i]
+            d = -d
+            assert exact_det(m) == d == gauss_det(m)
 
 
 def test_rank_randomized_audit():
@@ -124,7 +184,7 @@ def test_solve_and_inverse():
             x = exact_solve(m, rhs)
             assert list(x) == gauss_solve(m, rhs)
             assert [sum(a * b for a, b in zip(row, x)) for row in m] == list(rhs)
-            inv = exact_inverse(m)
+            inv = as_fractions(*exact_inverse(m))
             assert mat_mul(m, inv) == identity_matrix(n)
             assert mat_mul(inv, m) == identity_matrix(n)
 
@@ -139,7 +199,8 @@ def test_solve_singular_raises():
 def test_integer_normalization_helpers():
     assert common_denominator([Fraction(1, 2), Fraction(1, 3), 4]) == 6
     assert common_denominator([1, 2, 3]) == 1
-    m = to_integer_matrix([[Fraction(1, 2), 1], [2, Fraction(1, 3)]])
+    m = [clear_row_denominators(row)[0]
+         for row in [[Fraction(1, 2), 1], [2, Fraction(1, 3)]]]
     assert all(isinstance(v, int) for row in m for v in row)
     # one shared denominator; integral Fractions come back as plain ints
     for row, want in (([Fraction(1, 2), Fraction(2, 3), 5], ((3, 4, 30), 6)),
@@ -194,3 +255,26 @@ def test_linear_operator_tags_and_compose():
     assert not is_symmetric(a.matrix)
     assert sym.det() == 2 * 1 - 25
     assert sym.trace() == 3
+
+
+def test_linear_operator_numerators():
+    # exact entries are int numerators over one denominator in lowest terms
+    a = LinearOperator(((Fraction(1, 2), 0), (Fraction(3, 4), 1)))
+    assert a.numerators == ((2, 0), (3, 4)) and a.denominator == 4
+    b = LinearOperator.from_numerators(((6, 0), (0, 4)), 8, "V", "V")
+    assert b.numerators == ((3, 0), (0, 2)) and b.denominator == 4
+    c = a.compose(b)
+    assert c.matrix == mat_mul(a.matrix, b.matrix)
+    assert all(type(v) is int for row in c.numerators for v in row)
+    assert c.apply((1, Fraction(1, 3))) == mat_vec(c.matrix, (1, Fraction(1, 3)))
+    assert c.trace() == Fraction(3, 8) + Fraction(1, 2)
+    assert c.det() == exact_det(c.matrix)
+    # a float factor takes the denominator in: floats over 1
+    f = LinearOperator(((0.5, 1.5), (2.0, -1.0)))
+    assert f.denominator == 1
+    for op in (a.compose(f), f.compose(a)):
+        assert op.denominator == 1
+        assert all(type(v) is float for row in op.numerators for v in row)
+    assert a.compose(f).matrix == ((0.25, 0.75), (0.375 + 2.0, 1.125 - 1.0))
+    assert all(type(v) is float for v in a.apply((1.0, 3.0)))
+    assert a.apply((1.0, 3.0)) == (0.5, 0.75 + 3.0)

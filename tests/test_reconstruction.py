@@ -6,12 +6,14 @@ import pytest
 
 from jordal.jordan import (
     JordanSpec,
+    basis_element,
     identity,
     jordan_mul,
     mult_operator,
     quadratic_rep,
     random_element,
 )
+from jordal.linalg import mat_mul
 from jordal.polarization import covector_slot
 from jordal.reconstruction import (
     SingularPoint,
@@ -29,7 +31,8 @@ from jordal.reconstruction import (
     unit_pairing,
 )
 from jordal.rng import stream_rng
-from oracles import interpolated_line_derivative, is_symmetric
+from oracles import (gauss_inverse, interpolated_line_derivative, is_symmetric,
+                     transpose)
 
 JORDAN_SPECS = [(2, 1), (2, 2), (2, 4), (2, 8), (3, 1), (3, 2), (3, 4),
                 (4, 1), (4, 2), (5, 1)]
@@ -217,6 +220,47 @@ def test_structural_inverts_quadratic_rep():
         n = spec.dim
         assert all(comp.matrix[i][j] == (1 if i == j else 0)
                    for i in range(n) for j in range(n))
+
+
+def test_operators_match_the_fraction_route():
+    # the int operators against Fraction matrices built without them: the
+    # Gram matrix from <e_i, e_j>, tau_M column by column from tau_covector,
+    # the Gauss-Jordan inverse and plain Fraction matrix products
+    for (k, delta) in [(2, 1), (2, 8), (3, 4), (4, 1)]:
+        spec = JordanSpec(k, delta)
+        fr = frame(spec)
+        rng = stream_rng(44, "route", k, delta)
+        basis = [basis_element(spec, i) for i in range(spec.dim)]
+        gram = tuple(tuple(inner(fr, ei, ej) for ej in basis) for ei in basis)
+        assert fr.gram.matrix == gram
+        gram_inv = gauss_inverse(gram)
+        assert fr.gram_inv.matrix == gram_inv
+        for _ in range(2):
+            a = fr.random_invertible(rng)
+            t = tau(fr, a)
+            assert t.matrix == transpose([tau_covector(fr, a, e) for e in basis])
+            h = structural_map(fr, a)
+            assert h.matrix == mat_mul(gram_inv, t.matrix)
+            m, m2 = mult_operator(a).matrix, mult_operator(jordan_mul(a, a)).matrix
+            p = tuple(tuple(2 * x - y for x, y in zip(r1, r2))
+                      for r1, r2 in zip(mat_mul(m, m), m2))
+            assert quadratic_rep(a).matrix == p
+            assert h.compose(quadratic_rep(a)).matrix == mat_mul(h.matrix, p)
+    # float mode: a float tau composes with the exact Gram inverse and
+    # applies to floats, in floats
+    spec = JordanSpec(2, 2)
+    fr = frame(spec)
+    a = fr.element(tuple(float(c) for c in
+                         fr.random_invertible(stream_rng(45, "float")).coords()))
+    h = structural_map(fr, a)
+    assert h.denominator == 1
+    assert all(type(v) is float for row in h.numerators for v in row)
+    b = tuple(float(c) for c in random_element(spec, stream_rng(46, "b")).coords())
+    assert all(type(v) is float for v in h.apply(b))
+    assert all(type(v) is float for v in fr.gram_inv.apply(b))
+    exact = structural_map(fr, fr.element(tuple(int(c) for c in a.coords())))
+    assert max(abs(x - float(y)) for r1, r2 in zip(h.matrix, exact.matrix)
+               for x, y in zip(r1, r2)) < 1e-12
 
 
 def test_singular_point_rejected():

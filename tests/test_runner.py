@@ -84,6 +84,13 @@ def test_invalid_configs():
         dict(k=2, delta=1, suite="all", trials=1, seed=2 ** 64),
         dict(k=2, delta=1, suite="all", trials=1, seed=0, mode="fuzzy"),
         dict(k=2, delta=1, suite="all", trials=1, seed=0, tol=0.0),
+        # tolerances that accept any error
+        dict(k=2, delta=2, suite="all", trials=2, seed=7, mode="float",
+             tol=float("inf")),
+        dict(k=3, delta=8, suite="negative", trials=3, seed=7, mode="float",
+             tol=1e300),
+        dict(k=2, delta=1, suite="all", trials=1, seed=0, tol=1.0),
+        dict(k=2, delta=1, suite="all", trials=1, seed=0, tol=float("nan")),
         dict(k=2, delta=1, suite="all", trials=1, seed=0, format="xml"),
         dict(k=3, delta=1, suite="severi", trials=1, seed=0),
         dict(k=2, delta=1, suite="negative", trials=1, seed=0),
@@ -371,6 +378,24 @@ def test_json_float_mode_numbers():
     rep = VerificationReport({"mode": "float"}, checks)
     data = json.loads(render_json(rep))
     assert data["checks"][0]["max_abs_error"] == 1.5e-9
+
+
+def test_json_float_mode_keeps_counts_integral():
+    # only Fractions become floats; counts, dimensions and trial numbers
+    # stay integers
+    checks = [CheckResult("delta", "f", FAIL, 2, 0.5,
+                          witness={"trial": 0, "dims": [5, 8], "r": Fraction(1, 4),
+                                   "err": 0.125})]
+    data = json.loads(render_json(VerificationReport({"mode": "float"}, checks)))
+    assert data["checks"][0]["witness"] == {"trial": 0, "dims": [5, 8],
+                                            "r": 0.25, "err": 0.125}
+    assert type(data["checks"][0]["witness"]["trial"]) is int
+    rep = run_suite(RunConfig(k=2, delta=2, suite="geometry", trials=1, seed=7,
+                              mode="float"))
+    data = json.loads(render_json(rep))
+    terracini = next(c for c in data["checks"] if c["id"] == "terracini-dimension")
+    assert terracini["witness"]["l"] == [0, 1, 2]
+    assert all(type(v) is int for v in terracini["witness"]["dims"])
 
 
 def test_csv_rendering():
