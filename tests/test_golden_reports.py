@@ -19,7 +19,8 @@ RECORDED_UNDER = "3.11.7"
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 # the three benchmark configurations, then two shapes no benchmark workload
-# runs: delta = 1 and a degree-5 norm
+# runs: delta = 1 and a degree-5 norm; last, the geometry and symmetric
+# suites on a degree-4 norm
 GOLDEN = [
     (["--k", "2", "--delta", "8", "--suite", "all", "--trials", "1", "--seed", "42"],
      "9e66531178d525c653e8e07330079336ccf726fb505baa5326d177d372a11445", 8728),
@@ -32,12 +33,14 @@ GOLDEN = [
      "fd35922fe32991b791859a04031896ee8f5c667ddc9e96ecdf2654e494c6ad80", 8721),
     (["--k", "4", "--delta", "1", "--suite", "all", "--trials", "3", "--seed", "7"],
      "caac9b072b97aabbc8b7b8ab0be0c49ebbb20e0ac2415d6de8427bdc819c9618", 8784),
+    (["--k", "3", "--delta", "4", "--suite", "all", "--trials", "3", "--seed", "7"],
+     "bce1f7be541c4dfb52a243a659b6e8811332264574301b7377345041620b6f7a", 8741),
 ]
 
 
 @pytest.mark.parametrize("args,sha256,size", GOLDEN,
                          ids=["k2-d8-all", "k3-d8-all", "k3-d4-algebra",
-                              "k2-d1-all", "k4-d1-all"])
+                              "k2-d1-all", "k4-d1-all", "k3-d4-all"])
 def test_exact_report_matches_golden_hash(args, sha256, size):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
