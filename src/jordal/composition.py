@@ -108,123 +108,3 @@ def cd_norm(x):
     """N(x) = x conj(x): the Euclidean sum of squared coordinates."""
     return sum(v * v for v in x)
 
-
-def cd_add(x, y):
-    return tuple(a + b for a, b in zip(x, y))
-
-
-def cd_sub(x, y):
-    return tuple(a - b for a, b in zip(x, y))
-
-
-def cd_scale(c, x):
-    return tuple(c * v for v in x)
-
-
-def cd_zero(delta: int):
-    return (0,) * delta
-
-
-def cd_unit(delta: int, s: int = 0):
-    return tuple(int(i == s) for i in range(delta))
-
-
-class CDElement:
-    """A composition-algebra element: immutable coordinate vector plus dim."""
-
-    __slots__ = ("delta", "coords")
-
-    def __init__(self, delta: int, coords):
-        _check_dim(delta)
-        coords = tuple(coords)
-        if len(coords) != delta:
-            raise DimensionMismatch(f"expected {delta} coordinates, got {len(coords)}")
-        object.__setattr__(self, "delta", delta)
-        object.__setattr__(self, "coords", coords)
-
-    def __setattr__(self, *_):
-        raise AttributeError("CDElement is immutable")
-
-    @classmethod
-    def from_real(cls, delta: int, value) -> "CDElement":
-        return cls(delta, (value,) + (0,) * (delta - 1))
-
-    @classmethod
-    def basis(cls, delta: int, s: int) -> "CDElement":
-        return cls(delta, cd_unit(delta, s))
-
-    @classmethod
-    def zero(cls, delta: int) -> "CDElement":
-        return cls(delta, cd_zero(delta))
-
-    def _coerce(self, other):
-        if isinstance(other, CDElement):
-            if other.delta != self.delta:
-                raise DimensionMismatch(f"mixing dimensions {self.delta} and {other.delta}")
-            return other
-        if isinstance(other, (int, float)) or hasattr(other, "denominator"):
-            return CDElement.from_real(self.delta, other)
-        return NotImplemented
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return CDElement(self.delta, cd_add(self.coords, other.coords))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return CDElement(self.delta, cd_sub(self.coords, other.coords))
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return CDElement(self.delta, cd_sub(other.coords, self.coords))
-
-    def __neg__(self):
-        return CDElement(self.delta, tuple(-v for v in self.coords))
-
-    def __mul__(self, other):
-        if isinstance(other, CDElement):
-            if other.delta != self.delta:
-                raise DimensionMismatch(f"mixing dimensions {self.delta} and {other.delta}")
-            return CDElement(self.delta, cd_mul(self.coords, other.coords, self.delta))
-        return CDElement(self.delta, cd_scale(other, self.coords))
-
-    def __rmul__(self, other):
-        # scalars commute with everything
-        return CDElement(self.delta, cd_scale(other, self.coords))
-
-    def conj(self) -> "CDElement":
-        return CDElement(self.delta, cd_conj(self.coords))
-
-    def norm(self):
-        return cd_norm(self.coords)
-
-    def real(self):
-        return self.coords[0]
-
-    def is_zero(self) -> bool:
-        return all(v == 0 for v in self.coords)
-
-    def __eq__(self, other):
-        if isinstance(other, CDElement):
-            return self.delta == other.delta and self.coords == other.coords
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.delta, self.coords))
-
-    def __repr__(self):
-        terms = []
-        for s, v in enumerate(self.coords):
-            if v == 0:
-                continue
-            terms.append(f"{v}" if s == 0 else f"{v}*e{s}")
-        return " + ".join(terms) if terms else "0"
-

@@ -12,9 +12,11 @@ from .backend import EXACT
 from .composition import cd_conj, cd_mul
 from .jordan import (JordanElement, JordanSpec, SpecMismatch, char_coeffs,
                      jordan_rank, mult_operator)
-from .linalg import SingularMatrix, exact_nullspace, exact_rank, exact_solve
+from .linalg import (SingularMatrix, clear_row_denominators, exact_nullspace,
+                     exact_rank, exact_solve, mat_vec)
 from .polarization import PolarizedForm, covector_slot, full_polarize, partial_polarize
-from .reconstruction import NormFrame, inner, tau, tau_covector, unit_pairing
+from .reconstruction import NormFrame, tau, tau_covector, unit_pairing
+from .rng import COORD_HI, COORD_LO, sample_coords
 
 
 class DegenerateFrame(ValueError):
@@ -89,7 +91,7 @@ class RankOnePoint:
         return f"RankOnePoint({self.spec.k},{self.spec.delta})"
 
 
-def sample_rank_one(spec: JordanSpec, rng, lo: int = -9, hi: int = 9) -> RankOnePoint:
+def sample_rank_one(spec: JordanSpec, rng) -> RankOnePoint:
     """Random rank-one point with small integer coordinates.
 
     A randomly rotated coordinate of v is forced scalar, which keeps the
@@ -101,11 +103,11 @@ def sample_rank_one(spec: JordanSpec, rng, lo: int = -9, hi: int = 9) -> RankOne
             "octonion columns of size >= 4 generically give v v^H of rank > 1, "
             "so rejection sampling would not terminate")
     size, delta = spec.size, spec.delta
-    nonzero = [c for c in range(lo, hi + 1) if c != 0]
+    nonzero = [c for c in range(COORD_LO, COORD_HI + 1) if c != 0]
     for _ in range(200):
-        v = [[rng.randint(lo, hi) for _ in range(delta)] for _ in range(size)]
+        v = [sample_coords(rng, delta) for _ in range(size)]
         scalar_slot = rng.randrange(size)
-        v[scalar_slot] = [rng.choice(nonzero)] + [0] * (delta - 1)
+        v[scalar_slot] = (rng.choice(nonzero),) + (0,) * (delta - 1)
         try:
             return RankOnePoint(spec, v)
         except ValueError:
@@ -113,32 +115,16 @@ def sample_rank_one(spec: JordanSpec, rng, lo: int = -9, hi: int = 9) -> RankOne
     raise SingularConfiguration("no rank-one point in 200 draws")
 
 
-class TangentFrame:
-    """Spanning set w v^H + v w^H of the tangent space at a rank-one point."""
-
-    __slots__ = ("base", "vectors")
-
-    def __init__(self, base: RankOnePoint, vectors):
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "vectors", tuple(vectors))
-
-    def __setattr__(self, *_):
-        raise AttributeError("TangentFrame is immutable")
-
-    def rows(self):
-        return [list(vec.coords()) for vec in self.vectors]
-
-    def rank(self) -> int:
-        return exact_rank(self.rows())
-
-
 def expected_tangent_rank(spec: JordanSpec) -> int:
     """Affine dimension of the rank-one cone: k*delta + 1."""
     return spec.k * spec.delta + 1
 
 
-def tangent_frame(x: RankOnePoint, check: bool = True) -> TangentFrame:
+def tangent_frame(x: RankOnePoint, check: bool = True):
     """Differentiate (v+tw)(v+tw)^H at t=0 over chart coordinate directions w.
+
+    Returns the coordinate rows w v^H + v w^H, which span the tangent space
+    at x; with ``check`` their rank must be k*delta + 1.
 
     The directions keep the scalar slot of v scalar, so every perturbed
     vector still has pairwise associating entries and the curve stays inside
@@ -149,19 +135,20 @@ def tangent_frame(x: RankOnePoint, check: bool = True) -> TangentFrame:
     size, delta = spec.size, spec.delta
     if x.scalar_slot is None:
         raise DegenerateFrame("point has no scalar chart coordinate")
-    vectors = []
+    rows = []
     for p in range(size):
         for s in range(delta):
             if p == x.scalar_slot and s > 0:
                 continue
             w = [(0,) * delta] * size
             w[p] = tuple(int(t == s) for t in range(delta))
-            vectors.append(_outer_sym(spec, w, x.v))
-    fr = TangentFrame(x, vectors)
-    if check and fr.rank() != expected_tangent_rank(spec):
-        raise DegenerateFrame(
-            f"tangent rank {fr.rank()} != {expected_tangent_rank(spec)}")
-    return fr
+            rows.append(list(_outer_sym(spec, w, x.v).coords()))
+    if check:
+        rank = exact_rank(rows)
+        if rank != expected_tangent_rank(spec):
+            raise DegenerateFrame(
+                f"tangent rank {rank} != {expected_tangent_rank(spec)}")
+    return rows
 
 
 def terracini_expected(spec: JordanSpec, l: int) -> int:
@@ -176,7 +163,7 @@ def terracini_dim(spec: JordanSpec, l: int, rng, backend=EXACT) -> int:
         raise ValueError(f"l must lie in [0, {spec.k}]")
     rows = []
     for _ in range(l + 1):
-        rows.extend(tangent_frame(sample_rank_one(spec, rng)).rows())
+        rows.extend(tangent_frame(sample_rank_one(spec, rng)))
     return backend.rank(rows)
 
 
@@ -247,19 +234,17 @@ def homogeneity_witness(fr: NormFrame, a: JordanElement, b: JordanElement,
 
 def tangent_intersection(fr: NormFrame, xa: RankOnePoint, xb: RankOnePoint):
     """Basis of T_A int T_B via stacked annihilator covectors."""
-    fa = tangent_frame(xa)
-    fb = tangent_frame(xb)
     stacked = []
-    for frame_rows in (fa.rows(), fb.rows()):
-        stacked.extend(list(row) for row in exact_nullspace(frame_rows))
+    for x in (xa, xb):
+        stacked.extend(list(row) for row in exact_nullspace(tangent_frame(x)))
     return exact_nullspace(stacked)
 
 
 def tangent_intersection_dim(xa: RankOnePoint, xb: RankOnePoint,
                              backend=EXACT) -> int:
     """dim(T_A int T_B) = dim T_A + dim T_B - dim(T_A + T_B)."""
-    rows_a = tangent_frame(xa).rows()
-    rows_b = tangent_frame(xb).rows()
+    rows_a = tangent_frame(xa)
+    rows_b = tangent_frame(xb)
     return (backend.rank(rows_a) + backend.rank(rows_b)
             - backend.rank(rows_a + rows_b))
 
@@ -287,7 +272,12 @@ def product_projection(fr: NormFrame, xa: RankOnePoint, xb: RankOnePoint,
                              [a.coords(), b.coords()])
     scal = (k + 1) * (k + 1) * pa * pb - Fraction(k * (k + 1), 2) * cross
     elems = [fr.element(w) for w in basis]
-    gram = [[inner(fr, wi, wj) for wj in elems] for wi in elems]
+    # <w_i, w_j> = w_i^T G w_j, on the int numerators of G and of each w
+    g = fr.gram
+    cleared = [clear_row_denominators(w) for w in basis]
+    images = [mat_vec(g.numerators, nw) for nw, _ in cleared]
+    gram = [[Fraction(sum(x * y for x, y in zip(ni, gj)), di * dj * g.denominator)
+             for gj, (_, dj) in zip(images, cleared)] for ni, di in cleared]
     # <scal*I, w> = scal * Q(I,...,I,w) because tau_I fixes I
     rhs = [scal * unit_pairing(fr, w) for w in elems]
     try:
@@ -310,15 +300,11 @@ def mult_kernel_dim(x: RankOnePoint, backend=EXACT) -> int:
     return x.spec.dim - backend.rank(mult_operator(x.element).matrix)
 
 
-def cone_vertex_stack(form: PolarizedForm, rng, rows=None,
-                      lo: int = -9, hi: int = 9):
-    """Stack of covectors v -> F(v, A_i, ..., A_i) for random A_i."""
-    dim, q = form.dim, form.degree
-    if rows is None:
-        rows = dim + 2
+def cone_vertex_stack(form: PolarizedForm, rng):
+    """Stack of dim + 2 covectors v -> F(v, A_i, ..., A_i) for random A_i."""
     out = []
-    for _ in range(rows):
-        a = tuple(rng.randint(lo, hi) for _ in range(dim))
-        out.append(list(covector_slot(form, [a] * (q - 1))))
+    for _ in range(form.dim + 2):
+        a = sample_coords(rng, form.dim)
+        out.append(list(covector_slot(form, [a] * (form.degree - 1))))
     return out
 

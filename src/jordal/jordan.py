@@ -30,6 +30,7 @@ from .backend import EXACT
 from .composition import ALLOWED_DIMS, DimensionMismatch, cd_conj, grid_matmul
 from .linalg import LinearOperator, clear_row_denominators
 from .polarization import PolarizedForm
+from .rng import sample_coords
 
 
 class SpecMismatch(ValueError):
@@ -208,16 +209,8 @@ def basis_element(spec: JordanSpec, idx: int) -> JordanElement:
     return JordanElement.from_coords(spec, vec)
 
 
-def diagonal_element(spec: JordanSpec, values) -> JordanElement:
-    values = tuple(values)
-    if len(values) != spec.size:
-        raise SpecMismatch(f"expected {spec.size} diagonal values")
-    return JordanElement.from_coords(spec, values + (0,) * (spec.dim - spec.size))
-
-
-def random_element(spec: JordanSpec, rng, lo: int = -9, hi: int = 9) -> JordanElement:
-    return JordanElement.from_coords(
-        spec, tuple(rng.randint(lo, hi) for _ in range(spec.dim)))
+def random_element(spec: JordanSpec, rng) -> JordanElement:
+    return JordanElement.from_coords(spec, sample_coords(rng, spec.dim))
 
 
 # ---------------------------------------------------------------------------
@@ -341,16 +334,6 @@ def jordan_mul(a: JordanElement, b: JordanElement) -> JordanElement:
     return JordanElement(spec, diag, upper)
 
 
-def jordan_power(a: JordanElement, m: int) -> JordanElement:
-    """Left-iterated power, A^0 = I, A^{m+1} = A * A^m."""
-    if m < 0:
-        raise ValueError("negative power")
-    result = identity(a.spec)
-    for _ in range(m):
-        result = jordan_mul(a, result)
-    return result
-
-
 def char_coeffs(a: JordanElement) -> tuple:
     """(sigma_1, ..., sigma_{k+1}): generic characteristic coefficients."""
     spec = a.spec
@@ -358,11 +341,6 @@ def char_coeffs(a: JordanElement) -> tuple:
     doubled = _doubled_traces_from_grid(a.grid(), spec.size, spec.delta, q)
     _, scales = _newton_tables(q)
     return tuple(fj * s for fj, s in zip(_newton_integers(doubled, q)[1:], scales))
-
-
-def generic_norm(a: JordanElement):
-    """Q(A) = sigma_{k+1}; Q(I) = 1 and Q(diagonal) is the product."""
-    return char_coeffs(a)[-1]
 
 
 def jordan_rank(a: JordanElement, backend=EXACT) -> int:

@@ -32,6 +32,7 @@ from functools import lru_cache
 from .jordan import JordanSpec, JordanElement, identity, basis_element, norm_form
 from .linalg import LinearOperator, clear_row_denominators, exact_det, exact_inverse
 from .polarization import PolarizedForm, covector_slot, partial_polarize
+from .rng import sample_coords
 
 
 class SingularPoint(ValueError):
@@ -89,11 +90,10 @@ class NormFrame:
     def element(self, coords) -> JordanElement:
         return JordanElement.from_coords(self.spec, coords)
 
-    def random_invertible(self, rng, lo: int = -9, hi: int = 9,
-                          max_tries: int = 200) -> JordanElement:
+    def random_invertible(self, rng) -> JordanElement:
         """Random integer element with Q != 0 (rejection sampling)."""
-        for _ in range(max_tries):
-            coords = tuple(rng.randint(lo, hi) for _ in range(self.spec.dim))
+        for _ in range(200):
+            coords = sample_coords(rng, self.spec.dim)
             if self.form(coords) != 0:
                 return self.element(coords)
         raise SingularPoint("could not sample an element with Q != 0")
@@ -114,15 +114,6 @@ def _pair_matrix(fr: NormFrame, m_coords):
 def unit_pairing(fr: NormFrame, a: JordanElement):
     """Q(I,...,I,A) via the memoized unit covector."""
     return sum(c * x for c, x in zip(fr.unit_covector, a.coords()))
-
-
-def gradient_map(fr: NormFrame, m: JordanElement):
-    """G(M) = Q(M,...,M,.)/Q(M) as a coordinate covector."""
-    qm = fr.norm(m)
-    if qm == 0:
-        raise SingularPoint("gradient map undefined where Q vanishes")
-    cov = covector_slot(fr.form, [m.coords()] * (fr.q - 1))
-    return tuple(v / qm for v in cov)
 
 
 def sharp(fr: NormFrame, covector) -> JordanElement:
@@ -189,11 +180,6 @@ def tau_covector(fr: NormFrame, m: JordanElement, x: JordanElement):
 def structural_map(fr: NormFrame, a: JordanElement) -> LinearOperator:
     """H_A = tau_I^{-1} tau_A, a norm similarity: Q(H_A B) = Q(A)^-2 Q(B)."""
     return fr.gram_inv.compose(tau(fr, a))
-
-
-def tau_det_normalized(fr: NormFrame, m: JordanElement):
-    """det(tau_I^{-1} tau_M); the norm identity says this is Q(M)^-(2+k*delta)."""
-    return tau(fr, m).det() / fr.det_gram
 
 
 def reconstructed_product(fr: NormFrame, a: JordanElement,

@@ -48,6 +48,6 @@ def stream_rng(seed: int, *labels: object) -> random.Random:
     return random.Random(derive_stream(seed, *labels))
 
 
-def sample_coords(rng: random.Random, n: int, lo: int = COORD_LO, hi: int = COORD_HI) -> tuple:
-    """Uniform integer coordinates in [lo, hi]."""
-    return tuple(rng.randint(lo, hi) for _ in range(n))
+def sample_coords(rng: random.Random, n: int) -> tuple:
+    """Uniform integer coordinates in [COORD_LO, COORD_HI]."""
+    return tuple(rng.randint(COORD_LO, COORD_HI) for _ in range(n))

@@ -7,8 +7,8 @@ Leibniz determinants, Fraction-based Gaussian elimination, classical
 cofactor adjugates, Newton's identities over Fractions on the traces of
 iterated Jordan products, polarization by inclusion-exclusion over black-box
 evaluations of a form, and t-derivatives by exact Lagrange interpolation.
-It also holds the small matrix and vector helpers that only tests use.
-None of it is imported by the package itself.
+It also holds the small matrix, vector and element helpers that only tests
+use. None of it is imported by the package itself.
 """
 
 from fractions import Fraction
@@ -16,7 +16,7 @@ from functools import lru_cache
 from itertools import permutations
 from math import factorial, gcd
 
-from jordal.jordan import JordanElement, jordan_power
+from jordal.jordan import JordanElement, identity, jordan_mul
 from jordal.linalg import LinearOperator, common_denominator
 from jordal.polarization import covector_slot, partial_polarize
 
@@ -218,6 +218,16 @@ def dense_symmetric_product(a: JordanElement, b: JordanElement) -> JordanElement
     return JordanElement(spec, diag, upper)
 
 
+def jordan_power(a: JordanElement, m: int) -> JordanElement:
+    """Left-iterated power, A^0 = I, A^{m+1} = A * A^m."""
+    if m < 0:
+        raise ValueError("negative power")
+    result = identity(a.spec)
+    for _ in range(m):
+        result = jordan_mul(a, result)
+    return result
+
+
 def power_traces(a: JordanElement, upto: int):
     """[p_1, ..., p_upto] with p_m = T(A^m), A^m the iterated Jordan product."""
     return [sum(jordan_power(a, m).diag) for m in range(1, upto + 1)]
@@ -234,6 +244,14 @@ def newton_coeffs(p, degree: int):
             sign = -sign
         e.append(acc * Fraction(1, j))
     return tuple(e[1:])
+
+
+def diagonal_element(spec, values) -> JordanElement:
+    """The diagonal element with the given k+1 diagonal values."""
+    values = tuple(values)
+    if len(values) != spec.size:
+        raise ValueError(f"expected {spec.size} diagonal values")
+    return JordanElement.from_coords(spec, values + (0,) * (spec.dim - spec.size))
 
 
 def identity_matrix(n):

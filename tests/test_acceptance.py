@@ -19,7 +19,6 @@ from jordal.cubic import (
     bracketing_residual,
     cayley_hamilton_residual,
     comatrix_product_residual,
-    cubic_context,
     double_adjoint_residual,
     fourth_power_residuals,
     mixed_adjoint_residual,
@@ -58,7 +57,7 @@ from jordal.reconstruction import (
     reconstructed_product,
     sharp,
     structural_map,
-    tau_det_normalized,
+    tau,
     unit_pairing,
 )
 from jordal.rng import stream_rng
@@ -134,7 +133,7 @@ def test_criterion_2_norm_identity_suite(capsys):
                 "semisimilarity": fr.norm(
                     fr.element(structural_map(fr, m).apply(b.coords())))
                 * fr.norm(m) ** 2 == fr.norm(b),
-                "tau-det": tau_det_normalized(fr, m)
+                "tau-det": tau(fr, m).det() / fr.det_gram
                 == Fraction(1, fr.norm(m) ** power),
                 "sharp": sharp(fr, covector_slot(
                     fr.form, [fr.unit_coords] * (fr.q - 2) + [a.coords()]))
@@ -232,21 +231,21 @@ def test_criterion_6_cubic_suite(capsys):
     residual on 50 trials per entry algebra."""
     bad = []
     for delta in (1, 2, 4, 8):
-        ctx = cubic_context(JordanSpec(2, delta))
+        fr = frame(JordanSpec(2, delta))
         rng = stream_rng(10_006, "acc6", delta)
         for trial in range(50):
-            a = random_element(ctx.spec, rng)
-            b = random_element(ctx.spec, rng)
+            a = random_element(fr.spec, rng)
+            b = random_element(fr.spec, rng)
             residuals = {
-                "comatrix": comatrix_product_residual(ctx, a),
-                "rel1": double_adjoint_residual(ctx, a),
-                "rel2": mixed_adjoint_residual(ctx, a, b),
-                "rel3": unit_reduction_residual(ctx, a),
-                "rel4": scalar_reduction_residual(ctx, a),
-                "square": square_decomposition_residual(ctx, a),
-                "cayley-hamilton": cayley_hamilton_residual(ctx, a),
-                "fourth": max(fourth_power_residuals(ctx, a)),
-                "bracketing": bracketing_residual(ctx, a, upto=6),
+                "comatrix": comatrix_product_residual(fr, a),
+                "rel1": double_adjoint_residual(fr, a),
+                "rel2": mixed_adjoint_residual(fr, a, b),
+                "rel3": unit_reduction_residual(fr, a),
+                "rel4": scalar_reduction_residual(fr, a),
+                "square": square_decomposition_residual(fr, a),
+                "cayley-hamilton": cayley_hamilton_residual(fr, a),
+                "fourth": max(fourth_power_residuals(fr, a)),
+                "bracketing": bracketing_residual(fr, a, upto=6),
             }
             bad.extend((delta, trial, name)
                        for name, r in residuals.items() if r != 0)

@@ -1,8 +1,8 @@
 """Guards against regrowth of dead code and of checks that python -O empties.
 
 Every module of the package except ``__init__.py`` (which re-exports names)
-must use each name it imports, every module-level def or class must be used
-by the library or exported by the package, and no library module may check
+must use each name it imports, every module-level def or class must be read
+by library code (exporting it is not enough), and no library module may check
 a claim with an ``assert`` statement, because ``python -O`` removes them.
 No module may import ``threading`` or ``concurrent.futures``: the trials
 hold the GIL, so worker threads bought no speed, only locks.
@@ -12,12 +12,18 @@ import numpy, and no check in ``runner.py`` may read an ``.exact`` attribute
 to pick a float-only route. A failed claim raises a ValueError subclass,
 which the runner reports as ``fail``; ``raise AssertionError`` would stop
 the run instead, so the library may not raise it.
+
+The traced benchmark (``perfbench/run.py --trace 1``) patches library
+functions by name, so every name it patches must still resolve.
 """
 
 import ast
+import importlib
+import inspect
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "jordal"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "jordal"
 
 
 def modules():
@@ -118,22 +124,18 @@ def test_checks_do_not_read_the_mode():
     assert found == []
 
 
-def test_every_definition_is_used_or_exported():
+def test_every_definition_is_used():
     # a module-level def or class must be read by library code outside its
-    # own body, or be exported by the package; otherwise it is a test helper
-    # that belongs in tests/oracles.py
+    # own body; exporting it from the package is not enough, since a name
+    # that only tests read is a test helper that belongs in tests/oracles.py
     trees = {path.name: ast.parse(path.read_text(), filename=str(path))
              for path in modules()}
-    init = trees.pop("__init__.py")
-    exported = next(ast.literal_eval(node.value) for node in init.body
-                    if isinstance(node, ast.Assign)
-                    and any(getattr(t, "id", None) == "__all__" for t in node.targets))
+    del trees["__init__.py"]
     found = []
     for name, tree in trees.items():
         module = name[:-len(".py")]
         for definition in tree.body:
-            if (not isinstance(definition, (ast.FunctionDef, ast.ClassDef))
-                    or definition.name in exported):
+            if not isinstance(definition, (ast.FunctionDef, ast.ClassDef)):
                 continue
             own = {id(n) for n in ast.walk(definition)}
             # read by name, or through its module as in linalg.exact_rank
@@ -146,3 +148,37 @@ def test_every_definition_is_used_or_exported():
             if not used:
                 found.append(f"{name}:{definition.lineno} {definition.name}")
     assert found == []
+
+
+def traced_functions():
+    """[(module, attribute path)] of the FUNCTIONS table in perfbench/layers.py.
+
+    The table is read with ast, because importing layers.py needs the
+    benchmark's own tracer module on the path.
+    """
+    tree = ast.parse((ROOT / "perfbench" / "layers.py").read_text())
+    table = next(node.value for node in tree.body
+                 if isinstance(node, ast.Assign)
+                 and any(getattr(t, "id", None) == "FUNCTIONS" for t in node.targets))
+    return [(module, path) for _, module, path in ast.literal_eval(table)]
+
+
+def test_traced_names_resolve():
+    names = traced_functions()
+    assert names
+    # patched outside the table by perfbench/layers.py::install
+    names += [("reconstruction", "NormFrame._build_gram"),
+              ("runner", "_run_one_trial"), ("runner", "_run_check"),
+              ("polarization", "PolarizedForm.__call__"),
+              ("jordan", "norm_form"), ("report", "emit_report")]
+    missing = []
+    for module, path in names:
+        obj = importlib.import_module(f"jordal.{module}")
+        for attr in path.split("."):
+            obj = getattr(obj, attr, None)
+        if not callable(obj):
+            missing.append(f"{module}.{path}")
+    assert missing == []
+    # the traced run wraps _run_check as lambda env, check, threads
+    from jordal.runner import _run_check
+    assert len(inspect.signature(_run_check).parameters) == 3

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from jordal.jordan import (
+    JordanElement,
     JordanSpec,
     basis_element,
     identity,
@@ -19,7 +20,6 @@ from jordal.reconstruction import (
     SingularPoint,
     derivative_product_oracle,
     frame,
-    gradient_map,
     inner,
     orbit_map_derivative,
     reconstructed_product,
@@ -27,12 +27,11 @@ from jordal.reconstruction import (
     structural_map,
     tau,
     tau_covector,
-    tau_det_normalized,
     unit_pairing,
 )
 from jordal.rng import stream_rng
-from oracles import (gauss_inverse, interpolated_line_derivative, is_symmetric,
-                     transpose)
+from oracles import (diagonal_element, gauss_inverse, interpolated_line_derivative,
+                     is_symmetric, transpose)
 
 JORDAN_SPECS = [(2, 1), (2, 2), (2, 4), (2, 8), (3, 1), (3, 2), (3, 4),
                 (4, 1), (4, 2), (5, 1)]
@@ -104,8 +103,8 @@ def test_reconstruction_exact_even_without_jordan_identity():
     spec = JordanSpec(3, 8)
     fr = frame(spec)
     rng = stream_rng(34, "recon-38")
-    a = random_element(spec, rng, lo=-4, hi=4)
-    b = random_element(spec, rng, lo=-4, hi=4)
+    a, b = (JordanElement.from_coords(
+        spec, tuple(rng.randint(-4, 4) for _ in range(spec.dim))) for _ in range(2))
     assert reconstructed_product(fr, a, b) == jordan_mul(a, b)
 
 
@@ -173,7 +172,8 @@ def test_gradient_map_at_unit():
     spec = JordanSpec(2, 1)
     fr = frame(spec)
     e = identity(spec)
-    grad = gradient_map(fr, e)
+    # G(M) = Q(M,...,M,.)/Q(M), and Q(I) = 1
+    grad = covector_slot(fr.form, [e.coords()] * (fr.q - 1))
     rng = stream_rng(39, "grad")
     x = random_element(spec, rng)
     paired = sum(g * c for g, c in zip(grad, x.coords()))
@@ -194,7 +194,7 @@ def test_tau_properties():
         assert tau_covector(fr, m, x) == t.apply(x.coords())
         # normalized determinant law det(tau_M)/det(tau_I) = Q(M)^-(2+k delta)
         power = 2 + k * delta
-        assert tau_det_normalized(fr, m) == Fraction(1, fr.norm(m) ** power)
+        assert t.det() / fr.det_gram == Fraction(1, fr.norm(m) ** power)
 
 
 def test_structural_map_norm_factor():
@@ -266,11 +266,10 @@ def test_operators_match_the_fraction_route():
 def test_singular_point_rejected():
     spec = JordanSpec(2, 1)
     fr = frame(spec)
-    from jordal.jordan import diagonal_element
     singular = diagonal_element(spec, [1, 1, 0])
     assert fr.norm(singular) == 0
     with pytest.raises(SingularPoint):
-        tau_det_normalized(fr, singular)
+        tau(fr, singular)
     with pytest.raises(SingularPoint):
         structural_map(fr, singular)
 

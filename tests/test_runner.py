@@ -10,7 +10,6 @@ from pathlib import Path
 
 import pytest
 
-from jordal.cubic import cubic_context
 from jordal.jordan import norm_form
 from jordal.reconstruction import frame
 from jordal.report import (
@@ -168,13 +167,13 @@ def test_report_destination_does_not_change_bytes():
 
 
 def clear_shared_caches():
-    for cached in (frame, norm_form, cubic_context):
+    for cached in (frame, norm_form):
         cached.cache_clear()
 
 
 def test_cache_state_does_not_change_bytes():
-    # cold caches (a new frame, norm table and cubic context) and warm ones
-    # must give the same report bytes
+    # cold caches (a new frame and norm table) and warm ones must give the
+    # same report bytes
     cfg = RunConfig(k=2, delta=2, suite="all", trials=2, seed=9)
     clear_shared_caches()
     try:

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from jordal.jordan import (
+    JordanElement,
     JordanSpec,
     identity,
     jordan_mul,
@@ -123,7 +124,8 @@ def test_lie_triple_residual_nonzero_on_octonion_four_by_four():
     rng = stream_rng(78, "lie38")
     residuals = []
     for _ in range(5):
-        a, b, x, y = (random_element(spec, rng, lo=-4, hi=4)
-                      for _ in range(4))
+        a, b, x, y = (JordanElement.from_coords(
+            spec, tuple(rng.randint(-4, 4) for _ in range(spec.dim)))
+            for _ in range(4))
         residuals.append(lie_triple_residual(a, b, x, y))
     assert any(r != 0 for r in residuals)
