@@ -15,8 +15,8 @@ from .reconstruction import (NormFrame, derivative_product_oracle, frame, inner,
                              reconstructed_product, sharp, structural_map, tau,
                              unit_pairing)
 from .geometry import (RankOnePoint, dual_point, product_projection,
-                       sample_rank_one, secant_membership, tangent_frame,
-                       tangent_intersection, terracini_dim, terracini_expected)
+                       sample_rank_one, tangent_frame, tangent_intersection,
+                       terracini_dim, terracini_expected)
 from .symmetry import (GroupElementSample, automorphism_trichotomy,
                        lie_triple_residual, permutation_conjugation_sample,
                        structural_sample)
@@ -35,7 +35,7 @@ __all__ = [
     "NormFrame", "derivative_product_oracle", "frame", "inner",
     "reconstructed_product", "sharp", "structural_map", "tau", "unit_pairing",
     "RankOnePoint", "dual_point", "product_projection", "sample_rank_one",
-    "secant_membership", "tangent_frame", "tangent_intersection",
+    "tangent_frame", "tangent_intersection",
     "terracini_dim", "terracini_expected",
     "GroupElementSample", "automorphism_trichotomy", "lie_triple_residual",
     "permutation_conjugation_sample", "structural_sample",

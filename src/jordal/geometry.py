@@ -9,9 +9,9 @@ that take a ``backend`` compute in its arithmetic instead (see backend.py).
 from fractions import Fraction
 
 from .backend import EXACT
-from .composition import cd_conj, cd_mul
+from .composition import cd_conj, cd_mul, cd_norm
 from .jordan import (JordanElement, JordanSpec, SpecMismatch, char_coeffs,
-                     jordan_rank, mult_operator)
+                     from_entries, mult_operator)
 from .linalg import (SingularMatrix, clear_row_denominators, exact_nullspace,
                      exact_rank, exact_solve, mat_vec)
 from .polarization import PolarizedForm, covector_slot, full_polarize, partial_polarize
@@ -40,16 +40,13 @@ class DualityViolation(ValueError):
 
 def _outer_sym(spec: JordanSpec, u, v) -> JordanElement:
     """The Hermitian element u v^H + v u^H from two coordinate vectors."""
-    diag = []
-    for ui, vi in zip(u, v):
-        prod = cd_mul(ui, cd_conj(vi), spec.delta)
-        diag.append(2 * prod[0])
-    upper = []
-    for (i, j) in spec.pairs:
+    def outer(i, j):
         a = cd_mul(u[i], cd_conj(v[j]), spec.delta)
+        if i == j:  # a + conj(a)
+            return (2 * a[0],)
         b = cd_mul(v[i], cd_conj(u[j]), spec.delta)
-        upper.append(tuple(x + y for x, y in zip(a, b)))
-    return JordanElement(spec, diag, upper)
+        return tuple(x + y for x, y in zip(a, b))
+    return from_entries(spec, outer)
 
 
 class RankOnePoint:
@@ -73,9 +70,8 @@ class RankOnePoint:
         slot = next((i for i in scalar if v[i][0] != 0),
                     scalar[0] if scalar else None)
         object.__setattr__(self, "scalar_slot", slot)
-        diag = [sum(c * c for c in vi) for vi in v]
-        upper = [cd_mul(v[i], cd_conj(v[j]), spec.delta) for (i, j) in spec.pairs]
-        x = JordanElement(spec, diag, upper)
+        x = from_entries(spec, lambda i, j: (cd_norm(v[i]),) if i == j
+                         else cd_mul(v[i], cd_conj(v[j]), spec.delta))
         if x.is_zero():
             raise ValueError("zero vector does not define a point")
         sigma = char_coeffs(x)
@@ -167,13 +163,6 @@ def terracini_dim(spec: JordanSpec, l: int, rng, backend=EXACT) -> int:
     return backend.rank(rows)
 
 
-def secant_membership(a: JordanElement, l: int, backend=EXACT) -> bool:
-    """Whether A lies on the l-th secant locus, i.e. has rank at most l+1."""
-    if not 0 <= l <= a.spec.k:
-        raise ValueError(f"l must lie in [0, {a.spec.k}]")
-    return jordan_rank(a, backend) <= l + 1
-
-
 def rank_one_double_slot(fr: NormFrame, x: RankOnePoint, fillers):
     """Q(x, x, C_3, ..., C_q); vanishes identically on the rank-one cone."""
     args = [x.element.coords(), x.element.coords()]
@@ -232,7 +221,7 @@ def homogeneity_witness(fr: NormFrame, a: JordanElement, b: JordanElement,
     return fr.element(backend.solve(tau(fr, a).matrix, target))
 
 
-def tangent_intersection(fr: NormFrame, xa: RankOnePoint, xb: RankOnePoint):
+def tangent_intersection(xa: RankOnePoint, xb: RankOnePoint):
     """Basis of T_A int T_B via stacked annihilator covectors."""
     stacked = []
     for x in (xa, xb):
@@ -249,8 +238,8 @@ def tangent_intersection_dim(xa: RankOnePoint, xb: RankOnePoint,
             - backend.rank(rows_a + rows_b))
 
 
-def product_projection(fr: NormFrame, xa: RankOnePoint, xb: RankOnePoint,
-                       require_expected_dim: bool = True) -> JordanElement:
+def product_projection(fr: NormFrame, xa: RankOnePoint,
+                       xb: RankOnePoint) -> JordanElement:
     """Orthogonal projection of the distinguished multiple of I.
 
     Projects [(k+1)^2 Q(I,..,I,A) Q(I,..,I,B) - k(k+1)/2 Q(I,..,I,A,B)] I
@@ -259,8 +248,8 @@ def product_projection(fr: NormFrame, xa: RankOnePoint, xb: RankOnePoint,
     """
     spec = fr.spec
     k, q = spec.k, fr.q
-    basis = tangent_intersection(fr, xa, xb)
-    if require_expected_dim and len(basis) != spec.delta:
+    basis = tangent_intersection(xa, xb)
+    if len(basis) != spec.delta:
         raise DegenerateIntersection(
             f"intersection dimension {len(basis)} != {spec.delta}")
     if not basis:

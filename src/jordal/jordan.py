@@ -12,6 +12,9 @@ carrying e_s at (i, j) and conj(e_s) at (j, i). So
 
     dimV = (k+1)(2 + k delta)/2.
 
+An element is its tuple of canonical coordinates. Only this module knows
+the layout: from_entries writes it and _grid_from_coords reads it.
+
 The generic characteristic coefficients sigma_1..sigma_{k+1} come from
 Newton's identities over the power traces p_m = T(A^m); the generic norm is
 Q = sigma_{k+1}, normalized so Q(identity) = 1. Power traces are computed
@@ -77,73 +80,43 @@ class JordanSpec:
     def pairs(self) -> tuple:
         return _pairs(self.k)
 
-    def pair_offset(self, i: int, j: int) -> int:
-        """Start of the coordinate block of the (i, j) off-diagonal entry."""
-        return self.size + _pair_index(self.k, i, j) * self.delta
-
 
 @lru_cache(maxsize=None)
 def _pairs(k: int) -> tuple:
     return tuple((i, j) for i in range(k + 1) for j in range(i + 1, k + 1))
 
 
-def _pair_index(k: int, i: int, j: int) -> int:
-    return _pairs(k).index((i, j))
-
-
 class JordanElement:
-    """Immutable element in canonical coordinates (diagonal + upper blocks)."""
+    """Immutable element: its tuple of canonical coordinates."""
 
-    __slots__ = ("spec", "diag", "upper")
+    __slots__ = ("spec", "_coords")
 
-    def __init__(self, spec: JordanSpec, diag, upper):
+    def __init__(self, spec: JordanSpec, coords):
+        coords = tuple(coords)
+        if len(coords) != spec.dim:
+            raise SpecMismatch(f"expected {spec.dim} coordinates, got {len(coords)}")
         object.__setattr__(self, "spec", spec)
-        object.__setattr__(self, "diag", tuple(diag))
-        object.__setattr__(self, "upper", tuple(tuple(u) for u in upper))
+        object.__setattr__(self, "_coords", coords)
 
     def __setattr__(self, *_):
         raise AttributeError("JordanElement is immutable")
 
     @classmethod
-    def from_coords(cls, spec: JordanSpec, vec) -> "JordanElement":
-        vec = tuple(vec)
-        if len(vec) != spec.dim:
-            raise SpecMismatch(f"expected {spec.dim} coordinates, got {len(vec)}")
-        s = spec.size
-        d = spec.delta
-        diag = vec[:s]
-        upper = tuple(vec[s + t * d: s + (t + 1) * d] for t in range(len(spec.pairs)))
-        return cls(spec, diag, upper)
-
-    @classmethod
     def zero(cls, spec: JordanSpec) -> "JordanElement":
-        return cls.from_coords(spec, (0,) * spec.dim)
+        return cls(spec, (0,) * spec.dim)
 
     def coords(self) -> tuple:
-        flat = list(self.diag)
-        for block in self.upper:
-            flat.extend(block)
-        return tuple(flat)
-
-    def entry(self, i: int, j: int):
-        """The (i, j) matrix entry as a coordinate tuple of length delta."""
-        d = self.spec.delta
-        if i == j:
-            return (self.diag[i],) + (0,) * (d - 1)
-        if i < j:
-            return self.upper[_pair_index(self.spec.k, i, j)]
-        return cd_conj(self.upper[_pair_index(self.spec.k, j, i)])
+        return self._coords
 
     def grid(self):
         """Full matrix as nested lists of coordinate tuples (conjugated lower)."""
-        return _grid_from_coords(self.spec, self.coords())
+        return _grid_from_coords(self.spec, self._coords)
 
     def is_zero(self) -> bool:
-        return all(v == 0 for v in self.diag) and all(
-            v == 0 for block in self.upper for v in block)
+        return all(v == 0 for v in self._coords)
 
     def max_abs(self):
-        return max(abs(v) for v in self.coords())
+        return max(abs(v) for v in self._coords)
 
     def _check(self, other):
         if not isinstance(other, JordanElement):
@@ -153,25 +126,17 @@ class JordanElement:
 
     def __add__(self, other):
         self._check(other)
-        return JordanElement(
-            self.spec,
-            tuple(a + b for a, b in zip(self.diag, other.diag)),
-            tuple(tuple(a + b for a, b in zip(u, v)) for u, v in zip(self.upper, other.upper)))
+        return JordanElement(self.spec, (a + b for a, b in zip(self._coords, other._coords)))
 
     def __sub__(self, other):
         self._check(other)
-        return JordanElement(
-            self.spec,
-            tuple(a - b for a, b in zip(self.diag, other.diag)),
-            tuple(tuple(a - b for a, b in zip(u, v)) for u, v in zip(self.upper, other.upper)))
+        return JordanElement(self.spec, (a - b for a, b in zip(self._coords, other._coords)))
 
     def __neg__(self):
         return self.scale(-1)
 
     def scale(self, c) -> "JordanElement":
-        return JordanElement(self.spec,
-                             tuple(c * v for v in self.diag),
-                             tuple(tuple(c * v for v in u) for u in self.upper))
+        return JordanElement(self.spec, (c * v for v in self._coords))
 
     def __rmul__(self, other):
         if isinstance(other, JordanElement):
@@ -186,31 +151,40 @@ class JordanElement:
     def __eq__(self, other):
         if not isinstance(other, JordanElement):
             return NotImplemented
-        return (self.spec == other.spec and self.diag == other.diag
-                and self.upper == other.upper)
+        return self.spec == other.spec and self._coords == other._coords
 
     def __hash__(self):
-        return hash((self.spec, self.diag, self.upper))
+        return hash((self.spec, self._coords))
 
     def __repr__(self):
-        return f"JordanElement({self.spec.k}, {self.spec.delta}, {self.coords()})"
+        return f"JordanElement({self.spec.k}, {self.spec.delta}, {self._coords})"
 
 
 def identity(spec: JordanSpec) -> JordanElement:
-    vec = [0] * spec.dim
-    for i in range(spec.size):
-        vec[i] = 1
-    return JordanElement.from_coords(spec, vec)
+    return JordanElement(spec, (1,) * spec.size + (0,) * (spec.dim - spec.size))
 
 
 def basis_element(spec: JordanSpec, idx: int) -> JordanElement:
     vec = [0] * spec.dim
     vec[idx] = 1
-    return JordanElement.from_coords(spec, vec)
+    return JordanElement(spec, vec)
 
 
 def random_element(spec: JordanSpec, rng) -> JordanElement:
-    return JordanElement.from_coords(spec, sample_coords(rng, spec.dim))
+    return JordanElement(spec, sample_coords(rng, spec.dim))
+
+
+def from_entries(spec: JordanSpec, entry) -> JordanElement:
+    """The element whose (i, j) entry, for i <= j, is entry(i, j).
+
+    A diagonal entry contributes its real part entry(i, i)[0]. This writes
+    the canonical layout and _grid_from_coords reads it; no other code knows
+    where an entry's coordinates go.
+    """
+    vec = [entry(i, i)[0] for i in range(spec.size)]
+    for (i, j) in spec.pairs:
+        vec.extend(entry(i, j))
+    return JordanElement(spec, vec)
 
 
 # ---------------------------------------------------------------------------
@@ -328,10 +302,10 @@ def jordan_mul(a: JordanElement, b: JordanElement) -> JordanElement:
     p = _grid_sym_double(grid_matmul(_grid_from_coords(spec, na),
                                      _grid_from_coords(spec, nb), size, spec.delta),
                          size)
-    scale = Fraction(1, 2 * da * db)
-    diag = [p[i][i][0] * scale for i in range(size)]
-    upper = [tuple(v * scale for v in p[i][j]) for (i, j) in spec.pairs]
-    return JordanElement(spec, diag, upper)
+    den = 2 * da * db
+    # exact numerators become Fractions; the floats of float mode divide
+    return from_entries(spec, lambda i, j: tuple(
+        Fraction(v, den) if type(v) is int else v / den for v in p[i][j]))
 
 
 def char_coeffs(a: JordanElement) -> tuple:

@@ -245,11 +245,6 @@ class LinearOperator:
         return LinearOperator.from_numerators(nums, den, other.domain,
                                               self.codomain)
 
-    def det(self):
-        if self.dim and len(self.numerators[0]) != self.dim:
-            raise ValueError("determinant of a non-square operator")
-        return exact_det(self.numerators) / self.denominator ** self.dim
-
     def trace(self):
         t = sum(self.numerators[i][i] for i in range(self.dim))
         return t if self.denominator == 1 else Fraction(t, self.denominator)

@@ -88,7 +88,7 @@ class NormFrame:
         return self.form(a.coords())
 
     def element(self, coords) -> JordanElement:
-        return JordanElement.from_coords(self.spec, coords)
+        return JordanElement(self.spec, coords)
 
     def random_invertible(self, rng) -> JordanElement:
         """Random integer element with Q != 0 (rejection sampling)."""

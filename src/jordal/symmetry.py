@@ -8,8 +8,8 @@ the identities they are supposed to satisfy.
 from fractions import Fraction
 
 from .backend import EXACT
-from .jordan import (JordanElement, identity, jordan_mul, operator_from_action,
-                     random_element)
+from .jordan import (JordanElement, from_entries, identity, jordan_mul,
+                     operator_from_action, random_element)
 from .linalg import LinearOperator
 from .reconstruction import NormFrame, inner, structural_map
 
@@ -27,15 +27,9 @@ class TrichotomyViolation(ValueError):
 
 def _conjugate_signed_permutation(a: JordanElement, perm, signs) -> JordanElement:
     """P A P^H for P the signed permutation e_i -> signs[i] e_perm[i]."""
-    spec = a.spec
     grid = a.grid()
-    diag = [grid[perm[i]][perm[i]][0] for i in range(spec.size)]
-    upper = []
-    for (i, j) in spec.pairs:
-        x = grid[perm[i]][perm[j]]
-        s = signs[i] * signs[j]
-        upper.append(tuple(s * c for c in x))
-    return JordanElement(spec, diag, upper)
+    return from_entries(a.spec, lambda i, j: tuple(
+        signs[i] * signs[j] * c for c in grid[perm[i]][perm[j]]))
 
 
 class GroupElementSample:

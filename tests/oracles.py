@@ -16,7 +16,7 @@ from functools import lru_cache
 from itertools import permutations
 from math import factorial, gcd
 
-from jordal.jordan import JordanElement, identity, jordan_mul
+from jordal.jordan import JordanElement, from_entries, identity, jordan_mul
 from jordal.linalg import LinearOperator, common_denominator
 from jordal.polarization import covector_slot, partial_polarize
 
@@ -185,7 +185,7 @@ def gauss_det(rows):
 def classical_adjugate(spec, a: JordanElement) -> JordanElement:
     """Cofactor matrix of a 3x3 symmetric matrix with scalar entries."""
     assert spec.size == 3 and spec.delta == 1
-    g = [[a.entry(i, j)[0] for j in range(3)] for i in range(3)]
+    g = [[x[0] for x in row] for row in a.grid()]
     adj = [[0] * 3 for _ in range(3)]
     for i in range(3):
         for j in range(3):
@@ -193,9 +193,7 @@ def classical_adjugate(spec, a: JordanElement) -> JordanElement:
             c = [x for x in range(3) if x != i]
             minor = g[r[0]][c[0]] * g[r[1]][c[1]] - g[r[0]][c[1]] * g[r[1]][c[0]]
             adj[i][j] = (-1) ** (i + j) * minor
-    diag = [adj[i][i] for i in range(3)]
-    upper = [(adj[i][j],) for (i, j) in spec.pairs]
-    return JordanElement(spec, diag, upper)
+    return from_entries(spec, lambda i, j: (adj[i][j],))
 
 
 def dense_symmetric_product(a: JordanElement, b: JordanElement) -> JordanElement:
@@ -213,9 +211,7 @@ def dense_symmetric_product(a: JordanElement, b: JordanElement) -> JordanElement
                 acc = [p + q for p, q in
                        zip(acc, doubled_mul(gb[i][l], ga[l][j]))]
             prod[i][j] = tuple(Fraction(v, 2) for v in acc)
-    diag = [prod[i][i][0] for i in range(size)]
-    upper = [prod[i][j] for (i, j) in spec.pairs]
-    return JordanElement(spec, diag, upper)
+    return from_entries(spec, lambda i, j: prod[i][j])
 
 
 def jordan_power(a: JordanElement, m: int) -> JordanElement:
@@ -230,7 +226,8 @@ def jordan_power(a: JordanElement, m: int) -> JordanElement:
 
 def power_traces(a: JordanElement, upto: int):
     """[p_1, ..., p_upto] with p_m = T(A^m), A^m the iterated Jordan product."""
-    return [sum(jordan_power(a, m).diag) for m in range(1, upto + 1)]
+    return [sum(row[i][0] for i, row in enumerate(jordan_power(a, m).grid()))
+            for m in range(1, upto + 1)]
 
 
 def newton_coeffs(p, degree: int):
@@ -251,7 +248,7 @@ def diagonal_element(spec, values) -> JordanElement:
     values = tuple(values)
     if len(values) != spec.size:
         raise ValueError(f"expected {spec.size} diagonal values")
-    return JordanElement.from_coords(spec, values + (0,) * (spec.dim - spec.size))
+    return JordanElement(spec, values + (0,) * (spec.dim - spec.size))
 
 
 def identity_matrix(n):

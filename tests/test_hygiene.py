@@ -4,6 +4,9 @@ Every module of the package except ``__init__.py`` (which re-exports names)
 must use each name it imports, every module-level def or class must be read
 by library code (exporting it is not enough), and no library module may check
 a claim with an ``assert`` statement, because ``python -O`` removes them.
+A function outside a class reads each of its parameters unless the name
+starts with ``_``, and every method or property a class defines is read by
+attribute name somewhere in library code.
 No module may import ``threading`` or ``concurrent.futures``: the trials
 hold the GIL, so worker threads bought no speed, only locks.
 
@@ -128,9 +131,7 @@ def test_every_definition_is_used():
     # a module-level def or class must be read by library code outside its
     # own body; exporting it from the package is not enough, since a name
     # that only tests read is a test helper that belongs in tests/oracles.py
-    trees = {path.name: ast.parse(path.read_text(), filename=str(path))
-             for path in modules()}
-    del trees["__init__.py"]
+    trees = library_trees()
     found = []
     for name, tree in trees.items():
         module = name[:-len(".py")]
@@ -147,6 +148,56 @@ def test_every_definition_is_used():
                        for other in trees.values() for n in ast.walk(other))
             if not used:
                 found.append(f"{name}:{definition.lineno} {definition.name}")
+    assert found == []
+
+
+def library_trees():
+    """{file name: ast} of every module but ``__init__.py``."""
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path))
+             for path in modules()}
+    del trees["__init__.py"]
+    return trees
+
+
+def functions_outside_classes(node):
+    """Every def and lambda below node, skipping class bodies."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.ClassDef):
+            continue
+        if isinstance(child, (ast.FunctionDef, ast.Lambda)):
+            yield child
+        yield from functions_outside_classes(child)
+
+
+def test_every_parameter_is_read():
+    # a parameter no body reads is one every caller passes for nothing;
+    # a leading underscore marks one a fixed calling convention requires
+    found = []
+    for name, tree in library_trees().items():
+        for fn in functions_outside_classes(tree):
+            a = fn.args
+            params = a.posonlyargs + a.args + a.kwonlyargs + [
+                p for p in (a.vararg, a.kwarg) if p]
+            body = fn.body if isinstance(fn.body, list) else [fn.body]
+            read = {n.id for stmt in body for n in ast.walk(stmt)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            found.extend(f"{name}:{fn.lineno} {getattr(fn, 'name', 'lambda')}({p.arg})"
+                         for p in params
+                         if not p.arg.startswith("_") and p.arg not in read)
+    assert found == []
+
+
+def test_every_method_is_used():
+    # a method or property only tests call belongs in tests/oracles.py
+    trees = library_trees()
+    read = {n.attr for tree in trees.values() for n in ast.walk(tree)
+            if isinstance(n, ast.Attribute)}
+    found = [f"{name}:{d.lineno} {cls.name}.{d.name}"
+             for name, tree in trees.items()
+             for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+             for d in cls.body if isinstance(d, ast.FunctionDef)
+             and not (d.name.startswith("__") and d.name.endswith("__"))
+             and d.name not in read]
     assert found == []
 
 

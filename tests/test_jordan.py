@@ -9,7 +9,9 @@ from jordal.composition import DimensionMismatch
 from jordal.jordan import (
     JordanElement,
     JordanSpec,
+    SpecMismatch,
     char_coeffs,
+    from_entries,
     identity,
     jordan_identity_residual,
     jordan_mul,
@@ -60,7 +62,7 @@ def test_coords_round_trip():
         spec = JordanSpec(k, delta)
         rng = stream_rng(0, "coords", k, delta)
         vec = sample_coords(rng, spec.dim)
-        a = JordanElement.from_coords(spec, vec)
+        a = JordanElement(spec, vec)
         assert a.coords() == tuple(vec)
         # the matrix grid is Hermitian
         g = a.grid()
@@ -68,6 +70,22 @@ def test_coords_round_trip():
             for j in range(spec.size):
                 assert g[i][j] == tuple(
                     g[j][i][0:1]) + tuple(-v for v in g[j][i][1:])
+
+
+def test_from_entries_layout():
+    # from_entries writes the layout that grid() reads
+    for (k, delta) in [(2, 1), (2, 2), (3, 4), (2, 8), (3, 8)]:
+        spec = JordanSpec(k, delta)
+        rng = stream_rng(0, "entries", k, delta)
+        for _ in range(3):
+            a = random_element(spec, rng)
+            assert from_entries(spec, lambda i, j: a.grid()[i][j]) == a
+    # diagonal first, then one delta-block per pair i < j in lexicographic order
+    spec = JordanSpec(2, 2)
+    a = from_entries(spec, lambda i, j: (10 * i + j + 1, -(10 * i + j + 1)))
+    assert a.coords() == (1, 12, 23, 2, -2, 3, -3, 13, -13)
+    with pytest.raises(SpecMismatch):
+        JordanElement(spec, (0,) * (spec.dim - 1))
 
 
 def test_element_arithmetic():
@@ -95,7 +113,7 @@ def test_product_matches_dense_oracle():
             assert jordan_mul(a, b) == dense_symmetric_product(a, b)
 
         def lift(x, to):
-            return JordanElement.from_coords(spec, [to(v) for v in x.coords()])
+            return JordanElement(spec, [to(v) for v in x.coords()])
 
         # Fraction coordinates with mixed denominators
         fa = lift(a, lambda v: Fraction(v, rng.randint(1, 9)))
@@ -138,7 +156,7 @@ def test_char_coeffs_against_fraction_newton():
             # integer inputs give exact integer coefficients
             assert all(s.denominator == 1 for s in sigma)
             assert tuple(sigma) == tuple(expected)
-            assert sigma[0] == sum(a.diag)
+            assert sigma[0] == sum(a.grid()[i][i][0] for i in range(spec.size))
 
 
 def test_norm_against_leibniz_determinant():
@@ -164,13 +182,13 @@ def test_norm_against_gauss_determinant():
             rows = [[c[0] for c in row] for row in a.grid()]
             assert char_coeffs(a)[-1] == gauss_det(rows)
             assert form(a.coords()) == gauss_det(rows)
-        mixed = JordanElement.from_coords(
+        mixed = JordanElement(
             spec, [Fraction(3 * i - 7, i % 4 + 2) for i in range(spec.dim)])
         rows = [[c[0] for c in row] for row in mixed.grid()]
         assert form(mixed.coords()) == gauss_det(rows)
         floats = [rng.uniform(-9, 9) for _ in range(spec.dim)]
         rows = [[c[0] for c in row]
-                for row in JordanElement.from_coords(spec, floats).grid()]
+                for row in JordanElement(spec, floats).grid()]
         value = form(floats)
         assert isinstance(value, float)
         assert value == pytest.approx(float(gauss_det(rows)), rel=1e-9)
@@ -197,7 +215,7 @@ def test_jordan_rank():
     assert jordan_rank(diagonal_element(spec, [5, -2, 1, 0])) == 3
     # float backend with tolerance
     a = diagonal_element(spec, [1, 1, 0, 0])
-    af = JordanElement.from_coords(spec, [float(c) for c in a.coords()])
+    af = JordanElement(spec, [float(c) for c in a.coords()])
     assert jordan_rank(af, FloatBackend(1e-9)) == 2
 
 
@@ -228,7 +246,7 @@ def test_quadratic_rep_identity():
             tuple(x - y for x, y in zip(r2, r1))
             for r2, r1 in zip(two_m2, msq))
         e2 = p.apply(identity(spec).coords())
-        assert JordanElement.from_coords(spec, e2) == jordan_mul(a, a)
+        assert JordanElement(spec, e2) == jordan_mul(a, a)
 
 
 def test_jordan_identity_residual():

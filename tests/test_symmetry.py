@@ -124,7 +124,7 @@ def test_lie_triple_residual_nonzero_on_octonion_four_by_four():
     rng = stream_rng(78, "lie38")
     residuals = []
     for _ in range(5):
-        a, b, x, y = (JordanElement.from_coords(
+        a, b, x, y = (JordanElement(
             spec, tuple(rng.randint(-4, 4) for _ in range(spec.dim)))
             for _ in range(4))
         residuals.append(lie_triple_residual(a, b, x, y))
