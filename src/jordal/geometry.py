@@ -15,7 +15,8 @@ from .jordan import (JordanElement, JordanSpec, SpecMismatch, char_coeffs,
 from .linalg import (SingularMatrix, clear_row_denominators, exact_nullspace,
                      exact_rank, exact_solve, mat_vec)
 from .polarization import PolarizedForm, covector_slot, full_polarize, partial_polarize
-from .reconstruction import NormFrame, tau, tau_covector, unit_pairing
+from .reconstruction import (NormFrame, _tau_covector_parts, tau, tau_covector,
+                             unit_pairing)
 from .rng import COORD_HI, COORD_LO, sample_coords
 
 
@@ -43,7 +44,7 @@ def _outer_sym(spec: JordanSpec, u, v) -> JordanElement:
     def outer(i, j):
         a = cd_mul(u[i], cd_conj(v[j]), spec.delta)
         if i == j:  # a + conj(a)
-            return (2 * a[0],)
+            return 2 * a[0]
         b = cd_mul(v[i], cd_conj(u[j]), spec.delta)
         return tuple(x + y for x, y in zip(a, b))
     return from_entries(spec, outer)
@@ -70,7 +71,7 @@ class RankOnePoint:
         slot = next((i for i in scalar if v[i][0] != 0),
                     scalar[0] if scalar else None)
         object.__setattr__(self, "scalar_slot", slot)
-        x = from_entries(spec, lambda i, j: (cd_norm(v[i]),) if i == j
+        x = from_entries(spec, lambda i, j: cd_norm(v[i]) if i == j
                          else cd_mul(v[i], cd_conj(v[j]), spec.delta))
         if x.is_zero():
             raise ValueError("zero vector does not define a point")
@@ -185,16 +186,14 @@ def dual_point(fr: NormFrame, x: RankOnePoint, a: JordanElement, backend=EXACT):
     qa = fr.norm(a)
     if backend.is_zero(qa, 0):
         raise SingularConfiguration("Q(A) = 0")
-    pairing = partial_polarize(fr.form, a.coords(), q - 1, [xe.coords()])
+    # tau_A(x) with Q(x,A,..,A), the gradient at A and Q(x,A,..,A,.)
+    cov, pairing, grad_a, mixed = _tau_covector_parts(fr, a.coords(), xe.coords(), qa)
     if backend.is_zero(pairing, 0):
         raise SingularConfiguration("Q(x, A, ..., A) = 0")
     # Fraction(qa) keeps exact division exact; a float quotient stays float
     xp = a - xe.scale(Fraction(qa) / (q * pairing))
     if not backend.is_zero(fr.norm(xp), (1 + xp.max_abs()) ** q):
         raise DualityViolation("Q(x') != 0")
-    cov = tau_covector(fr, a, xe)
-    grad_a = covector_slot(fr.form, [a.coords()] * (q - 1))
-    mixed = covector_slot(fr.form, [a.coords()] * (q - 2) + [xe.coords()])
     coef = (q - 1) * qa * Fraction(1, q) / pairing
     displayed = tuple(g - coef * m for g, m in zip(grad_a, mixed))
     if not backend.proportional(cov, displayed):

@@ -177,11 +177,12 @@ def random_element(spec: JordanSpec, rng) -> JordanElement:
 def from_entries(spec: JordanSpec, entry) -> JordanElement:
     """The element whose (i, j) entry, for i <= j, is entry(i, j).
 
-    A diagonal entry contributes its real part entry(i, i)[0]. This writes
-    the canonical layout and _grid_from_coords reads it; no other code knows
-    where an entry's coordinates go.
+    entry(i, j) is a delta-tuple for i < j and, on the diagonal, the one real
+    scalar stored there. This writes the canonical layout and
+    _grid_from_coords reads it; no other code knows where an entry's
+    coordinates go.
     """
-    vec = [entry(i, i)[0] for i in range(spec.size)]
+    vec = [entry(i, i) for i in range(spec.size)]
     for (i, j) in spec.pairs:
         vec.extend(entry(i, j))
     return JordanElement(spec, vec)
@@ -299,13 +300,23 @@ def jordan_mul(a: JordanElement, b: JordanElement) -> JordanElement:
     size = spec.size
     na, da = clear_row_denominators(a.coords())
     nb, db = clear_row_denominators(b.coords())
-    p = _grid_sym_double(grid_matmul(_grid_from_coords(spec, na),
-                                     _grid_from_coords(spec, nb), size, spec.delta),
-                         size)
+    p = grid_matmul(_grid_from_coords(spec, na), _grid_from_coords(spec, nb),
+                    size, spec.delta)
     den = 2 * da * db
-    # exact numerators become Fractions; the floats of float mode divide
-    return from_entries(spec, lambda i, j: tuple(
-        Fraction(v, den) if type(v) is int else v / den for v in p[i][j]))
+
+    def scaled(v):
+        # exact numerators become Fractions; the floats of float mode divide
+        return Fraction(v, den) if type(v) is int else v / den
+
+    def entry(i, j):
+        # (P + P^H)[i][j] for i <= j; the diagonal is real
+        x, y = p[i][j], p[j][i]
+        if i == j:
+            return scaled(x[0] + y[0])
+        return (scaled(x[0] + y[0]),) + tuple(
+            scaled(x[s] - y[s]) for s in range(1, len(x)))
+
+    return from_entries(spec, entry)
 
 
 def char_coeffs(a: JordanElement) -> tuple:

@@ -7,23 +7,29 @@ small sparse polynomial type), which expands F into its monomial table
     F(x) = 1/denominator * sum_{(i_1 <= ... <= i_q, c)} c x_{i_1} ... x_{i_q},
 
 with integer coefficients c when F is rational. The symmetric multilinear
-polarization F~ with F~(x, ..., x) = F(x) is read off the table with
-directional derivatives D_r = sum_i r_i d/dx_i, applied term by term: for a
+polarization F~ with F~(x, ..., x) = F(x) is a sum over the table: for a
 base B repeated q - m times and slots r_1..r_m,
 
-    F~(B^(q-m), r_1, ..., r_m) = (q-m)!/q! (D_{r_1} ... D_{r_m} F)(B),
+    F~(B^(q-m), r_1, ..., r_m) = (q-m)!/q! * 1/denominator
+        * sum c [t_1 ... t_m] prod_p (B_{i_p} + sum_s t_s r_s[i_p]),
 
-and the covector x -> F~(B^(q-1-m), r_1, ..., r_m, x) is (q-1-m)!/q! times
-the gradient of D_{r_1} ... D_{r_m} F at B. Every argument is first cleared
-to int numerators over one denominator, so the contraction runs on ints and
-the result is divided once; float vectors pass through unchanged, so float
-mode computes in floats.
+where [t_1 ... t_m] takes the coefficient of t_1 ... t_m, one recurrence
+over the positions p of each monomial. The covector x -> F~(B^(q-1-m),
+r_1..r_m, x) collects the same coefficient with one position dropped at a
+time, at that position's index, scaled by (q-1-m)!/q!; the pair matrix
+F~(B^(q-2), e_i, e_j) collects the base product over the other positions
+for every pair of positions. Each contraction reads the table once.
+
+Every argument is first cleared to int numerators over one denominator, so
+the contraction runs on ints and the result is divided once; float vectors
+pass through unchanged, so float mode computes in floats.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from itertools import combinations
+from math import factorial, gcd
 
 from .linalg import EXACT_TYPES, clear_row_denominators
 
@@ -130,28 +136,46 @@ def _cleared(form: PolarizedForm, vec):
     return nums, d, EXACT_TYPES.issuperset(map(type, vec))
 
 
+def _subset_steps(m: int):
+    """The recurrence of _multilinear for m slots: for each nonempty subset
+    S of slots, largest first, the pairs (slot column, S without the slot)."""
+    return tuple((S, tuple((s + 1, S ^ (1 << s)) for s in range(m) if S >> s & 1))
+                 for S in range((1 << m) - 1, 0, -1))
+
+
+def _multilinear(factors, mono, steps):
+    """[t_1 ... t_m] prod_{i in mono} (f_i[0] + sum_s t_s f_i[s]), f_i = factors[i].
+
+    poly[S] holds the coefficient of prod_{s in S} t_s in the product so far;
+    each position updates the subsets in place, largest first.
+    """
+    poly = [1] + [0] * len(steps)
+    for i in mono:
+        f = factors[i]
+        b = f[0]
+        for S, moves in steps:
+            v = poly[S] * b
+            for s, T in moves:
+                v += poly[T] * f[s]
+            poly[S] = v
+        poly[0] *= b
+    return poly[-1]
+
+
 def _contract(form: PolarizedForm, base, rest, gradient: bool = False):
     """F~(B^(q-m), r_1..r_m), or with gradient=True the covector slot
-    x -> F~(B^(q-1-m), r_1..r_m, x), over the monomial table."""
+    x -> F~(B^(q-1-m), r_1..r_m, x), in one pass over the monomial table."""
     q = form.degree
     m = len(rest)
     free = q - m - gradient  # how often the base fills a slot
     base, den, exact = _cleared(form, base)
     den = form.denominator * den ** free
-    terms = form.terms
+    columns = [base]
     for r in rest:
         r, d, r_exact = _cleared(form, r)
         den *= d
         exact = exact and r_exact
-        derived = {}
-        for mono, c in terms:
-            for p, i in enumerate(mono):
-                ri = r[i]
-                if ri and (p == 0 or mono[p - 1] != i):
-                    # every position holding i gives the same monomial
-                    key = mono[:p] + mono[p + 1:]
-                    derived[key] = derived.get(key, 0) + c * mono.count(i) * ri
-        terms = derived.items()
+        columns.append(r)
     zero = 0 if exact else 0.0
     num = factorial(free)
     den *= factorial(q)
@@ -159,22 +183,74 @@ def _contract(form: PolarizedForm, base, rest, gradient: bool = False):
     def divide(total):
         return Fraction(total * num, den) if exact else total * num / den
 
-    if not gradient:
+    if not (m or gradient):
+        # F(B) itself: with no slots the coefficient is the product of the base
         total = zero
-        for mono, c in terms:
+        for mono, c in form.terms:
             for i in mono:
                 c *= base[i]
             total += c
         return divide(total)
+    factors = tuple(zip(*columns))  # factors[i] = (B_i, r_1[i], ..., r_m[i])
+    steps = _subset_steps(m)
+    # the slots fill m + gradient positions, so a monomial with more
+    # positions where B is 0 contributes nothing
+    base_zero = [b == 0 for b in base]
+    zeros = base_zero.__getitem__
+    if not gradient:
+        total = zero
+        for mono, c in form.terms:
+            if sum(map(zeros, mono)) <= m:
+                total += c * _multilinear(factors, mono, steps)
+        return divide(total)
     out = [zero] * form.dim
-    for mono, c in terms:
+    for mono, c in form.terms:
+        n = sum(map(zeros, mono))
+        if n > m + 1:
+            continue
         for p, i in enumerate(mono):
-            if p == 0 or mono[p - 1] != i:
-                v = c * mono.count(i)
-                for j in mono[:p] + mono[p + 1:]:
+            if n - base_zero[i] > m:
+                continue
+            others = mono[:p] + mono[p + 1:]
+            if m:
+                out[i] += c * _multilinear(factors, others, steps)
+            else:
+                v = c
+                for j in others:
                     v *= base[j]
                 out[i] += v
     return tuple(divide(v) for v in out)
+
+
+def pair_matrix(form: PolarizedForm, base):
+    """(rows, den) with rows[i][j] / den = F~(B^(q-2), e_i, e_j).
+
+    One pass over the table: each pair of positions of a monomial takes e_i
+    and e_j in both orders, times the base at the other positions. Exact
+    arguments give int rows over one denominator in lowest terms; float
+    arguments give floats over 1.
+    """
+    q, dim = form.degree, form.dim
+    base, d, exact = _cleared(form, base)
+    zero = 0 if exact else 0.0
+    rows = [[zero] * dim for _ in range(dim)]
+    pairs = [(p, p2, [o for o in range(q) if o != p and o != p2])
+             for p, p2 in combinations(range(q), 2)]
+    for mono, c in form.terms:
+        vals = [base[i] for i in mono]
+        for p, p2, others in pairs:
+            v = c
+            for o in others:
+                v *= vals[o]
+            if v:
+                i, j = mono[p], mono[p2]
+                rows[i][j] += v
+                rows[j][i] += v
+    den = form.denominator * d ** (q - 2) * q * (q - 1)
+    if not exact:
+        return [[v / den for v in row] for row in rows], 1
+    g = gcd(den, *(v for row in rows for v in row))
+    return [[v // g for v in row] for row in rows], den // g
 
 
 def full_polarize(form: PolarizedForm, args):
@@ -194,9 +270,9 @@ def partial_polarize(form: PolarizedForm, base, mult: int, rest):
 def covector_slot(form: PolarizedForm, fixed):
     """The functional x -> F~(fixed..., x) on the canonical basis.
 
-    Materialized as a coordinate covector of length form.dim: the gradient
-    at the first fixed argument of the derivatives along the others that
-    differ from it.
+    Materialized as a coordinate covector of length form.dim: the first
+    fixed argument is the base, and the others that differ from it are the
+    slots.
     """
     q = form.degree
     fixed = [tuple(f) for f in fixed]

@@ -29,9 +29,9 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .jordan import JordanSpec, JordanElement, identity, basis_element, norm_form
+from .jordan import JordanSpec, JordanElement, identity, norm_form
 from .linalg import LinearOperator, clear_row_denominators, exact_det, exact_inverse
-from .polarization import PolarizedForm, covector_slot, partial_polarize
+from .polarization import PolarizedForm, covector_slot, pair_matrix, partial_polarize
 from .rng import sample_coords
 
 
@@ -48,8 +48,6 @@ class NormFrame:
         self.q = spec.degree
         self.unit = identity(spec)
         self.unit_coords = self.unit.coords()
-        self.basis_coords = tuple(basis_element(spec, i).coords()
-                                  for i in range(spec.dim))
         self.unit_covector = covector_slot(
             self.form, [self.unit_coords] * (self.q - 1))
         self._gram = None
@@ -62,7 +60,7 @@ class NormFrame:
             return
         # <A, B> = tau_I(A)(B), and Q(I) = 1
         rows, den = _tau_numerators(self.q, self.unit_covector,
-                                    _pair_matrix(self, self.unit_coords), 1)
+                                    *_pair_matrix(self, self.unit_coords), 1)
         inv, inv_den = exact_inverse(rows)
         self._gram_inv = LinearOperator.from_numerators(
             tuple(tuple(den * v for v in row) for row in inv), inv_den, "V*", "V")
@@ -105,10 +103,9 @@ def frame(spec: JordanSpec) -> NormFrame:
 
 
 def _pair_matrix(fr: NormFrame, m_coords):
-    """Symmetric matrix W[i][j] = Q(M,..,M,e_i,e_j) over the canonical basis."""
-    q = fr.q
-    return [list(covector_slot(fr.form, [m_coords] * (q - 2) + [e]))
-            for e in fr.basis_coords]
+    """(rows, den): the symmetric matrix W[i][j] = Q(M,..,M,e_i,e_j) over the
+    canonical basis is rows / den, from one pass over Q's monomial table."""
+    return pair_matrix(fr.form, m_coords)
 
 
 def unit_pairing(fr: NormFrame, a: JordanElement):
@@ -129,16 +126,15 @@ def inner(fr: NormFrame, a: JordanElement, b: JordanElement):
     return q * unit_pairing(fr, a) * unit_pairing(fr, b) - (q - 1) * cross
 
 
-def _tau_numerators(q: int, g, w, qm):
-    """(int rows, den) of (q g g^T - (q-1) Q(M) W) / Q(M)^2 for exact inputs."""
-    dim = len(g)
+def _tau_numerators(q: int, g, w, dw, qm):
+    """(int rows, den) of (q g g^T - (q-1) Q(M) W) / Q(M)^2 for exact inputs,
+    with W = w / dw."""
     g, dg = clear_row_denominators(g)
-    w, dw = clear_row_denominators(v for row in w for v in row)
     qm = Fraction(qm)
     a = q * dw * qm.denominator ** 2
     b = (q - 1) * dg * dg * qm.numerator * qm.denominator
-    return (tuple(tuple(a * g[i] * g[j] - b * w[i * dim + j] for j in range(dim))
-                  for i in range(dim)),
+    return (tuple(tuple(a * gi * gj - b * wij for gj, wij in zip(g, row))
+                  for gi, row in zip(g, w)),
             dg * dg * dw * qm.numerator ** 2)
 
 
@@ -150,9 +146,11 @@ def tau(fr: NormFrame, m: JordanElement) -> LinearOperator:
     q, dim = fr.q, fr.spec.dim
     m_coords = m.coords()
     g = covector_slot(fr.form, [m_coords] * (q - 1))
-    w = _pair_matrix(fr, m_coords)
+    w, dw = _pair_matrix(fr, m_coords)
     if not isinstance(qm, float):
-        return LinearOperator.from_numerators(*_tau_numerators(q, g, w, qm), "V", "V*")
+        return LinearOperator.from_numerators(*_tau_numerators(q, g, w, dw, qm),
+                                              "V", "V*")
+    # float mode: w holds floats over dw = 1
     inv = 1 / qm
     inv2 = inv * inv
     rows = tuple(tuple(q * g[i] * g[j] * inv2 - (q - 1) * w[i][j] * inv
@@ -160,21 +158,26 @@ def tau(fr: NormFrame, m: JordanElement) -> LinearOperator:
     return LinearOperator(rows, "V", "V*")
 
 
-def tau_covector(fr: NormFrame, m: JordanElement, x: JordanElement):
-    """tau_M(x) as a covector, without assembling the full operator."""
-    qm = fr.norm(m)
-    if qm == 0:
-        raise SingularPoint("tau undefined where Q vanishes")
+def _tau_covector_parts(fr: NormFrame, m_coords, x_coords, qm):
+    """(tau_M(x), Q(M,..,M,x), Q(M,..,M,.), Q(M,..,M,x,.)) for Q(M) = qm != 0:
+    the covector tau_M(x) and the three polarizations it is built from."""
     q = fr.q
-    m_coords = m.coords()
-    x_coords = x.coords()
     s = partial_polarize(fr.form, m_coords, q - 1, [x_coords])
     g = covector_slot(fr.form, [m_coords] * (q - 1))
     w = covector_slot(fr.form, [m_coords] * (q - 2) + [x_coords])
     inv = Fraction(1) / qm
     inv2 = inv * inv
-    return tuple(q * s * g[c] * inv2 - (q - 1) * w[c] * inv
-                 for c in range(fr.spec.dim))
+    cov = tuple(q * s * g[c] * inv2 - (q - 1) * w[c] * inv
+                for c in range(fr.spec.dim))
+    return cov, s, g, w
+
+
+def tau_covector(fr: NormFrame, m: JordanElement, x: JordanElement):
+    """tau_M(x) as a covector, without assembling the full operator."""
+    qm = fr.norm(m)
+    if qm == 0:
+        raise SingularPoint("tau undefined where Q vanishes")
+    return _tau_covector_parts(fr, m.coords(), x.coords(), qm)[0]
 
 
 def structural_map(fr: NormFrame, a: JordanElement) -> LinearOperator:

@@ -28,8 +28,12 @@ class TrichotomyViolation(ValueError):
 def _conjugate_signed_permutation(a: JordanElement, perm, signs) -> JordanElement:
     """P A P^H for P the signed permutation e_i -> signs[i] e_perm[i]."""
     grid = a.grid()
-    return from_entries(a.spec, lambda i, j: tuple(
-        signs[i] * signs[j] * c for c in grid[perm[i]][perm[j]]))
+
+    def entry(i, j):
+        s, x = signs[i] * signs[j], grid[perm[i]][perm[j]]
+        return s * x[0] if i == j else tuple(s * c for c in x)
+
+    return from_entries(a.spec, entry)
 
 
 class GroupElementSample:

@@ -193,7 +193,7 @@ def classical_adjugate(spec, a: JordanElement) -> JordanElement:
             c = [x for x in range(3) if x != i]
             minor = g[r[0]][c[0]] * g[r[1]][c[1]] - g[r[0]][c[1]] * g[r[1]][c[0]]
             adj[i][j] = (-1) ** (i + j) * minor
-    return from_entries(spec, lambda i, j: (adj[i][j],))
+    return from_entries(spec, lambda i, j: adj[i][j] if i == j else (adj[i][j],))
 
 
 def dense_symmetric_product(a: JordanElement, b: JordanElement) -> JordanElement:
@@ -211,7 +211,7 @@ def dense_symmetric_product(a: JordanElement, b: JordanElement) -> JordanElement
                 acc = [p + q for p, q in
                        zip(acc, doubled_mul(gb[i][l], ga[l][j]))]
             prod[i][j] = tuple(Fraction(v, 2) for v in acc)
-    return from_entries(spec, lambda i, j: prod[i][j])
+    return from_entries(spec, lambda i, j: prod[i][j][0] if i == j else prod[i][j])
 
 
 def jordan_power(a: JordanElement, m: int) -> JordanElement:

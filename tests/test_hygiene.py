@@ -233,3 +233,9 @@ def test_traced_names_resolve():
     # the traced run wraps _run_check as lambda env, check, threads
     from jordal.runner import _run_check
     assert len(inspect.signature(_run_check).parameters) == 3
+    # it also wraps the norm form's func and reads NormFrame._gram
+    from jordal.jordan import JordanSpec, norm_form
+    from jordal.reconstruction import NormFrame
+    spec = JordanSpec(2, 1)
+    assert callable(norm_form(spec).func)
+    assert NormFrame(spec)._gram is None

@@ -79,10 +79,13 @@ def test_from_entries_layout():
         rng = stream_rng(0, "entries", k, delta)
         for _ in range(3):
             a = random_element(spec, rng)
-            assert from_entries(spec, lambda i, j: a.grid()[i][j]) == a
+            grid = a.grid()
+            assert from_entries(spec, lambda i, j: grid[i][j][0] if i == j
+                                else grid[i][j]) == a
     # diagonal first, then one delta-block per pair i < j in lexicographic order
     spec = JordanSpec(2, 2)
-    a = from_entries(spec, lambda i, j: (10 * i + j + 1, -(10 * i + j + 1)))
+    a = from_entries(spec, lambda i, j: 10 * i + j + 1 if i == j
+                     else (10 * i + j + 1, -(10 * i + j + 1)))
     assert a.coords() == (1, 12, 23, 2, -2, 3, -3, 13, -13)
     with pytest.raises(SpecMismatch):
         JordanElement(spec, (0,) * (spec.dim - 1))

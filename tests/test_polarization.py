@@ -1,6 +1,7 @@
 """Polarization machinery on forms with hand-checkable polarizations, and
 the monomial table against inclusion-exclusion over evaluations of Q."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -11,6 +12,7 @@ from jordal.jordan import JordanSpec, norm_form
 from jordal.polarization import (
     ArityError,
     PolarizedForm,
+    _contract,
     covector_slot,
     full_polarize,
     partial_polarize,
@@ -249,11 +251,67 @@ def test_table_matches_inclusion_exclusion(k, delta, kind):
 
 @pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("k,delta", ORACLE_SHAPES)
+def test_every_slot_count_matches_inclusion_exclusion(k, delta, kind):
+    # m = 0..q slots, then the covector with m = 0..q-1 slots, paired with a
+    # sampled vector; the slots repeat a vector and one has zero entries, and
+    # the base is sampled or mostly zero, like the unit
+    spec = JordanSpec(k, delta)
+    form = norm_form(spec)
+    q = form.degree
+    base, a, b, x = oracle_args(spec, kind, 4, "slots")
+    holed = tuple(v if i % 3 else 0 * v for i, v in enumerate(b))
+    pool = [a, a, holed, b, x][:q]
+    assert len(pool) == q
+    sparse = tuple(v if i % 4 == 0 else 0 * v for i, v in enumerate(base))
+    for point, m in itertools.product((base, sparse), range(q + 1)):
+        slots = pool[:m]
+        want = inclusion_exclusion_polarize(form, exact(point), q - m,
+                                            [exact(r) for r in slots])
+        assert_agrees(partial_polarize(form, point, q - m, slots), want, kind)
+        if m == q:
+            continue
+        cov = _contract(form, point, slots, gradient=True)
+        assert len(cov) == form.dim
+        assert_agrees(pairing(cov, x), inclusion_exclusion_polarize(
+            form, exact(point), q - 1 - m, [exact(r) for r in slots] + [exact(x)]),
+            kind)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("k,delta", ORACLE_SHAPES)
+def test_zero_base_and_repeated_base_match_inclusion_exclusion(k, delta, kind):
+    spec = JordanSpec(k, delta)
+    form = norm_form(spec)
+    q = form.degree
+    base, a, x = oracle_args(spec, kind, 3, "repeats")
+    # a zero base: every slot is an argument, one of them twice
+    args = [a, a] + [base] * (q - 2)
+    assert_agrees(full_polarize(form, args), inclusion_exclusion_polarize(
+        form, (0,) * form.dim, 0, [exact(v) for v in args]), kind)
+    cov = _contract(form, (0,) * form.dim, args[1:], gradient=True)
+    assert_agrees(pairing(cov, x), inclusion_exclusion_polarize(
+        form, (0,) * form.dim, 0, [exact(v) for v in args[1:]] + [exact(x)]), kind)
+    # fixed arguments that repeat the base apart from its first place
+    fixed = [base, a] + [base] * (q - 3)
+    assert_agrees(pairing(covector_slot(form, fixed), x),
+                  inclusion_exclusion_polarize(form, exact(base), q - 2,
+                                               [exact(a), exact(x)]), kind)
+
+
+def pair_values(fr, m):
+    """The pair matrix at m as values: its int rows over their denominator,
+    or its floats over 1."""
+    rows, den = _pair_matrix(fr, m)
+    return [[v if den == 1 else Fraction(v, den) for v in row] for row in rows]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("k,delta", ORACLE_SHAPES + [(3, 8)])
 def test_pair_matrix_matches_inclusion_exclusion(k, delta, kind):
     spec = JordanSpec(k, delta)
     fr = frame(spec)
     m, x, y = oracle_args(spec, kind, 3, "pairs")
-    w = _pair_matrix(fr, m)
+    w = pair_values(fr, m)
     assert all(w[i][j] == w[j][i] for i in range(spec.dim) for j in range(i))
     assert_agrees(pairing([pairing(row, y) for row in w], x),
                   inclusion_exclusion_polarize(fr.form, exact(m), fr.q - 2,
@@ -264,3 +322,29 @@ def test_pair_matrix_matches_inclusion_exclusion(k, delta, kind):
         assert_agrees(w[i * (spec.dim - 1)][j * (spec.dim - 1)],
                       inclusion_exclusion_polarize(fr.form, exact(m), fr.q - 2,
                                                    [e[i], e[j]]), kind)
+    # row by row, the covector slots Q(M,..,M,e_i,.)
+    for i, row in enumerate(w):
+        e_i = tuple(int(c == i) for c in range(spec.dim))
+        for got, want in zip(row, covector_slot(fr.form, [m] * (fr.q - 2) + [e_i])):
+            assert_agrees(got, want, kind)
+
+
+class CountingTable:
+    """A monomial table that counts how often it is iterated."""
+
+    def __init__(self, terms):
+        self.terms = terms
+        self.passes = 0
+
+    def __iter__(self):
+        self.passes += 1
+        return iter(self.terms)
+
+
+def test_pair_matrix_reads_the_table_once(monkeypatch):
+    fr = frame(JordanSpec(3, 8))
+    table = CountingTable(fr.form.terms)
+    monkeypatch.setattr(fr.form, "terms", table)
+    m = sample_coords(stream_rng(25, "sweep"), fr.spec.dim)
+    _pair_matrix(fr, m)
+    assert table.passes == 1
