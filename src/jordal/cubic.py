@@ -7,8 +7,10 @@ symmetric matrices it coincides with the classical adjugate, and the
 relations below are the coordinate-free versions of adj(adj A) = det(A) A
 and its derivatives.
 
-Every function takes the NormFrame of the shape. On a frame whose norm is
-not cubic the polarizations raise ArityError.
+The power recursion is stated once, in ``power_words``, and every power
+identity is checked against it. ``bracketings`` takes no frame; every other
+function takes the NormFrame of the shape. On a frame whose norm is not
+cubic the polarizations raise ArityError.
 """
 
 from .jordan import JordanElement, jordan_mul
@@ -95,76 +97,52 @@ def square_decomposition_residual(fr: NormFrame, a: JordanElement):
     return (lhs - rhs).max_abs()
 
 
+def power_words(fr: NormFrame, a: JordanElement, upto: int):
+    """[A^1, ..., A^upto] as combinations of I, A and A*A.
+
+    With s1 = 3 Q(A,I,I), s2 = 3 Q(A,A,I) and s3 = Q(A), Cayley-Hamilton
+    A^3 = s1 A*A - s2 A + s3 I turns A^m = c0 I + c1 A + c2 A*A into
+    A^(m+1) = s3 c2 I + (c0 - s2 c2) A + (c1 + s1 c2) A*A.
+    """
+    s1 = 3 * _trilinear(fr, a, fr.unit, fr.unit)
+    s2 = 3 * _trilinear(fr, a, a, fr.unit)
+    s3 = fr.norm(a)
+    sq = jordan_mul(a, a)
+    c0, c1, c2 = 0, 1, 0
+    words = []
+    for _ in range(upto):
+        words.append(sq.scale(c2) + a.scale(c1) + fr.unit.scale(c0))
+        c0, c1, c2 = s3 * c2, c0 - s2 * c2, c1 + s1 * c2
+    return words
+
+
 def cayley_hamilton_residual(fr: NormFrame, a: JordanElement):
     """(A*A)*A - 3 Q(A,I,I) A*A + 3 Q(A,A,I) A - Q(A) I."""
-    sq = jordan_mul(a, a)
-    cube = jordan_mul(sq, a)
-    rhs = (sq.scale(3 * _trilinear(fr, a, fr.unit, fr.unit))
-           - a.scale(3 * _trilinear(fr, a, a, fr.unit))
-           + fr.unit.scale(fr.norm(a)))
-    return (cube - rhs).max_abs()
+    _, sq, cube = power_words(fr, a, 3)
+    return (jordan_mul(sq, a) - cube).max_abs()
 
 
 def fourth_power_residuals(fr: NormFrame, a: JordanElement):
-    """Both fourth-power routes against the closed-form combination.
-
-    A^2 * A^2 and A * ((A*A)*A) must each equal
-    [9 phi(A)^2 laid out against Q(A,A,I)] A^2 + ... (see the display below).
-    Returns the pair of residuals.
-    """
-    s1 = 3 * _trilinear(fr, a, fr.unit, fr.unit)
-    s2 = 3 * _trilinear(fr, a, a, fr.unit)
-    s3 = fr.norm(a)
-    sq = jordan_mul(a, a)
-    cube = jordan_mul(sq, a)
-    display = (sq.scale(s1 * s1 - s2) + a.scale(s3 - s1 * s2)
-               + fr.unit.scale(s1 * s3))
-    r1 = (jordan_mul(sq, sq) - display).max_abs()
-    r2 = (jordan_mul(a, cube) - display).max_abs()
+    """The residuals of A^2 * A^2 and A * ((A*A)*A) against A^4."""
+    _, sq, _, fourth = power_words(fr, a, 4)
+    r1 = (jordan_mul(sq, sq) - fourth).max_abs()
+    r2 = (jordan_mul(a, jordan_mul(sq, a)) - fourth).max_abs()
     return r1, r2
 
 
-def companion_matrix(fr: NormFrame, a: JordanElement):
-    """Multiplication by A on span(I, A, A*A) in that basis.
+def bracketings(a: JordanElement, upto: int):
+    """Every full bracketing of the m-fold product of A, for m = 1..upto.
 
-    Columns are the coordinates of A*I, A*A and A*(A*A); the third column
-    is the characteristic-polynomial recursion.
+    Entry m - 1 lists the words of length m (Catalan(m - 1) of them); each
+    word is one product of two shorter words, so each is built once.
     """
-    s1 = 3 * _trilinear(fr, a, fr.unit, fr.unit)
-    s2 = 3 * _trilinear(fr, a, a, fr.unit)
-    s3 = fr.norm(a)
-    return ((0, 0, s3), (1, 0, -s2), (0, 1, s1))
-
-
-def power_coefficients(fr: NormFrame, a: JordanElement, m: int):
-    """Coefficients (c0, c1, c2) with A^m = c0 I + c1 A + c2 A*A."""
-    if m < 0:
-        raise ValueError("powers start at 0")
-    mat = companion_matrix(fr, a)
-    vec = (1, 0, 0)
-    for _ in range(m):
-        vec = tuple(sum(mat[i][j] * vec[j] for j in range(3)) for i in range(3))
-    return vec
-
-
-def word_power(fr: NormFrame, a: JordanElement, m: int) -> JordanElement:
-    """A^m computed through the rank-three recursion, no products beyond A*A."""
-    c0, c1, c2 = power_coefficients(fr, a, m)
-    return fr.unit.scale(c0) + a.scale(c1) + jordan_mul(a, a).scale(c2)
-
-
-def bracketings(a: JordanElement, length: int):
-    """Every full bracketing of the length-fold product of A with itself."""
-    if length < 1:
+    if upto < 1:
         raise ValueError("need at least one factor")
-    if length == 1:
-        return [a]
-    out = []
-    for left in range(1, length):
-        for x in bracketings(a, left):
-            for y in bracketings(a, length - left):
-                out.append(jordan_mul(x, y))
-    return out
+    table = [[a]]
+    for length in range(2, upto + 1):
+        table.append([jordan_mul(x, y) for left in range(1, length)
+                      for x in table[left - 1] for y in table[length - left - 1]])
+    return table
 
 
 def bracketing_residual(fr: NormFrame, a: JordanElement, upto: int = 6):
@@ -173,12 +151,5 @@ def bracketing_residual(fr: NormFrame, a: JordanElement, upto: int = 6):
     Checks every one of the 1 + 1 + 2 + 5 + 14 + 42 bracketings of lengths
     1..6 (Catalan counts) when upto = 6.
     """
-    worst = 0
-    for length in range(1, upto + 1):
-        target = word_power(fr, a, length)
-        for w in bracketings(a, length):
-            dev = (w - target).max_abs()
-            if dev > worst:
-                worst = dev
-    return worst
-
+    return max((w - target).max_abs() for target, words
+               in zip(power_words(fr, a, upto), bracketings(a, upto)) for w in words)

@@ -159,8 +159,8 @@ def tau(fr: NormFrame, m: JordanElement) -> LinearOperator:
 
 
 def _tau_covector_parts(fr: NormFrame, m_coords, x_coords, qm):
-    """(tau_M(x), Q(M,..,M,x), Q(M,..,M,.), Q(M,..,M,x,.)) for Q(M) = qm != 0:
-    the covector tau_M(x) and the three polarizations it is built from."""
+    """(tau_M(x), Q(M,..,M,x)) for Q(M) = qm != 0: the covector tau_M(x)
+    and the pairing it is scaled by."""
     q = fr.q
     s = partial_polarize(fr.form, m_coords, q - 1, [x_coords])
     g = covector_slot(fr.form, [m_coords] * (q - 1))
@@ -169,7 +169,7 @@ def _tau_covector_parts(fr: NormFrame, m_coords, x_coords, qm):
     inv2 = inv * inv
     cov = tuple(q * s * g[c] * inv2 - (q - 1) * w[c] * inv
                 for c in range(fr.spec.dim))
-    return cov, s, g, w
+    return cov, s
 
 
 def tau_covector(fr: NormFrame, m: JordanElement, x: JordanElement):

@@ -15,7 +15,12 @@ from .reconstruction import NormFrame, inner, structural_map
 
 
 class DegenerateSample(ValueError):
-    """A sampled operator failed its construction probes."""
+    """A degenerate operator draw, such as a vanishing norm factor: draw again."""
+
+
+class SimilarityViolation(ValueError):
+    """A sampled similarity scales Q by a varying ratio: a failed claim, not a
+    resampling signal."""
 
 
 class TrichotomyViolation(ValueError):
@@ -40,8 +45,8 @@ class GroupElementSample:
     """A sampled norm-similarity operator with a provenance label.
 
     Construction probes that Q(g M) = lam * Q(M) for one constant lam on
-    several random M, in the arithmetic of ``backend``; anything else raises
-    DegenerateSample.
+    several random M, in the arithmetic of ``backend``. A varying ratio
+    raises SimilarityViolation and a vanishing one DegenerateSample.
     """
 
     __slots__ = ("operator", "provenance", "norm_factor", "frame")
@@ -56,7 +61,7 @@ class GroupElementSample:
             if lam is None:
                 lam = ratio
             elif not backend.close_scalars(ratio, lam).ok:
-                raise DegenerateSample(
+                raise SimilarityViolation(
                     f"{provenance}: norm ratio not constant ({ratio} vs {lam})")
         if lam == 0:
             raise DegenerateSample(f"{provenance}: norm factor vanishes")

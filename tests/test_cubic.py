@@ -2,21 +2,20 @@
 
 import pytest
 
+import jordal.cubic as cubic
 from jordal.cubic import (
     adjoint,
     bracketing_residual,
     bracketings,
     cayley_hamilton_residual,
     comatrix_product_residual,
-    companion_matrix,
     double_adjoint_residual,
     fourth_power_residuals,
     mixed_adjoint_residual,
-    power_coefficients,
+    power_words,
     scalar_reduction_residual,
     square_decomposition_residual,
     unit_reduction_residual,
-    word_power,
 )
 from jordal.geometry import sample_rank_one
 from jordal.jordan import (
@@ -125,31 +124,43 @@ def test_cayley_hamilton_and_fourth_power():
             assert fourth_power_residuals(fr, a) == (0, 0)
 
 
-def test_companion_matrix_recursion():
+def test_power_words_match_iterated_powers():
+    # the recursion, with no product beyond A*A, reproduces honest powers
     for delta in (1, 8):
         fr = cubic_frame(delta)
         rng = stream_rng(87, "companion", delta)
         a = random_element(fr.spec, rng)
-        # coefficients of low powers in span(I, A, A*A)
-        assert power_coefficients(fr, a, 0) == (1, 0, 0)
-        assert power_coefficients(fr, a, 1) == (0, 1, 0)
-        assert power_coefficients(fr, a, 2) == (0, 0, 1)
-        c = power_coefficients(fr, a, 3)
-        mat = companion_matrix(fr, a)
-        assert c == (mat[0][2], mat[1][2], mat[2][2])
-        # the recursion reproduces honest iterated powers
-        for m in range(7):
-            assert word_power(fr, a, m) == jordan_power(a, m)
+        words = power_words(fr, a, 6)
+        assert len(words) == 6
+        for m, word in enumerate(words, start=1):
+            assert word == jordan_power(a, m)
 
 
 def test_bracketings_catalan_counts():
     fr = cubic_frame(1)
     rng = stream_rng(88, "cat")
     a = random_element(fr.spec, rng)
-    counts = [len(bracketings(a, n)) for n in range(1, 7)]
+    counts = [len(words) for words in bracketings(a, 6)]
     assert counts == [1, 1, 2, 5, 14, 42]
     with pytest.raises(ValueError):
         bracketings(a, 0)
+
+
+def test_each_bracketed_word_is_built_once(monkeypatch):
+    # 1 + 2 + 5 + 14 + 42 words of lengths 2..6, one product each, and the
+    # one A*A of the recursion
+    fr = cubic_frame(1)
+    a = random_element(fr.spec, stream_rng(88, "count"))
+    calls = []
+    honest = cubic.jordan_mul
+
+    def counted(x, y):
+        calls.append(1)
+        return honest(x, y)
+
+    monkeypatch.setattr(cubic, "jordan_mul", counted)
+    assert bracketing_residual(fr, a, upto=6) == 0
+    assert len(calls) == 65
 
 
 def test_bracketing_words_collapse():

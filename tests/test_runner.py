@@ -298,6 +298,46 @@ def test_trichotomy_violation_is_a_fail(monkeypatch):
     assert check.witness["error"].startswith("TrichotomyViolation:")
 
 
+SEEDED_NORM = """
+from jordal.jordan import JordanSpec, norm_form
+from jordal.reconstruction import frame
+from jordal.runner import RunConfig, run_suite
+
+spec = JordanSpec(2, 8)
+# build the Gram from the honest table: the bump below zeroes a term it needs
+frame(spec).gram_inv
+form = norm_form(spec)
+# no signed permutation of the diagonal frame fixes a bump on x0 x23^2
+form.terms = tuple((m, c + 1 if m == (0, 23, 23) else c) for m, c in form.terms)
+rep = run_suite(RunConfig(k=2, delta=8, suite="symmetric", trials=3, seed=7))
+for c in rep.checks[:4]:
+    print(c.id, c.status, (c.witness or {}).get("error", "").split(":")[0])
+"""
+
+
+def test_varying_norm_ratio_is_a_fail():
+    # a sampled similarity whose norm ratio varies refutes the claim; it must
+    # not be drawn again until a sample happens to fit the corrupted Q
+    out = run_script(SEEDED_NORM)
+    assert out == [word for check_id in (
+        "permutation-similarity", "automorphism-trichotomy",
+        "structural-norm-factor", "composite-similarity")
+        for word in (check_id, "fail", "SimilarityViolation")]
+
+
+def test_bracketing_words_reads_the_patched_name(monkeypatch):
+    # the traced benchmark counts cubic.bracketing_residual by replacing the
+    # name in every module that bound it, runner included
+    import jordal.runner as runner
+
+    calls = []
+    honest = runner.bracketing_residual
+    monkeypatch.setattr(runner, "bracketing_residual",
+                        lambda *args, **kw: calls.append(1) or honest(*args, **kw))
+    rep = run_suite(RunConfig(k=2, delta=1, suite="severi", trials=2))
+    assert rep.ok and len(calls) == 2
+
+
 def test_crash_in_check_code_stops_the_run(monkeypatch):
     # a TypeError is a bug in the program, not a counterexample: it must
     # propagate out of run_suite instead of being reported as `fail`

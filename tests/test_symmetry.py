@@ -15,8 +15,8 @@ from jordal.linalg import LinearOperator
 from jordal.reconstruction import frame, tau
 from jordal.rng import stream_rng
 from jordal.symmetry import (
-    DegenerateSample,
     GroupElementSample,
+    SimilarityViolation,
     automorphism_trichotomy,
     lie_triple_residual,
     permutation_conjugation_sample,
@@ -99,7 +99,7 @@ def test_degenerate_sample_rejected():
     n = fr.spec.dim
     mat = tuple(tuple(1 if (i + 2 * j) % n == 0 else i + j for j in range(n))
                 for i in range(n))
-    with pytest.raises(DegenerateSample):
+    with pytest.raises(SimilarityViolation):
         GroupElementSample(fr, LinearOperator(mat, "V", "V"), "adhoc", rng)
 
 
