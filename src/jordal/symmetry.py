@@ -14,13 +14,9 @@ from .linalg import LinearOperator
 from .reconstruction import NormFrame, inner, structural_map
 
 
-class DegenerateSample(ValueError):
-    """A degenerate operator draw, such as a vanishing norm factor: draw again."""
-
-
 class SimilarityViolation(ValueError):
-    """A sampled similarity scales Q by a varying ratio: a failed claim, not a
-    resampling signal."""
+    """A sampled similarity scales Q by a varying or vanishing ratio: a failed
+    claim, not a resampling signal."""
 
 
 class TrichotomyViolation(ValueError):
@@ -46,7 +42,8 @@ class GroupElementSample:
 
     Construction probes that Q(g M) = lam * Q(M) for one constant lam on
     several random M, in the arithmetic of ``backend``. A varying ratio
-    raises SimilarityViolation and a vanishing one DegenerateSample.
+    raises SimilarityViolation, and so does a vanishing one: a similarity is
+    invertible, so its factor is never 0.
     """
 
     __slots__ = ("operator", "provenance", "norm_factor", "frame")
@@ -64,7 +61,7 @@ class GroupElementSample:
                 raise SimilarityViolation(
                     f"{provenance}: norm ratio not constant ({ratio} vs {lam})")
         if lam == 0:
-            raise DegenerateSample(f"{provenance}: norm factor vanishes")
+            raise SimilarityViolation(f"{provenance}: norm factor vanishes")
         object.__setattr__(self, "frame", fr)
         object.__setattr__(self, "operator", operator)
         object.__setattr__(self, "provenance", provenance)
@@ -94,13 +91,16 @@ def permutation_conjugation_sample(fr: NormFrame, rng,
 
 
 def structural_sample(fr: NormFrame, rng) -> GroupElementSample:
-    """H_A for a random A with Q(A) not in {0, 1, -1}."""
+    """H_A for a random A with Q(A) not in {0, 1, -1}.
+
+    Running out of draws is a plain ValueError, which fails the trial.
+    """
     for _ in range(200):
         a = fr.random_invertible(rng)
         qa = fr.norm(a)
         if qa * qa != 1:
             return GroupElementSample(fr, structural_map(fr, a), "structural", rng)
-    raise DegenerateSample("no A with Q(A)^2 != 1 in 200 draws")
+    raise ValueError("no A with Q(A)^2 != 1 in 200 draws")
 
 
 def automorphism_trichotomy(g: GroupElementSample, rng, probes: int = 5):

@@ -16,6 +16,10 @@ to pick a float-only route. A failed claim raises a ValueError subclass,
 which the runner reports as ``fail``; ``raise AssertionError`` would stop
 the run instead, so the library may not raise it.
 
+A trial draws again only from ``runner._run_one_trial``: it alone reads
+``_RESAMPLE``, and no library ``except`` clause names a resample class, so no
+second redraw loop can grow back around a sampler or a check body.
+
 The traced benchmark (``perfbench/run.py --trace 1``) patches library
 functions by name, so every name it patches must still resolve.
 """
@@ -208,6 +212,29 @@ def test_every_method_is_used():
              and not (d.name.startswith("__") and d.name.endswith("__"))
              and d.name not in read]
     assert found == []
+
+
+def test_one_place_draws_again():
+    from jordal.runner import _RESAMPLE
+
+    resample = {cls.__name__ for cls in _RESAMPLE}
+    reads, catches = [], []
+    for name, tree in library_trees().items():
+        for top in tree.body:
+            if name == "runner.py" and getattr(top, "name", None) == "_run_one_trial":
+                continue
+            reads.extend(f"{name}:{n.lineno}" for n in ast.walk(top)
+                         if isinstance(n, ast.Name) and n.id == "_RESAMPLE"
+                         and isinstance(n.ctx, ast.Load))
+        for handler in ast.walk(tree):
+            if isinstance(handler, ast.ExceptHandler) and handler.type is not None:
+                # by name, or through its module as in geometry.SingularConfiguration
+                catches.extend(f"{name}:{handler.lineno}"
+                               for n in ast.walk(handler.type)
+                               if getattr(n, "id", None) in resample
+                               or getattr(n, "attr", None) in resample)
+    assert reads == []
+    assert catches == []
 
 
 def traced_functions():

@@ -132,7 +132,7 @@ def test_rank_tangent_frame_regression():
     spec = JordanSpec(2, 8)
     rng = random.Random(102)
     for _ in range(3):
-        rows = tangent_frame(sample_rank_one(spec, rng), check=False)
+        rows = tangent_frame(sample_rank_one(spec, rng))
         r = exact_rank(rows)
         assert r == 17
         assert r == gauss_rank(rows)

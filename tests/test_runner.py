@@ -10,6 +10,8 @@ from pathlib import Path
 
 import pytest
 
+from jordal.backend import TrialOutcome
+from jordal.geometry import SingularConfiguration
 from jordal.jordan import norm_form
 from jordal.reconstruction import frame
 from jordal.report import (
@@ -27,8 +29,11 @@ from jordal.report import (
 from jordal.runner import (
     CHECKS,
     SUITES,
+    CheckDef,
     InvalidConfig,
     RunConfig,
+    RunEnv,
+    _run_one_trial,
     checks_for,
     default_seed,
     dimension_table,
@@ -250,6 +255,7 @@ NEVER_ADMISSIBLE = """
 import random
 import jordal.geometry as geometry
 from jordal.jordan import JordanSpec
+from jordal.reconstruction import NormFrame
 from jordal.runner import _RESAMPLE
 from jordal.symmetry import structural_sample
 
@@ -264,21 +270,94 @@ class UnitNormFrame:
     def norm(self, a):
         return 1
 
+class ZeroNormFrame:
+    spec = JordanSpec(2, 1)
+
+    def form(self, coords):
+        return 0
+
 geometry.RankOnePoint = NeverRankOne
 for draw in (lambda rng: geometry.sample_rank_one(JordanSpec(2, 1), rng),
-             lambda rng: structural_sample(UnitNormFrame(), rng)):
+             lambda rng: structural_sample(UnitNormFrame(), rng),
+             lambda rng: NormFrame.random_invertible(ZeroNormFrame(), rng)):
     try:
         draw(random.Random(0))
-    except _RESAMPLE as exc:
-        print(type(exc).__name__)
+    except ValueError as exc:
+        print(type(exc).__name__, isinstance(exc, _RESAMPLE))
 """
 
 
 def test_samplers_give_up_after_bounded_draws():
-    # a sampler that never meets an admissible draw must raise a resample
-    # error instead of looping; the timeout catches a loop that never ends
-    assert run_script(NEVER_ADMISSIBLE, timeout=60) == [
-        "SingularConfiguration", "DegenerateSample"]
+    # a sampler that never meets an admissible draw must raise instead of
+    # looping (the timeout catches a loop that never ends), and its error
+    # must fail the trial: were it a resample class, the trial would run the
+    # sampler's whole budget again up to 64 times
+    assert run_script(NEVER_ADMISSIBLE, timeout=60) == ["ValueError", "False"] * 3
+
+
+def body_check(body):
+    return CheckDef("probe", "geometry", "probe", body)
+
+
+def test_degenerate_runs_are_drawn_again_from_the_same_stream():
+    # the trial runs its body again on the rest of the one stream it drew
+    # from, and the first run that returns gives the outcome
+    streams = []
+
+    def body(env, rng):
+        streams.append(rng)
+        if len(streams) <= 2:
+            raise SingularConfiguration("degenerate")
+        return TrialOutcome(True, 0, {"runs": len(streams)})
+
+    env = RunEnv(small_config())
+    assert _run_one_trial(env, body_check(body), 0) == TrialOutcome(True, 0, {"runs": 3})
+    assert len(streams) == 3 and len({id(rng) for rng in streams}) == 1
+
+
+def test_a_trial_gives_up_after_64_degenerate_runs():
+    runs = []
+
+    def body(env, rng):
+        runs.append(1)
+        raise SingularConfiguration("degenerate")
+
+    out = _run_one_trial(RunEnv(small_config()), body_check(body), 0)
+    assert len(runs) == 64
+    assert not out.ok
+    assert out.witness["error"].startswith("SingularConfiguration")
+
+
+def test_a_failed_construction_is_not_drawn_again(monkeypatch):
+    # with no rank-one point constructible, each geometry check fails on its
+    # first construction; before the trial was the one place that draws
+    # again, a check made 200 constructions, or up to 64 x 200
+    import jordal.geometry as geometry
+    import jordal.runner as runner
+
+    made = []
+
+    def never(*args):
+        made.append(1)
+        raise ValueError("not rank one")
+
+    per_check = {}
+    honest = runner._run_check
+
+    def counted(env, check, threads):
+        before = len(made)
+        result = honest(env, check, threads)
+        per_check[check.id] = len(made) - before
+        return result
+
+    monkeypatch.setattr(geometry, "RankOnePoint", never)
+    monkeypatch.setattr(runner, "_run_check", counted)
+    rep = run_suite(RunConfig(k=2, delta=1, suite="geometry", trials=1))
+    assert set(per_check.values()) == {0, 1}
+    for check in rep.checks:
+        if per_check[check.id]:
+            assert check.status == FAIL
+            assert check.witness["error"] == "ValueError: not rank one"
 
 
 def test_trichotomy_violation_is_a_fail(monkeypatch):

@@ -103,6 +103,16 @@ def test_degenerate_sample_rejected():
         GroupElementSample(fr, LinearOperator(mat, "V", "V"), "adhoc", rng)
 
 
+def test_vanishing_norm_factor_is_a_violation():
+    # a similarity is invertible, so a factor of 0 refutes the claim rather
+    # than asking for another draw
+    fr = frame(JordanSpec(2, 1))
+    n = fr.spec.dim
+    zero = LinearOperator(((0,) * n,) * n, "V", "V")
+    with pytest.raises(SimilarityViolation, match="norm factor vanishes"):
+        GroupElementSample(fr, zero, "zero", stream_rng(75, "zero"))
+
+
 def test_operator_symmetry_check():
     fr = frame(JordanSpec(2, 4))
     rng = stream_rng(76, "symm")
