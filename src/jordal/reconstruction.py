@@ -89,11 +89,8 @@ class NormFrame:
         return JordanElement(self.spec, coords)
 
     def random_invertible(self, rng) -> JordanElement:
-        """Random integer element with Q != 0 (rejection sampling).
-
-        Q = 0 does occur at small shapes, so draws are rejected here; running
-        out of draws is a plain ValueError, which fails the trial.
-        """
+        """Random integer element with Q != 0 (rejection sampling); running out
+        of draws raises a plain ValueError, which fails the trial."""
         for _ in range(200):
             coords = sample_coords(rng, self.spec.dim)
             if self.form(coords) != 0:

@@ -91,10 +91,8 @@ def permutation_conjugation_sample(fr: NormFrame, rng,
 
 
 def structural_sample(fr: NormFrame, rng) -> GroupElementSample:
-    """H_A for a random A with Q(A) not in {0, 1, -1}.
-
-    Running out of draws is a plain ValueError, which fails the trial.
-    """
+    """H_A for a random A with Q(A) not in {0, 1, -1}; running out of draws
+    raises a plain ValueError, which fails the trial."""
     for _ in range(200):
         a = fr.random_invertible(rng)
         qa = fr.norm(a)

@@ -330,8 +330,8 @@ def test_a_trial_gives_up_after_64_degenerate_runs():
 
 def test_a_failed_construction_is_not_drawn_again(monkeypatch):
     # with no rank-one point constructible, each geometry check fails on its
-    # first construction; before the trial was the one place that draws
-    # again, a check made 200 constructions, or up to 64 x 200
+    # first construction; a retry loop in the sampler, or around it in the
+    # check, would make up to 64 x 200 of them per trial
     import jordal.geometry as geometry
     import jordal.runner as runner
 
