@@ -19,6 +19,8 @@ first and feed it int numerators.
 
 from __future__ import annotations
 
+from operator import neg
+
 ALLOWED_DIMS = (1, 2, 4, 8)
 
 
@@ -101,7 +103,7 @@ def cd_mul(x, y, delta: int):
 
 
 def cd_conj(x):
-    return (x[0],) + tuple(-v for v in x[1:])
+    return (x[0], *map(neg, x[1:]))
 
 
 def cd_norm(x):

@@ -3,8 +3,7 @@
 Elements are (k+1)x(k+1) matrices with scalar diagonal and entries in the
 dimension-delta composition algebra above the diagonal, the conjugates
 below. The product is the symmetrized one, A*B = (AB + BA)/2, computed as
-one matrix product on composition.grid_matmul: AB + BA = AB + (AB)^H, and
-both operands are first cleared to int numerators over one denominator.
+one matrix product on composition.grid_matmul: AB + BA = AB + (AB)^H.
 
 Canonical coordinates: the k+1 diagonal units first, then for each pair
 i < j (lexicographic) and each algebra basis unit e_s the matrix E_ij(e_s)
@@ -12,8 +11,13 @@ carrying e_s at (i, j) and conj(e_s) at (j, i). So
 
     dimV = (k+1)(2 + k delta)/2.
 
-An element is its tuple of canonical coordinates. Only this module knows
-the layout: from_entries writes it and _grid_from_coords reads it.
+An element holds the int numerators of its canonical coordinates over one
+positive denominator, in lowest terms; in float mode, floats over 1. The
+product, sums, scaling, comparisons and the characteristic coefficients
+run on the numerators, so exact arithmetic builds no Fraction; coords()
+builds the coordinate tuple (ints and Fractions) once, for callers outside
+this module. Only this module knows the layout: _layout writes it (for
+from_entries and the product) and _grid_from_coords reads it.
 
 The generic characteristic coefficients sigma_1..sigma_{k+1} come from
 Newton's identities over the power traces p_m = T(A^m); the generic norm is
@@ -25,9 +29,12 @@ the final trace normalization.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
+from operator import add, sub
 
 from .backend import EXACT
 from .composition import ALLOWED_DIMS, DimensionMismatch, cd_conj, grid_matmul
@@ -87,16 +94,17 @@ def _pairs(k: int) -> tuple:
 
 
 class JordanElement:
-    """Immutable element: its tuple of canonical coordinates."""
+    """Immutable element: int numerators of its canonical coordinates over
+    one positive denominator in lowest terms, or floats over 1."""
 
-    __slots__ = ("spec", "_coords")
+    __slots__ = ("spec", "_nums", "_den", "_coords")
 
     def __init__(self, spec: JordanSpec, coords):
         coords = tuple(coords)
         if len(coords) != spec.dim:
             raise SpecMismatch(f"expected {spec.dim} coordinates, got {len(coords)}")
-        object.__setattr__(self, "spec", spec)
-        object.__setattr__(self, "_coords", coords)
+        nums, den = clear_row_denominators(coords)
+        _init(self, spec, nums, den, coords)
 
     def __setattr__(self, *_):
         raise AttributeError("JordanElement is immutable")
@@ -106,17 +114,24 @@ class JordanElement:
         return cls(spec, (0,) * spec.dim)
 
     def coords(self) -> tuple:
+        """The canonical coordinates (ints and Fractions, or floats), built
+        once."""
+        if self._coords is None:
+            den = self._den
+            object.__setattr__(self, "_coords", self._nums if den == 1 else
+                               tuple(Fraction(v, den) for v in self._nums))
         return self._coords
 
     def grid(self):
         """Full matrix as nested lists of coordinate tuples (conjugated lower)."""
-        return _grid_from_coords(self.spec, self._coords)
+        return _grid_from_coords(self.spec, self.coords())
 
     def is_zero(self) -> bool:
-        return all(v == 0 for v in self._coords)
+        return not any(self._nums)
 
     def max_abs(self):
-        return max(abs(v) for v in self._coords)
+        m = max(map(abs, self._nums))
+        return m if self._den == 1 else Fraction(m, self._den)
 
     def _check(self, other):
         if not isinstance(other, JordanElement):
@@ -124,19 +139,36 @@ class JordanElement:
         if other.spec != self.spec:
             raise SpecMismatch(f"mixing specs {self.spec} and {other.spec}")
 
-    def __add__(self, other):
+    def _combine(self, other, op):
+        """op (add or sub) coordinatewise, on the numerators."""
         self._check(other)
-        return JordanElement(self.spec, (a + b for a, b in zip(self._coords, other._coords)))
+        da, db = self._den, other._den
+        try:
+            if da == db:
+                return _reduced(self.spec, tuple(map(op, self._nums, other._nums)), da)
+            return _reduced(self.spec, tuple(op(x * db, y * da) for x, y in
+                                             zip(self._nums, other._nums)), da * db)
+        except TypeError:
+            # float numerators against a denominator: combine the values
+            return JordanElement(self.spec, map(op, self.coords(), other.coords()))
+
+    def __add__(self, other):
+        return self._combine(other, add)
 
     def __sub__(self, other):
-        self._check(other)
-        return JordanElement(self.spec, (a - b for a, b in zip(self._coords, other._coords)))
+        return self._combine(other, sub)
 
     def __neg__(self):
         return self.scale(-1)
 
     def scale(self, c) -> "JordanElement":
-        return JordanElement(self.spec, (c * v for v in self._coords))
+        if isinstance(c, (int, Fraction)):
+            try:
+                return _reduced(self.spec, tuple(c.numerator * v for v in self._nums),
+                                self._den * c.denominator)
+            except TypeError:
+                pass  # float numerators over a denominator: scale the values
+        return JordanElement(self.spec, (c * v for v in self.coords()))
 
     def __rmul__(self, other):
         if isinstance(other, JordanElement):
@@ -151,13 +183,51 @@ class JordanElement:
     def __eq__(self, other):
         if not isinstance(other, JordanElement):
             return NotImplemented
-        return self.spec == other.spec and self._coords == other._coords
+        if self.spec != other.spec:
+            return False
+        if self._den == other._den:
+            return self._nums == other._nums
+        # exact elements in lowest terms with other denominators differ; an
+        # element holding floats is compared by value
+        return not all(type(v) is int for v in self._nums + other._nums) and (
+            self.coords() == other.coords())
 
     def __hash__(self):
-        return hash((self.spec, self._coords))
+        den = self._den
+        if den == 1 or den % _HASH_MODULUS == 0:
+            return hash((self.spec, self.coords()))
+        # the numeric hash of v / den is v den^-1 modulo the hash modulus,
+        # so the element hashes like its coordinate tuple
+        inv = pow(den, -1, _HASH_MODULUS)
+        return hash((self.spec, tuple(
+            v * inv % _HASH_MODULUS if v >= 0 else -(-v * inv % _HASH_MODULUS)
+            for v in self._nums)))
 
     def __repr__(self):
-        return f"JordanElement({self.spec.k}, {self.spec.delta}, {self._coords})"
+        return f"JordanElement({self.spec.k}, {self.spec.delta}, {self.coords()})"
+
+
+_HASH_MODULUS = sys.hash_info.modulus
+
+
+def _init(e: JordanElement, spec: JordanSpec, nums: tuple, den, coords):
+    object.__setattr__(e, "spec", spec)
+    object.__setattr__(e, "_nums", nums)
+    object.__setattr__(e, "_den", den)
+    object.__setattr__(e, "_coords", coords)
+
+
+def _reduced(spec: JordanSpec, nums: tuple, den: int) -> JordanElement:
+    """The element nums / den in lowest terms. Over a denominator other
+    than 1 the numerators must be ints: math.gcd raises TypeError on
+    floats, and the callers catch it to compute with the values instead."""
+    if den != 1:
+        g = gcd(den, *nums)
+        if g != 1:
+            nums, den = tuple([v // g for v in nums]), den // g
+    e = JordanElement.__new__(JordanElement)
+    _init(e, spec, nums, den, None)
+    return e
 
 
 def identity(spec: JordanSpec) -> JordanElement:
@@ -178,14 +248,21 @@ def from_entries(spec: JordanSpec, entry) -> JordanElement:
     """The element whose (i, j) entry, for i <= j, is entry(i, j).
 
     entry(i, j) is a delta-tuple for i < j and, on the diagonal, the one real
-    scalar stored there. This writes the canonical layout and
-    _grid_from_coords reads it; no other code knows where an entry's
-    coordinates go.
+    scalar stored there.
+    """
+    return JordanElement(spec, _layout(spec, entry))
+
+
+def _layout(spec: JordanSpec, entry) -> list:
+    """The canonical coordinate list of the entries entry(i, j), i <= j.
+
+    This writes the layout and _grid_from_coords reads it; no other code
+    knows where an entry's coordinates go.
     """
     vec = [entry(i, i) for i in range(spec.size)]
     for (i, j) in spec.pairs:
         vec.extend(entry(i, j))
-    return JordanElement(spec, vec)
+    return vec
 
 
 # ---------------------------------------------------------------------------
@@ -291,55 +368,66 @@ def _newton_integers(doubled, degree: int):
 def jordan_mul(a: JordanElement, b: JordanElement) -> JordanElement:
     """Symmetrized product (AB + BA)/2.
 
-    Both operands become int numerators over one denominator each, so the
-    kernel multiplies plain ints. (AB)^H = BA for Hermitian A and B, since
-    conj(xy) = conj(y) conj(x), so AB + BA = AB + (AB)^H needs one product.
+    The kernel multiplies the operands' numerators, and the result is
+    reduced once, by the gcd of its numerators and denominator. (AB)^H = BA
+    for Hermitian A and B, since conj(xy) = conj(y) conj(x), so
+    AB + BA = AB + (AB)^H needs one product.
     """
     a._check(b)
     spec = a.spec
-    size = spec.size
-    na, da = clear_row_denominators(a.coords())
-    nb, db = clear_row_denominators(b.coords())
-    p = grid_matmul(_grid_from_coords(spec, na), _grid_from_coords(spec, nb),
-                    size, spec.delta)
-    den = 2 * da * db
-
-    def scaled(v):
-        # exact numerators become Fractions; the floats of float mode divide
-        return Fraction(v, den) if type(v) is int else v / den
+    p = grid_matmul(_grid_from_coords(spec, a._nums), _grid_from_coords(spec, b._nums),
+                    spec.size, spec.delta)
 
     def entry(i, j):
         # (P + P^H)[i][j] for i <= j; the diagonal is real
         x, y = p[i][j], p[j][i]
         if i == j:
-            return scaled(x[0] + y[0])
-        return (scaled(x[0] + y[0]),) + tuple(
-            scaled(x[s] - y[s]) for s in range(1, len(x)))
+            return x[0] + y[0]
+        return (x[0] + y[0], *map(sub, x[1:], y[1:]))
 
-    return from_entries(spec, entry)
+    nums, den = _layout(spec, entry), 2 * a._den * b._den
+    try:
+        return _reduced(spec, tuple(nums), den)
+    except TypeError:
+        # float mode: each float divides; an int entry no float reached
+        # stays exact
+        return JordanElement(spec, (Fraction(v, den) if type(v) is int else v / den
+                                    for v in nums))
 
 
 def char_coeffs(a: JordanElement) -> tuple:
-    """(sigma_1, ..., sigma_{k+1}): generic characteristic coefficients."""
+    """(sigma_1, ..., sigma_{k+1}): generic characteristic coefficients.
+
+    sigma_j is homogeneous of degree j, so it is computed on the numerator
+    grid and divided by den^j.
+    """
     spec = a.spec
     q = spec.degree
-    doubled = _doubled_traces_from_grid(a.grid(), spec.size, spec.delta, q)
+    doubled = _doubled_traces_from_grid(_grid_from_coords(spec, a._nums),
+                                        spec.size, spec.delta, q)
     _, scales = _newton_tables(q)
-    return tuple(fj * s for fj, s in zip(_newton_integers(doubled, q)[1:], scales))
+    den = a._den
+    return tuple(fj * s / den ** j for j, (fj, s) in
+                 enumerate(zip(_newton_integers(doubled, q)[1:], scales), start=1))
 
 
 def jordan_rank(a: JordanElement, backend=EXACT) -> int:
     """Largest j with sigma_j nonzero; sigma_j is compared at scale |A|^j."""
     sigma = char_coeffs(a)
-    norm = sum(float(c) * float(c) for c in a.coords()) ** 0.5
+    den = a._den
+    floats = [float(v) for v in a._nums] if den == 1 else [v / den for v in a._nums]
+    norm = sum(x * x for x in floats) ** 0.5
     return max((j + 1 for j, s in enumerate(sigma)
                 if not backend.is_zero(s, norm ** (j + 1))), default=0)
 
 
 def operator_from_action(spec: JordanSpec, action) -> LinearOperator:
     """The V -> V operator of a linear map, from its images of the basis."""
-    cols = [action(basis_element(spec, j)).coords() for j in range(spec.dim)]
-    return LinearOperator(tuple(zip(*cols)), "V", "V")
+    cols = [action(basis_element(spec, j)) for j in range(spec.dim)]
+    den = lcm(*(c._den for c in cols))
+    nums = [c._nums if c._den == den else tuple(v * (den // c._den) for v in c._nums)
+            for c in cols]
+    return LinearOperator.from_numerators(tuple(zip(*nums)), den, "V", "V")
 
 
 def mult_operator(a: JordanElement) -> LinearOperator:

@@ -194,22 +194,23 @@ def _contract(form: PolarizedForm, base, rest, gradient: bool = False):
     factors = tuple(zip(*columns))  # factors[i] = (B_i, r_1[i], ..., r_m[i])
     steps = _subset_steps(m)
     # the slots fill m + gradient positions, so a monomial with more
-    # positions where B is 0 contributes nothing
+    # positions where B is 0 contributes nothing; the count is taken only
+    # when B has a zero coordinate
     base_zero = [b == 0 for b in base]
-    zeros = base_zero.__getitem__
+    zeros = base_zero.__getitem__ if any(base_zero) else None
     if not gradient:
         total = zero
         for mono, c in form.terms:
-            if sum(map(zeros, mono)) <= m:
+            if zeros is None or sum(map(zeros, mono)) <= m:
                 total += c * _multilinear(factors, mono, steps)
         return divide(total)
     out = [zero] * form.dim
     for mono, c in form.terms:
-        n = sum(map(zeros, mono))
+        n = 0 if zeros is None else sum(map(zeros, mono))
         if n > m + 1:
             continue
         for p, i in enumerate(mono):
-            if n - base_zero[i] > m:
+            if n > m and n - base_zero[i] > m:
                 continue
             others = mono[:p] + mono[p + 1:]
             if m:

@@ -122,9 +122,13 @@ class RunEnv:
     def __init__(self, config: RunConfig):
         self.config = config
         self.spec = JordanSpec(config.k, config.delta)
-        self.frame: NormFrame = frame(self.spec)
         self.backend = EXACT if config.mode == "exact" else FloatBackend(config.tol)
         self.unit = identity(self.spec)
+
+    @property
+    def frame(self) -> NormFrame:
+        """The shape's cached frame, built by the first check that reads it."""
+        return frame(self.spec)
 
     def sample(self, rng) -> JordanElement:
         return JordanElement(self.spec, self.backend.lift(sample_coords(rng, self.spec.dim)))

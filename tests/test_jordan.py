@@ -1,9 +1,11 @@
 """Hermitian matrix algebras: dimensions, products, characteristic data."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
+import jordal.jordan as jordan_module
 from jordal.backend import FloatBackend
 from jordal.composition import DimensionMismatch
 from jordal.jordan import (
@@ -105,6 +107,94 @@ def test_element_arithmetic():
     assert a.max_abs() == max(abs(c) for c in a.coords())
 
 
+def _mixed_fractions(spec, rng):
+    return JordanElement(spec, [Fraction(v, rng.randint(1, 9))
+                                for v in sample_coords(rng, spec.dim)])
+
+
+def test_element_holds_numerators_in_lowest_terms():
+    spec = JordanSpec(3, 4)
+    rng = stream_rng(11, "lowest")
+    a, b = _mixed_fractions(spec, rng), _mixed_fractions(spec, rng)
+    for e in (a, b, a + b, a - b, jordan_mul(a, b), a.scale(Fraction(6, 7)),
+              a - a, random_element(spec, rng)):
+        assert e._den > 0
+        assert all(type(v) is int for v in e._nums)
+        assert gcd(e._den, *e._nums) == 1
+        assert e.coords() == tuple(Fraction(v, e._den) for v in e._nums)
+
+
+def test_equal_values_are_equal_elements():
+    spec = JordanSpec(2, 2)
+    ints = tuple(range(-4, spec.dim - 4))
+    halves = [Fraction(v, 2) for v in ints]
+    forms = [JordanElement(spec, ints),
+             JordanElement(spec, map(Fraction, ints)),
+             JordanElement(spec, [Fraction(3 * v, 3) for v in ints])]
+    forms_half = [JordanElement(spec, halves),
+                  JordanElement(spec, [Fraction(3 * v, 6) for v in ints]),
+                  JordanElement(spec, ints).scale(Fraction(1, 2)),
+                  JordanElement(spec, [Fraction(v, 6) for v in ints]).scale(3)]
+    for group in (forms, forms_half):
+        assert all(e == group[0] and hash(e) == hash(group[0]) for e in group)
+    assert forms[0] != forms_half[0]
+
+
+def test_coords_round_trip_fractions():
+    spec = JordanSpec(2, 8)
+    rng = stream_rng(12, "fractions")
+    vec = [Fraction(v, rng.randint(1, 9)) for v in sample_coords(rng, spec.dim)]
+    assert JordanElement(spec, vec).coords() == tuple(vec)
+    a = JordanElement(spec, vec)
+    assert JordanElement(spec, a.coords()) == a
+    assert (a + JordanElement.zero(spec)).coords() == tuple(vec)
+
+
+def test_float_elements_stay_float():
+    spec = JordanSpec(3, 2)
+    rng = stream_rng(13, "floats")
+    a = JordanElement(spec, [rng.uniform(-9, 9) for _ in range(spec.dim)])
+    b = JordanElement(spec, [rng.uniform(-9, 9) for _ in range(spec.dim)])
+    for e in (a, jordan_mul(a, b), a + b, a - b, a.scale(Fraction(1, 3)), 3 * a):
+        assert all(type(v) is float for v in e.coords())
+    assert (a - a).is_zero()
+
+
+def test_exact_and_float_elements_compare_by_value():
+    spec = JordanSpec(2, 1)
+    ints = (1, -2, 0, 3, 5, -7)
+    halves = tuple(Fraction(v, 2) for v in ints)
+    exact, exact_half = JordanElement(spec, ints), JordanElement(spec, halves)
+    floats = JordanElement(spec, map(float, ints))
+    floats_half = JordanElement(spec, (v / 2 for v in ints))
+    assert exact == floats and hash(exact) == hash(floats)
+    assert exact_half == floats_half and hash(exact_half) == hash(floats_half)
+    assert exact != floats_half and exact_half != floats
+    thirds = JordanElement(spec, (Fraction(v, 3) for v in ints))
+    assert thirds != JordanElement(spec, (v / 3 for v in ints))
+    # sums of an exact and a float element are floats, as float arithmetic gives
+    got = (exact_half + floats).coords()
+    assert all(type(v) is float for v in got)
+    assert got == tuple(1.5 * v for v in ints)
+
+
+@pytest.mark.parametrize("k,delta", [(2, 8), (3, 4)])
+def test_exact_arithmetic_builds_no_fraction(k, delta, monkeypatch):
+    spec = JordanSpec(k, delta)
+    rng = stream_rng(14, "nofraction", k, delta)
+    a, b = _mixed_fractions(spec, rng), _mixed_fractions(spec, rng)
+
+    def no_fraction(*args, **kwargs):
+        raise AssertionError("built a Fraction")
+
+    monkeypatch.setattr(jordan_module, "Fraction", no_fraction)
+    ab, ba = jordan_mul(a, b), jordan_mul(b, a)
+    aba = jordan_mul(ab, a)
+    assert ab == ba and (ab - ba).is_zero()
+    assert aba != ab and not (aba - ab).is_zero()
+    assert (a + b) - b == a and a != b
+
+
 def test_product_matches_dense_oracle():
     for (k, delta) in [(2, 1), (2, 2), (2, 4), (2, 8), (3, 2), (3, 4), (3, 8),
                        (4, 1)]:
@@ -122,9 +212,9 @@ def test_product_matches_dense_oracle():
         fa = lift(a, lambda v: Fraction(v, rng.randint(1, 9)))
         fb = lift(b, lambda v: Fraction(v, rng.randint(1, 9)))
         assert jordan_mul(fa, fb) == dense_symmetric_product(fa, fb)
-        # integral Fractions, which a product of int elements returns
-        sq = jordan_mul(a, a)
-        assert any(isinstance(v, Fraction) for v in sq.coords())
+        # integral Fractions
+        sq = JordanElement(spec, map(Fraction, jordan_mul(a, a).coords()))
+        assert all(isinstance(v, Fraction) for v in sq.coords())
         assert jordan_mul(sq, fb) == dense_symmetric_product(sq, fb)
         # floats stay floats, within rounding of the exact product
         xa, xb = lift(fa, float), lift(fb, float)
