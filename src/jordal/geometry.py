@@ -12,8 +12,7 @@ from .backend import EXACT
 from .composition import cd_conj, cd_mul, cd_norm
 from .jordan import (JordanElement, JordanSpec, SpecMismatch, char_coeffs,
                      from_entries, mult_operator)
-from .linalg import (SingularMatrix, clear_row_denominators, exact_nullspace,
-                     exact_solve, mat_vec)
+from .linalg import SingularMatrix, exact_nullspace, exact_solve, mat_vec
 from .polarization import PolarizedForm, covector_slot, full_polarize, partial_polarize
 from .reconstruction import (NormFrame, _tau_covector_parts, tau, tau_covector,
                              unit_pairing)
@@ -206,15 +205,17 @@ def homogeneity_witness(fr: NormFrame, a: JordanElement, b: JordanElement,
     a, b, xe = (fr.element(backend.lift(e.coords())) for e in (a, b, x.element))
     if backend.is_zero(fr.norm(a), 0) or backend.is_zero(fr.norm(b), 0):
         raise SingularConfiguration("need Q(A) != 0 and Q(B) != 0")
-    target = tau_covector(fr, b, xe)
-    return fr.element(backend.solve(tau(fr, a).matrix, target))
+    # tau_A = N / d, so tau_A x = target is N x = d * target
+    t = tau(fr, a)
+    target = [t.denominator * c for c in tau_covector(fr, b, xe)]
+    return fr.element(backend.solve(t.numerators, target))
 
 
 def tangent_intersection(xa: RankOnePoint, xb: RankOnePoint):
     """Basis of T_A int T_B via stacked annihilator covectors."""
     stacked = []
     for x in (xa, xb):
-        stacked.extend(list(row) for row in exact_nullspace(tangent_frame(x)))
+        stacked.extend(exact_nullspace(tangent_frame(x)))
     return exact_nullspace(stacked)
 
 
@@ -248,14 +249,13 @@ def product_projection(fr: NormFrame, xa: RankOnePoint,
                              [a.coords(), b.coords()])
     scal = (k + 1) * (k + 1) * pa * pb - Fraction(k * (k + 1), 2) * cross
     elems = [fr.element(w) for w in basis]
-    # <w_i, w_j> = w_i^T G w_j, on the int numerators of G and of each w
+    # <w_i, w_j> = w_i^T G w_j with G = N / d; the int system N' c = d * rhs,
+    # N'[i][j] = w_i^T N w_j, has the same solution as the Gram system
     g = fr.gram
-    cleared = [clear_row_denominators(w) for w in basis]
-    images = [mat_vec(g.numerators, nw) for nw, _ in cleared]
-    gram = [[Fraction(sum(x * y for x, y in zip(ni, gj)), di * dj * g.denominator)
-             for gj, (_, dj) in zip(images, cleared)] for ni, di in cleared]
+    images = [mat_vec(g.numerators, w) for w in basis]
+    gram = [[sum(x * y for x, y in zip(wi, gj)) for gj in images] for wi in basis]
     # <scal*I, w> = scal * Q(I,...,I,w) because tau_I fixes I
-    rhs = [scal * unit_pairing(fr, w) for w in elems]
+    rhs = [g.denominator * scal * unit_pairing(fr, w) for w in elems]
     try:
         coeffs = exact_solve(gram, rhs)
     except SingularMatrix:
@@ -273,7 +273,7 @@ def expected_mult_kernel_dim(spec: JordanSpec) -> int:
 
 def mult_kernel_dim(x: RankOnePoint, backend=EXACT) -> int:
     """Measured nullity of B -> x * B."""
-    return x.spec.dim - backend.rank(mult_operator(x.element).matrix)
+    return x.spec.dim - backend.rank(mult_operator(x.element).numerators)
 
 
 def cone_vertex_stack(form: PolarizedForm, rng):

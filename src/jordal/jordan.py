@@ -427,7 +427,7 @@ def operator_from_action(spec: JordanSpec, action) -> LinearOperator:
     den = lcm(*(c._den for c in cols))
     nums = [c._nums if c._den == den else tuple(v * (den // c._den) for v in c._nums)
             for c in cols]
-    return LinearOperator.from_numerators(tuple(zip(*nums)), den, "V", "V")
+    return LinearOperator(tuple(zip(*nums)), den, "V", "V")
 
 
 def mult_operator(a: JordanElement) -> LinearOperator:
@@ -443,7 +443,7 @@ def quadratic_rep(a: JordanElement) -> LinearOperator:
     d1, d2 = mm.denominator, m2.denominator
     nums = tuple(tuple(2 * d2 * x - d1 * y for x, y in zip(r1, r2))
                  for r1, r2 in zip(mm.numerators, m2.numerators))
-    return LinearOperator.from_numerators(nums, d1 * d2, "V", "V")
+    return LinearOperator(nums, d1 * d2, "V", "V")
 
 
 def jordan_identity_residual(a: JordanElement, b: JordanElement):

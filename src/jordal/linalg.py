@@ -3,9 +3,11 @@
 Matrices are sequences of rows of ints / Fractions. Each row is cleared to
 int numerators, and one fraction-free (Bareiss) echelon of the int rows
 gives rank, nullspace, determinant, solve and inverse, the last three
-finished by one back-substitution. A LinearOperator holds int numerators
-over one denominator, so it composes, applies and takes traces on ints;
-Fractions appear only in what leaves (``.matrix``, ``apply`` results).
+finished by one back-substitution. A nullspace comes back as primitive int
+vectors. A LinearOperator holds int numerators over one denominator, so it
+composes, applies and takes traces on ints, and callers hand its
+``numerators`` to rank, solve and det; Fractions appear only in the values
+that leave (determinants, solutions, ``apply`` results and traces).
 """
 
 from __future__ import annotations
@@ -27,7 +29,8 @@ class TagMismatch(ValueError):
 
 
 def common_denominator(values) -> int:
-    return lcm(*(v.denominator for v in values if isinstance(v, Fraction)))
+    """lcm of the denominators of ints and Fractions (an int's is 1)."""
+    return lcm(*(v.denominator for v in values))
 
 
 def clear_row_denominators(row):
@@ -102,8 +105,8 @@ def exact_rank(rows) -> int:
 
 
 def exact_nullspace(rows):
-    """Basis of {x : R x = 0} as Fraction tuples, one per free column,
-    with 1 there and 0 at the other free columns."""
+    """Basis of {x : R x = 0} as primitive int tuples (entries with gcd 1),
+    one per free column, positive there and 0 at the other free columns."""
     if not rows:
         return []
     ncols = len(rows[0])
@@ -111,8 +114,11 @@ def exact_nullspace(rows):
     den = abs(ech[-1][pivots[-1]]) if pivots else 1
     xs = [[den if c == free else 0 for c in range(ncols)]
           for free in range(ncols) if free not in pivots]
-    return [tuple(Fraction(v, den) for v in x)
-            for x in _back_substitute(ech, pivots, xs)]
+    basis = []
+    for x in _back_substitute(ech, pivots, xs):
+        g = gcd(*x)
+        basis.append(tuple(v // g for v in x))
+    return basis
 
 
 def exact_det(rows):
@@ -184,39 +190,19 @@ class LinearOperator:
     """Dense operator with domain/codomain tags ("V" or "V*").
 
     Its entries are ``numerators`` over one ``denominator``: ints over a
-    positive int in lowest terms, or floats over 1.
+    positive int, brought to lowest terms here, or floats over 1. Callers
+    that hold values clear them first (``clear_row_denominators``).
     """
 
-    __slots__ = ("numerators", "denominator", "domain", "codomain", "_matrix")
+    __slots__ = ("numerators", "denominator", "domain", "codomain")
 
-    def __init__(self, matrix, domain: str = "V", codomain: str = "V"):
-        rows = tuple(tuple(row) for row in matrix)
-        flat, self.denominator = clear_row_denominators(v for row in rows for v in row)
-        n = len(rows[0]) if rows else 1
-        self.numerators = tuple(flat[i:i + n] for i in range(0, len(flat), n))
-        self.domain, self.codomain, self._matrix = domain, codomain, rows
-
-    @classmethod
-    def from_numerators(cls, numerators, denominator: int, domain: str,
-                        codomain: str) -> "LinearOperator":
-        """The operator numerators / denominator, brought to lowest terms."""
+    def __init__(self, numerators, denominator: int, domain: str, codomain: str):
         g = 1 if denominator == 1 else gcd(denominator,
                                            *(v for row in numerators for v in row))
-        op = cls.__new__(cls)
-        op.numerators = numerators if g == 1 else tuple(
+        self.numerators = numerators if g == 1 else tuple(
             tuple(v // g for v in row) for row in numerators)
-        op.denominator = denominator // g
-        op.domain, op.codomain, op._matrix = domain, codomain, None
-        return op
-
-    @property
-    def matrix(self):
-        """The entries as values, built once: Fractions unless den is 1."""
-        if self._matrix is None:
-            den = self.denominator
-            self._matrix = self.numerators if den == 1 else tuple(
-                tuple(Fraction(v, den) for v in row) for row in self.numerators)
-        return self._matrix
+        self.denominator = denominator // g
+        self.domain, self.codomain = domain, codomain
 
     @property
     def dim(self) -> int:
@@ -242,16 +228,11 @@ class LinearOperator:
                                 for row in nums):
             # exact times float: the floats take the denominator in
             nums, den = tuple(tuple(v / den for v in row) for row in nums), 1
-        return LinearOperator.from_numerators(nums, den, other.domain,
-                                              self.codomain)
+        return LinearOperator(nums, den, other.domain, self.codomain)
 
     def trace(self):
         t = sum(self.numerators[i][i] for i in range(self.dim))
         return t if self.denominator == 1 else Fraction(t, self.denominator)
-
-    def __eq__(self, other):
-        return (isinstance(other, LinearOperator) and self.matrix == other.matrix
-                and self.domain == other.domain and self.codomain == other.codomain)
 
     def __repr__(self):
         return f"LinearOperator({self.domain}->{self.codomain}, dim={self.dim})"

@@ -62,10 +62,10 @@ class NormFrame:
         rows, den = _tau_numerators(self.q, self.unit_covector,
                                     *_pair_matrix(self, self.unit_coords), 1)
         inv, inv_den = exact_inverse(rows)
-        self._gram_inv = LinearOperator.from_numerators(
+        self._gram_inv = LinearOperator(
             tuple(tuple(den * v for v in row) for row in inv), inv_den, "V*", "V")
         self._det_gram = exact_det(rows) / den ** len(rows)
-        self._gram = LinearOperator.from_numerators(rows, den, "V", "V*")
+        self._gram = LinearOperator(rows, den, "V", "V*")
 
     @property
     def gram(self) -> LinearOperator:
@@ -149,14 +149,13 @@ def tau(fr: NormFrame, m: JordanElement) -> LinearOperator:
     g = covector_slot(fr.form, [m_coords] * (q - 1))
     w, dw = _pair_matrix(fr, m_coords)
     if not isinstance(qm, float):
-        return LinearOperator.from_numerators(*_tau_numerators(q, g, w, dw, qm),
-                                              "V", "V*")
+        return LinearOperator(*_tau_numerators(q, g, w, dw, qm), "V", "V*")
     # float mode: w holds floats over dw = 1
     inv = 1 / qm
     inv2 = inv * inv
     rows = tuple(tuple(q * g[i] * g[j] * inv2 - (q - 1) * w[i][j] * inv
                        for j in range(dim)) for i in range(dim))
-    return LinearOperator(rows, "V", "V*")
+    return LinearOperator(rows, 1, "V", "V*")
 
 
 def _tau_covector_parts(fr: NormFrame, m_coords, x_coords, qm):

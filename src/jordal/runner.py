@@ -268,8 +268,11 @@ def _ck_tau_symmetry(env, rng):
 def _ck_tau_normalized_det(env, rng):
     fr, spec = env.frame, env.spec
     m = env.sample_invertible(rng)
-    return env.backend.det_ratio(tau(fr, m).matrix, fr.det_gram, fr.norm(m),
-                                 -2 - spec.k * spec.delta)
+    # tau_M = N / d, so det(tau_M) / det_gram = det(N) / (d^dim det_gram)
+    t = tau(fr, m)
+    return env.backend.det_ratio(t.numerators,
+                                 t.denominator ** spec.dim * fr.det_gram,
+                                 fr.norm(m), -2 - spec.k * spec.delta)
 
 
 # --------------------------------------------------------------------------

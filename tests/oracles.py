@@ -17,7 +17,7 @@ from itertools import permutations
 from math import factorial, gcd
 
 from jordal.jordan import JordanElement, from_entries, identity, jordan_mul
-from jordal.linalg import LinearOperator, common_denominator
+from jordal.linalg import LinearOperator, clear_row_denominators, common_denominator
 from jordal.polarization import covector_slot, partial_polarize
 
 
@@ -259,10 +259,29 @@ def transpose(rows):
     return tuple(zip(*rows))
 
 
+def values(op: LinearOperator):
+    """The entries of op as values: Fractions over its denominator, or its
+    numerators as they are (ints or floats) when that is 1."""
+    den = op.denominator
+    if den == 1:
+        return op.numerators
+    return tuple(tuple(Fraction(v, den) for v in row) for row in op.numerators)
+
+
+def operator(rows, domain="V", codomain="V") -> LinearOperator:
+    """The operator whose entries are the values rows (ints, Fractions or
+    floats), cleared to int numerators over one denominator."""
+    rows = tuple(tuple(row) for row in rows)
+    n = len(rows[0]) if rows else 1
+    flat, den = clear_row_denominators(v for row in rows for v in row)
+    return LinearOperator(tuple(flat[i:i + n] for i in range(0, len(flat), n)),
+                          den, domain, codomain)
+
+
 def transpose_op(op: LinearOperator) -> LinearOperator:
     """The dual operator: transposed matrix, tags swapped and dualized."""
     flip = {"V": "V*", "V*": "V"}
-    return LinearOperator(transpose(op.matrix), flip[op.codomain], flip[op.domain])
+    return operator(transpose(values(op)), flip[op.codomain], flip[op.domain])
 
 
 def is_symmetric(rows) -> bool:

@@ -27,6 +27,7 @@ functions by name, so every name it patches must still resolve.
 import ast
 import importlib
 import inspect
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -145,23 +146,30 @@ def test_every_definition_is_used():
     # own body; exporting it from the package is not enough, since a name
     # that only tests read is a test helper that belongs in tests/oracles.py
     trees = library_trees()
+    reads = Counter()
+    for tree in trees.values():
+        reads.update(name_reads(tree))
     found = []
     for name, tree in trees.items():
         module = name[:-len(".py")]
         for definition in tree.body:
             if not isinstance(definition, (ast.FunctionDef, ast.ClassDef)):
                 continue
-            own = {id(n) for n in ast.walk(definition)}
+            own = name_reads(definition)
             # read by name, or through its module as in linalg.exact_rank
-            used = any((isinstance(n, ast.Name) and n.id == definition.name
-                        or isinstance(n, ast.Attribute)
-                        and n.attr == definition.name
-                        and isinstance(n.value, ast.Name) and n.value.id == module)
-                       and id(n) not in own
-                       for other in trees.values() for n in ast.walk(other))
-            if not used:
+            if all(reads[key] == own[key]
+                   for key in (definition.name, (module, definition.name))):
                 found.append(f"{name}:{definition.lineno} {definition.name}")
     assert found == []
+
+
+def name_reads(tree):
+    """Counter of the reads below tree: ``name`` keyed by the name, and
+    ``module.attr`` keyed by (module, attr)."""
+    return Counter(n.id if isinstance(n, ast.Name) else (n.value.id, n.attr)
+                   for n in ast.walk(tree)
+                   if isinstance(n, ast.Name) or isinstance(n, ast.Attribute)
+                   and isinstance(n.value, ast.Name))
 
 
 def library_trees():

@@ -25,7 +25,8 @@ from jordal.jordan import (
 )
 from jordal.rng import sample_coords, stream_rng
 from oracles import (dense_symmetric_product, diagonal_element, gauss_det,
-                     jordan_power, leibniz_det, newton_coeffs, power_traces)
+                     jordan_power, leibniz_det, newton_coeffs, power_traces,
+                     values)
 
 ALL_SPECS = [(2, 1), (2, 2), (2, 4), (2, 8), (3, 1), (3, 2), (3, 4),
              (4, 1), (4, 2), (5, 1)]
@@ -333,9 +334,9 @@ def test_quadratic_rep_identity():
         a = random_element(spec, rng)
         m = mult_operator(a)
         p = quadratic_rep(a)
-        two_m2 = [[2 * v for v in row] for row in m.compose(m).matrix]
-        msq = mult_operator(jordan_mul(a, a)).matrix
-        assert p.matrix == tuple(
+        two_m2 = [[2 * v for v in row] for row in values(m.compose(m))]
+        msq = values(mult_operator(jordan_mul(a, a)))
+        assert values(p) == tuple(
             tuple(x - y for x, y in zip(r2, r1))
             for r2, r1 in zip(two_m2, msq))
         e2 = p.apply(identity(spec).coords())

@@ -2,12 +2,15 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import numpy
 import pytest
 
-from jordal.geometry import sample_rank_one, tangent_frame
-from jordal.jordan import JordanSpec
+import jordal.linalg as linalg_module
+from jordal.geometry import (expected_mult_kernel_dim, expected_tangent_rank,
+                             sample_rank_one, tangent_frame, tangent_intersection)
+from jordal.jordan import JordanSpec, mult_operator, quadratic_rep
 from jordal.linalg import (
     LinearOperator,
     SingularMatrix,
@@ -23,9 +26,11 @@ from jordal.linalg import (
     mat_vec,
     proportional,
 )
+from jordal.reconstruction import frame, structural_map, tau
+from jordal.rng import stream_rng
 from oracles import (gauss_det, gauss_inverse, gauss_rank, gauss_solve,
-                     identity_matrix, is_symmetric, primitive_integer_vector,
-                     transpose, transpose_op)
+                     identity_matrix, is_symmetric, operator, primitive_integer_vector,
+                     transpose, transpose_op, values)
 
 
 def random_matrix(rng, nrows, ncols, rational=False, deficient=0):
@@ -148,11 +153,41 @@ def test_nullspace():
         basis = exact_nullspace(m)
         assert len(basis) == ncols - exact_rank(m)
         for vec in basis:
+            # a primitive int vector: int entries with gcd 1
+            assert type(vec) is tuple and all(type(v) is int for v in vec)
+            assert gcd(*vec) == 1
             assert any(v != 0 for v in vec)
             assert all(sum(a * b for a, b in zip(row, vec)) == 0 for row in m)
         # basis vectors are independent
         if basis:
             assert exact_rank(list(basis)) == len(basis)
+
+
+@pytest.mark.parametrize("k, delta", [(2, 8), (3, 4)])
+def test_exact_linear_algebra_builds_no_fraction(k, delta, monkeypatch):
+    # operators and the elimination run on int numerators; the frame's Gram
+    # data (whose determinant leaves as a Fraction) is built beforehand
+    spec = JordanSpec(k, delta)
+    fr = frame(spec)
+    assert fr.gram is not None
+    rng = stream_rng(14, "linalg-nofraction", k, delta)
+    a = fr.random_invertible(rng)
+    xa, xb = sample_rank_one(spec, rng), sample_rank_one(spec, rng)
+
+    def no_fraction(*args, **kwargs):
+        raise AssertionError("built a Fraction")
+
+    monkeypatch.setattr(linalg_module, "Fraction", no_fraction)
+    mult = mult_operator(xa.element)
+    assert exact_rank(mult.numerators) == spec.dim - expected_mult_kernel_dim(spec)
+    for op in (quadratic_rep(a), tau(fr, a), structural_map(fr, a)):
+        assert exact_rank(op.numerators) == spec.dim
+    rows = tangent_frame(xa)
+    basis = exact_nullspace(rows)
+    assert len(basis) == spec.dim - expected_tangent_rank(spec)
+    assert all(type(v) is int for vec in basis for v in vec)
+    assert mat_mul(rows, transpose(basis)) == ((0,) * len(basis),) * len(rows)
+    assert len(tangent_intersection(xa, xb)) == delta
 
 
 def test_det_against_oracles():
@@ -239,8 +274,8 @@ def test_mat_helpers():
 
 def test_linear_operator_tags_and_compose():
     # tags track whether an operator lands in coordinates or covectors
-    a = LinearOperator(((1, 1), (0, 1)), "V", "V*")
-    b = LinearOperator(((2, 0), (0, 3)), "V*", "V")
+    a = operator(((1, 1), (0, 1)), "V", "V*")
+    b = operator(((2, 0), (0, 3)), "V*", "V")
     c = b.compose(a)  # first a, then b: V -> V
     assert c.domain == "V" and c.codomain == "V"
     assert c.apply((1, 0)) == (2, 0)
@@ -248,31 +283,31 @@ def test_linear_operator_tags_and_compose():
         a.compose(a)
     t = transpose_op(a)
     assert t.domain == "V" and t.codomain == "V*"
-    assert t.matrix == transpose(a.matrix)
-    sym = LinearOperator(((2, 5), (5, 1)))
-    assert is_symmetric(sym.matrix)
-    assert not is_symmetric(a.matrix)
-    assert exact_det(sym.matrix) == 2 * 1 - 25
+    assert values(t) == transpose(values(a))
+    sym = operator(((2, 5), (5, 1)))
+    assert is_symmetric(values(sym))
+    assert not is_symmetric(values(a))
+    assert exact_det(values(sym)) == 2 * 1 - 25
     assert sym.trace() == 3
 
 
 def test_linear_operator_numerators():
     # exact entries are int numerators over one denominator in lowest terms
-    a = LinearOperator(((Fraction(1, 2), 0), (Fraction(3, 4), 1)))
+    a = operator(((Fraction(1, 2), 0), (Fraction(3, 4), 1)))
     assert a.numerators == ((2, 0), (3, 4)) and a.denominator == 4
-    b = LinearOperator.from_numerators(((6, 0), (0, 4)), 8, "V", "V")
+    b = LinearOperator(((6, 0), (0, 4)), 8, "V", "V")
     assert b.numerators == ((3, 0), (0, 2)) and b.denominator == 4
     c = a.compose(b)
-    assert c.matrix == mat_mul(a.matrix, b.matrix)
+    assert values(c) == mat_mul(values(a), values(b))
     assert all(type(v) is int for row in c.numerators for v in row)
-    assert c.apply((1, Fraction(1, 3))) == mat_vec(c.matrix, (1, Fraction(1, 3)))
+    assert c.apply((1, Fraction(1, 3))) == mat_vec(values(c), (1, Fraction(1, 3)))
     assert c.trace() == Fraction(3, 8) + Fraction(1, 2)
     # a float factor takes the denominator in: floats over 1
-    f = LinearOperator(((0.5, 1.5), (2.0, -1.0)))
+    f = operator(((0.5, 1.5), (2.0, -1.0)))
     assert f.denominator == 1
     for op in (a.compose(f), f.compose(a)):
         assert op.denominator == 1
         assert all(type(v) is float for row in op.numerators for v in row)
-    assert a.compose(f).matrix == ((0.25, 0.75), (0.375 + 2.0, 1.125 - 1.0))
+    assert values(a.compose(f)) == ((0.25, 0.75), (0.375 + 2.0, 1.125 - 1.0))
     assert all(type(v) is float for v in a.apply((1.0, 3.0)))
     assert a.apply((1.0, 3.0)) == (0.5, 0.75 + 3.0)

@@ -1,0 +1,77 @@
+"""Seeded bugs in the linear-algebra layer, each pinned to the checks it fails.
+
+A check that no plausible bug can turn to ``fail`` proves nothing, and the
+report cannot tell it from a strong one. Each bug here is monkeypatched into
+one in-process run of ``--k 2 --delta 8 --suite all --trials 1 --seed 7``,
+which must fail exactly the checks pinned to it. The cached frame is cleared
+before and after each run, so a bug in its Gram inverse neither misses the
+run nor outlives it.
+
+A sign flip of one nullspace coordinate is not among the bugs: it cancels
+across the two nullspaces of ``tangent_intersection``, so no check fails.
+"""
+
+import pytest
+
+from jordal import geometry, linalg, reconstruction
+from jordal.reconstruction import frame
+from jordal.report import FAIL
+from jordal.runner import RunConfig, run_suite
+
+
+def plus_one(values):
+    """values with its first entry raised by one."""
+    return (values[0] + 1,) + tuple(values[1:])
+
+
+def first_inverse_entry_plus_one(out):
+    rows, den = out
+    return (plus_one(rows[0]),) + tuple(rows[1:]), den
+
+
+# name: (module, function, how its result is changed, checks that must fail)
+BUGS = {
+    "inverse-entry": (
+        reconstruction, "exact_inverse", first_inverse_entry_plus_one,
+        {"adjoint-comatrix", "automorphism-trichotomy", "composite-similarity",
+         "derivative-oracle", "double-adjoint", "mixed-adjoint",
+         "norm-semisimilarity", "orbit-derivative", "product-reconstruction",
+         "quadratic-structural", "scalar-reduction", "sharp-identity",
+         "square-decomposition", "structural-norm-factor", "unit-reduction"}),
+    "det-negated": (linalg, "exact_det", lambda d: -d, {"tau-normalized-det"}),
+    "rank-minus-one": (
+        linalg, "exact_rank", lambda r: r - 1,
+        {"cone-vertex", "mult-kernel", "tangent-intersection", "tangent-rank",
+         "terracini-dimension"}),
+    "solve-entry": (linalg, "exact_solve", plus_one, {"homogeneity"}),
+    "projection-solve-entry": (geometry, "exact_solve", plus_one,
+                               {"projection-formula"}),
+    "nullspace-entries": (geometry, "exact_nullspace",
+                          lambda basis: [plus_one(v) for v in basis],
+                          {"projection-formula"}),
+}
+
+
+def failed_checks(monkeypatch, bug=None):
+    """Ids of the checks the (2,8) run fails, with bug patched in if given."""
+    frame.cache_clear()
+    try:
+        if bug:
+            module, name, mutate, _ = BUGS[bug]
+            original = getattr(module, name)
+            monkeypatch.setattr(module, name,
+                                lambda *args: mutate(original(*args)))
+        report = run_suite(RunConfig(k=2, delta=8, suite="all", trials=1, seed=7))
+    finally:
+        monkeypatch.undo()
+        frame.cache_clear()
+    return {c.id for c in report.checks if c.status == FAIL}
+
+
+def test_unmutated_run_fails_nothing(monkeypatch):
+    assert failed_checks(monkeypatch) == set()
+
+
+@pytest.mark.parametrize("bug", sorted(BUGS))
+def test_seeded_bug_fails_its_pinned_checks(bug, monkeypatch):
+    assert failed_checks(monkeypatch, bug) == BUGS[bug][3]

@@ -11,7 +11,6 @@ from jordal.jordan import (
     jordan_mul,
     random_element,
 )
-from jordal.linalg import LinearOperator
 from jordal.reconstruction import frame, tau
 from jordal.rng import stream_rng
 from jordal.symmetry import (
@@ -22,16 +21,15 @@ from jordal.symmetry import (
     permutation_conjugation_sample,
     structural_sample,
 )
-from oracles import identity_matrix, is_symmetric
+from oracles import identity_matrix, is_symmetric, operator, values
 
 JORDAN_SPECS = [(2, 1), (2, 2), (2, 4), (2, 8), (3, 1), (3, 2), (3, 4),
                 (4, 1), (4, 2), (5, 1)]
 
 
 def identity_sample(fr, rng):
-    op = LinearOperator(tuple(tuple(r) for r in identity_matrix(fr.spec.dim)),
-                        "V", "V")
-    return GroupElementSample(fr, op, "identity", rng)
+    return GroupElementSample(fr, operator(identity_matrix(fr.spec.dim)),
+                              "identity", rng)
 
 
 def test_identity_sample():
@@ -100,7 +98,7 @@ def test_degenerate_sample_rejected():
     mat = tuple(tuple(1 if (i + 2 * j) % n == 0 else i + j for j in range(n))
                 for i in range(n))
     with pytest.raises(SimilarityViolation):
-        GroupElementSample(fr, LinearOperator(mat, "V", "V"), "adhoc", rng)
+        GroupElementSample(fr, operator(mat), "adhoc", rng)
 
 
 def test_vanishing_norm_factor_is_a_violation():
@@ -108,7 +106,7 @@ def test_vanishing_norm_factor_is_a_violation():
     # than asking for another draw
     fr = frame(JordanSpec(2, 1))
     n = fr.spec.dim
-    zero = LinearOperator(((0,) * n,) * n, "V", "V")
+    zero = operator(((0,) * n,) * n)
     with pytest.raises(SimilarityViolation, match="norm factor vanishes"):
         GroupElementSample(fr, zero, "zero", stream_rng(75, "zero"))
 
@@ -118,7 +116,7 @@ def test_operator_symmetry_check():
     rng = stream_rng(76, "symm")
     a = fr.random_invertible(rng)
     # tau_A, viewed as a bilinear form, equals its transpose exactly
-    assert is_symmetric(tau(fr, a).matrix)
+    assert is_symmetric(values(tau(fr, a)))
 
 
 def test_lie_triple_residual_zero_on_jordan_specs():
