@@ -12,12 +12,13 @@ carrying e_s at (i, j) and conj(e_s) at (j, i). So
     dimV = (k+1)(2 + k delta)/2.
 
 An element holds the int numerators of its canonical coordinates over one
-positive denominator, in lowest terms; in float mode, floats over 1. The
-product, sums, scaling, comparisons and the characteristic coefficients
-run on the numerators, so exact arithmetic builds no Fraction; coords()
-builds the coordinate tuple (ints and Fractions) once, for callers outside
-this module. Only this module knows the layout: _layout writes it (for
-from_entries and the product) and _grid_from_coords reads it.
+positive denominator, in lowest terms; in float mode, floats over 1
+(linalg.over decides the format). The product, sums, scaling, comparisons
+and the characteristic coefficients run on the numerators, so exact
+arithmetic builds no Fraction; coords() builds the coordinate tuple (ints
+and Fractions) once, for callers outside this module. Only this module
+knows the layout: _layout writes it (for from_entries and the product) and
+_grid_from_coords reads it.
 
 The generic characteristic coefficients sigma_1..sigma_{k+1} come from
 Newton's identities over the power traces p_m = T(A^m); the generic norm is
@@ -29,16 +30,15 @@ the final trace normalization.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import lcm
 from operator import add, sub
 
 from .backend import EXACT
 from .composition import ALLOWED_DIMS, DimensionMismatch, cd_conj, grid_matmul
-from .linalg import LinearOperator, clear_row_denominators
+from .linalg import LinearOperator, clear_row_denominators, over
 from .polarization import PolarizedForm
 from .rng import sample_coords
 
@@ -143,14 +143,10 @@ class JordanElement:
         """op (add or sub) coordinatewise, on the numerators."""
         self._check(other)
         da, db = self._den, other._den
-        try:
-            if da == db:
-                return _reduced(self.spec, tuple(map(op, self._nums, other._nums)), da)
-            return _reduced(self.spec, tuple(op(x * db, y * da) for x, y in
-                                             zip(self._nums, other._nums)), da * db)
-        except TypeError:
-            # float numerators against a denominator: combine the values
-            return JordanElement(self.spec, map(op, self.coords(), other.coords()))
+        if da == db:
+            return _reduced(self.spec, tuple(map(op, self._nums, other._nums)), da)
+        return _reduced(self.spec, tuple(op(x * db, y * da) for x, y in
+                                         zip(self._nums, other._nums)), da * db)
 
     def __add__(self, other):
         return self._combine(other, add)
@@ -158,27 +154,11 @@ class JordanElement:
     def __sub__(self, other):
         return self._combine(other, sub)
 
-    def __neg__(self):
-        return self.scale(-1)
-
     def scale(self, c) -> "JordanElement":
         if isinstance(c, (int, Fraction)):
-            try:
-                return _reduced(self.spec, tuple(c.numerator * v for v in self._nums),
-                                self._den * c.denominator)
-            except TypeError:
-                pass  # float numerators over a denominator: scale the values
+            return _reduced(self.spec, tuple(c.numerator * v for v in self._nums),
+                            self._den * c.denominator)
         return JordanElement(self.spec, (c * v for v in self.coords()))
-
-    def __rmul__(self, other):
-        if isinstance(other, JordanElement):
-            return NotImplemented
-        return self.scale(other)
-
-    def __mul__(self, other):
-        if isinstance(other, JordanElement):
-            return jordan_mul(self, other)
-        return self.scale(other)
 
     def __eq__(self, other):
         if not isinstance(other, JordanElement):
@@ -192,22 +172,8 @@ class JordanElement:
         return not all(type(v) is int for v in self._nums + other._nums) and (
             self.coords() == other.coords())
 
-    def __hash__(self):
-        den = self._den
-        if den == 1 or den % _HASH_MODULUS == 0:
-            return hash((self.spec, self.coords()))
-        # the numeric hash of v / den is v den^-1 modulo the hash modulus,
-        # so the element hashes like its coordinate tuple
-        inv = pow(den, -1, _HASH_MODULUS)
-        return hash((self.spec, tuple(
-            v * inv % _HASH_MODULUS if v >= 0 else -(-v * inv % _HASH_MODULUS)
-            for v in self._nums)))
-
     def __repr__(self):
         return f"JordanElement({self.spec.k}, {self.spec.delta}, {self.coords()})"
-
-
-_HASH_MODULUS = sys.hash_info.modulus
 
 
 def _init(e: JordanElement, spec: JordanSpec, nums: tuple, den, coords):
@@ -218,13 +184,10 @@ def _init(e: JordanElement, spec: JordanSpec, nums: tuple, den, coords):
 
 
 def _reduced(spec: JordanSpec, nums: tuple, den: int) -> JordanElement:
-    """The element nums / den in lowest terms. Over a denominator other
-    than 1 the numerators must be ints: math.gcd raises TypeError on
-    floats, and the callers catch it to compute with the values instead."""
-    if den != 1:
-        g = gcd(den, *nums)
-        if g != 1:
-            nums, den = tuple([v // g for v in nums]), den // g
+    """The element nums / den in the number format linalg.over decides: int
+    numerators in lowest terms, or, where a float is among them, floats
+    over 1."""
+    nums, den = over(nums, den)
     e = JordanElement.__new__(JordanElement)
     _init(e, spec, nums, den, None)
     return e
@@ -385,14 +348,7 @@ def jordan_mul(a: JordanElement, b: JordanElement) -> JordanElement:
             return x[0] + y[0]
         return (x[0] + y[0], *map(sub, x[1:], y[1:]))
 
-    nums, den = _layout(spec, entry), 2 * a._den * b._den
-    try:
-        return _reduced(spec, tuple(nums), den)
-    except TypeError:
-        # float mode: each float divides; an int entry no float reached
-        # stays exact
-        return JordanElement(spec, (Fraction(v, den) if type(v) is int else v / den
-                                    for v in nums))
+    return _reduced(spec, tuple(_layout(spec, entry)), 2 * a._den * b._den)
 
 
 def char_coeffs(a: JordanElement) -> tuple:

@@ -1,4 +1,10 @@
-"""Exact dense linear algebra over the rationals.
+"""Exact dense linear algebra over the rationals, and the number format.
+
+This module decides the one number format of the package: int numerators
+over one positive int denominator in lowest terms, or, once a float is
+involved, floats over 1. ``over`` brings numerators over a denominator to
+that format and ``clear_row_denominators`` takes values to it; no other
+module tests number types to choose between exact and float arithmetic.
 
 Matrices are sequences of rows of ints / Fractions. Each row is cleared to
 int numerators, and one fraction-free (Bareiss) echelon of the int rows
@@ -47,6 +53,23 @@ def clear_row_denominators(row):
     d = common_denominator(row)
     return tuple(v * d if type(v) is int else v.numerator * (d // v.denominator)
                  for v in row), d
+
+
+def over(nums, den):
+    """(numerators, denominator): the flat tuple nums over den in the one
+    number format.
+
+    Int numerators over a positive int denominator come back in lowest
+    terms. Any other numerators, or a float denominator, are divided through
+    and come back as floats over 1. No Fraction is built.
+    """
+    if den == 1 and type(den) is int:
+        return nums, 1
+    try:
+        g = gcd(den, *nums)
+    except TypeError:  # math.gcd takes only ints
+        return tuple([v / den for v in nums]), 1
+    return (nums, den) if g == 1 else (tuple([v // g for v in nums]), den // g)
 
 
 def _echelon(rows, ncols):
@@ -189,19 +212,20 @@ def proportional(u, v) -> bool:
 class LinearOperator:
     """Dense operator with domain/codomain tags ("V" or "V*").
 
-    Its entries are ``numerators`` over one ``denominator``: ints over a
-    positive int, brought to lowest terms here, or floats over 1. Callers
-    that hold values clear them first (``clear_row_denominators``).
+    Its entries are ``numerators`` over one ``denominator``, brought to the
+    number format by ``over``: ints over a positive int in lowest terms, or
+    floats over 1. Callers that hold values clear them first
+    (``clear_row_denominators``).
     """
 
     __slots__ = ("numerators", "denominator", "domain", "codomain")
 
-    def __init__(self, numerators, denominator: int, domain: str, codomain: str):
-        g = 1 if denominator == 1 else gcd(denominator,
-                                           *(v for row in numerators for v in row))
-        self.numerators = numerators if g == 1 else tuple(
-            tuple(v // g for v in row) for row in numerators)
-        self.denominator = denominator // g
+    def __init__(self, numerators, denominator, domain: str, codomain: str):
+        flat = tuple([v for row in numerators for v in row])
+        reduced, self.denominator = over(flat, denominator)
+        n = len(numerators[0]) if numerators else 1
+        self.numerators = numerators if reduced is flat else tuple(
+            reduced[i:i + n] for i in range(0, len(reduced), n))
         self.domain, self.codomain = domain, codomain
 
     @property
@@ -210,25 +234,17 @@ class LinearOperator:
 
     def apply(self, vec):
         nums, d = clear_row_denominators(vec)
-        out, den = mat_vec(self.numerators, nums), self.denominator * d
-        if den == 1:
-            return out
-        if EXACT_TYPES.issuperset(map(type, out)):
-            return tuple(Fraction(v, den) for v in out)
-        return tuple(v / den for v in out)
+        out, den = over(mat_vec(self.numerators, nums), self.denominator * d)
+        return out if den == 1 else tuple(Fraction(v, den) for v in out)
 
     def compose(self, other: "LinearOperator") -> "LinearOperator":
         """self after other (matrix product self @ other)."""
         if other.codomain != self.domain:
             raise TagMismatch(f"cannot compose {self.domain}->{self.codomain} "
                               f"after {other.domain}->{other.codomain}")
-        nums = mat_mul(self.numerators, other.numerators)
-        den = self.denominator * other.denominator
-        if den != 1 and not all(EXACT_TYPES.issuperset(map(type, row))
-                                for row in nums):
-            # exact times float: the floats take the denominator in
-            nums, den = tuple(tuple(v / den for v in row) for row in nums), 1
-        return LinearOperator(nums, den, other.domain, self.codomain)
+        return LinearOperator(mat_mul(self.numerators, other.numerators),
+                              self.denominator * other.denominator,
+                              other.domain, self.codomain)
 
     def trace(self):
         t = sum(self.numerators[i][i] for i in range(self.dim))

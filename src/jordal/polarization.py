@@ -21,17 +21,19 @@ F~(B^(q-2), e_i, e_j) collects the base product over the other positions
 for every pair of positions. Each contraction reads the table once.
 
 Every argument is first cleared to int numerators over one denominator, so
-the contraction runs on ints and the result is divided once; float vectors
-pass through unchanged, so float mode computes in floats.
+the contraction runs on ints and the result is divided once, through
+linalg.over, which decides the number format: exact arguments give exact
+values, and float vectors pass through unchanged, so float mode computes
+in floats.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from math import factorial, gcd
+from math import factorial
 
-from .linalg import EXACT_TYPES, clear_row_denominators
+from .linalg import clear_row_denominators, over
 
 
 class ArityError(ValueError):
@@ -127,13 +129,12 @@ class PolarizedForm:
 
 
 def _cleared(form: PolarizedForm, vec):
-    """(int numerators, denominator, exact?) of one argument vector."""
+    """(int numerators, denominator) of one argument vector."""
     vec = tuple(vec)
     if len(vec) != form.dim:
         raise ArityError(f"{form.name}: expected {form.dim} coordinates, "
                          f"got {len(vec)}")
-    nums, d = clear_row_denominators(vec)
-    return nums, d, EXACT_TYPES.issuperset(map(type, vec))
+    return clear_row_denominators(vec)
 
 
 def _subset_steps(m: int):
@@ -168,29 +169,28 @@ def _contract(form: PolarizedForm, base, rest, gradient: bool = False):
     q = form.degree
     m = len(rest)
     free = q - m - gradient  # how often the base fills a slot
-    base, den, exact = _cleared(form, base)
+    base, den = _cleared(form, base)
     den = form.denominator * den ** free
     columns = [base]
     for r in rest:
-        r, d, r_exact = _cleared(form, r)
+        r, d = _cleared(form, r)
         den *= d
-        exact = exact and r_exact
         columns.append(r)
-    zero = 0 if exact else 0.0
     num = factorial(free)
     den *= factorial(q)
 
-    def divide(total):
-        return Fraction(total * num, den) if exact else total * num / den
+    def divide(totals):
+        nums, d = over(tuple([t * num for t in totals]), den)
+        return nums if d == 1 else tuple([Fraction(v, d) for v in nums])
 
     if not (m or gradient):
         # F(B) itself: with no slots the coefficient is the product of the base
-        total = zero
+        total = 0
         for mono, c in form.terms:
             for i in mono:
                 c *= base[i]
             total += c
-        return divide(total)
+        return divide((total,))[0]
     factors = tuple(zip(*columns))  # factors[i] = (B_i, r_1[i], ..., r_m[i])
     steps = _subset_steps(m)
     # the slots fill m + gradient positions, so a monomial with more
@@ -199,12 +199,12 @@ def _contract(form: PolarizedForm, base, rest, gradient: bool = False):
     base_zero = [b == 0 for b in base]
     zeros = base_zero.__getitem__ if any(base_zero) else None
     if not gradient:
-        total = zero
+        total = 0
         for mono, c in form.terms:
             if zeros is None or sum(map(zeros, mono)) <= m:
                 total += c * _multilinear(factors, mono, steps)
-        return divide(total)
-    out = [zero] * form.dim
+        return divide((total,))[0]
+    out = [0] * form.dim
     for mono, c in form.terms:
         n = 0 if zeros is None else sum(map(zeros, mono))
         if n > m + 1:
@@ -220,21 +220,20 @@ def _contract(form: PolarizedForm, base, rest, gradient: bool = False):
                 for j in others:
                     v *= base[j]
                 out[i] += v
-    return tuple(divide(v) for v in out)
+    return divide(out)
 
 
 def pair_matrix(form: PolarizedForm, base):
     """(rows, den) with rows[i][j] / den = F~(B^(q-2), e_i, e_j).
 
     One pass over the table: each pair of positions of a monomial takes e_i
-    and e_j in both orders, times the base at the other positions. Exact
-    arguments give int rows over one denominator in lowest terms; float
-    arguments give floats over 1.
+    and e_j in both orders, times the base at the other positions. The rows
+    come in the number format linalg.over decides: exact arguments give int
+    rows over one denominator in lowest terms, float arguments floats over 1.
     """
     q, dim = form.degree, form.dim
-    base, d, exact = _cleared(form, base)
-    zero = 0 if exact else 0.0
-    rows = [[zero] * dim for _ in range(dim)]
+    base, d = _cleared(form, base)
+    rows = [[0] * dim for _ in range(dim)]
     pairs = [(p, p2, [o for o in range(q) if o != p and o != p2])
              for p, p2 in combinations(range(q), 2)]
     for mono, c in form.terms:
@@ -247,11 +246,9 @@ def pair_matrix(form: PolarizedForm, base):
                 i, j = mono[p], mono[p2]
                 rows[i][j] += v
                 rows[j][i] += v
-    den = form.denominator * d ** (q - 2) * q * (q - 1)
-    if not exact:
-        return [[v / den for v in row] for row in rows], 1
-    g = gcd(den, *(v for row in rows for v in row))
-    return [[v // g for v in row] for row in rows], den // g
+    flat, den = over(tuple([v for row in rows for v in row]),
+                     form.denominator * d ** (q - 2) * q * (q - 1))
+    return [flat[i:i + dim] for i in range(0, dim * dim, dim)], den
 
 
 def full_polarize(form: PolarizedForm, args):

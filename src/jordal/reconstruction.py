@@ -128,15 +128,17 @@ def inner(fr: NormFrame, a: JordanElement, b: JordanElement):
 
 
 def _tau_numerators(q: int, g, w, dw, qm):
-    """(int rows, den) of (q g g^T - (q-1) Q(M) W) / Q(M)^2 for exact inputs,
-    with W = w / dw."""
+    """(rows, den) of (q g g^T - (q-1) Q(M) W) / Q(M)^2, with W = w / dw:
+    int rows over an int den for exact inputs, float rows over the float
+    Q(M)^2 for float ones; LinearOperator brings either to the number
+    format."""
     g, dg = clear_row_denominators(g)
-    qm = Fraction(qm)
-    a = q * dw * qm.denominator ** 2
-    b = (q - 1) * dg * dg * qm.numerator * qm.denominator
+    (qn,), qd = clear_row_denominators((qm,))
+    a = q * dw * qd ** 2
+    b = (q - 1) * dg * dg * qn * qd
     return (tuple(tuple(a * gi * gj - b * wij for gj, wij in zip(g, row))
                   for gi, row in zip(g, w)),
-            dg * dg * dw * qm.numerator ** 2)
+            dg * dg * dw * qn ** 2)
 
 
 def tau(fr: NormFrame, m: JordanElement) -> LinearOperator:
@@ -144,18 +146,11 @@ def tau(fr: NormFrame, m: JordanElement) -> LinearOperator:
     qm = fr.norm(m)
     if qm == 0:
         raise SingularPoint("tau undefined where Q vanishes")
-    q, dim = fr.q, fr.spec.dim
+    q = fr.q
     m_coords = m.coords()
     g = covector_slot(fr.form, [m_coords] * (q - 1))
-    w, dw = _pair_matrix(fr, m_coords)
-    if not isinstance(qm, float):
-        return LinearOperator(*_tau_numerators(q, g, w, dw, qm), "V", "V*")
-    # float mode: w holds floats over dw = 1
-    inv = 1 / qm
-    inv2 = inv * inv
-    rows = tuple(tuple(q * g[i] * g[j] * inv2 - (q - 1) * w[i][j] * inv
-                       for j in range(dim)) for i in range(dim))
-    return LinearOperator(rows, 1, "V", "V*")
+    return LinearOperator(*_tau_numerators(q, g, *_pair_matrix(fr, m_coords), qm),
+                          "V", "V*")
 
 
 def _tau_covector_parts(fr: NormFrame, m_coords, x_coords, qm):

@@ -112,7 +112,6 @@ def automorphism_trichotomy(g: GroupElementSample, rng, probes: int = 5):
     spec = fr.spec
     cond1 = True
     cond3 = True
-    witnesses = []
     for _ in range(probes):
         a = random_element(spec, rng)
         b = random_element(spec, rng)
@@ -120,10 +119,8 @@ def automorphism_trichotomy(g: GroupElementSample, rng, probes: int = 5):
         rhs = g.apply(jordan_mul(a, b))
         if lhs != rhs:
             cond1 = False
-            witnesses.append(("product", a, b))
         if inner(fr, g.apply(a), g.apply(b)) != inner(fr, a, b):
             cond3 = False
-            witnesses.append(("pairing", a, b))
     cond2 = g.apply(identity(spec)) == identity(spec)
     if cond1 != cond2:
         raise TrichotomyViolation("conditions 1 and 2 must agree on samples")

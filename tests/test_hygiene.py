@@ -16,6 +16,12 @@ to pick a float-only route. A failed claim raises a ValueError subclass,
 which the runner reports as ``fail``; ``raise AssertionError`` would stop
 the run instead, so the library may not raise it.
 
+Only ``linalg.py`` decides the number format (int numerators over one
+denominator, or floats over 1), through ``over`` and
+``clear_row_denominators``. No other library module may catch TypeError (the
+error math.gcd raises on a float), read ``EXACT_TYPES``, or ask
+``isinstance(x, float)`` to pick between exact and float arithmetic.
+
 A trial draws again only from ``runner._run_one_trial``: it alone reads
 ``_RESAMPLE``, and no library ``except`` clause names a resample class, so no
 second redraw loop can grow back around a sampler or a check body.
@@ -243,6 +249,25 @@ def test_one_place_draws_again():
                                or getattr(n, "attr", None) in resample)
     assert reads == []
     assert catches == []
+
+
+def test_number_format_decided_in_linalg():
+    found = []
+    for name, tree in library_trees().items():
+        if name == "linalg.py":
+            continue
+        for n in ast.walk(tree):
+            if isinstance(n, ast.ExceptHandler) and n.type is not None:
+                found.extend(f"{name}:{n.lineno} except TypeError"
+                             for t in ast.walk(n.type)
+                             if getattr(t, "id", None) == "TypeError")
+            elif (isinstance(n, ast.Name) and n.id == "EXACT_TYPES"
+                  or isinstance(n, ast.Attribute) and n.attr == "EXACT_TYPES"):
+                found.append(f"{name}:{n.lineno} EXACT_TYPES")
+            elif (isinstance(n, ast.Call) and getattr(n.func, "id", None) == "isinstance"
+                  and len(n.args) == 2 and getattr(n.args[1], "id", None) == "float"):
+                found.append(f"{name}:{n.lineno} isinstance(..., float)")
+    assert found == []
 
 
 def traced_functions():

@@ -24,6 +24,7 @@ from jordal.linalg import (
     exact_solve,
     mat_mul,
     mat_vec,
+    over,
     proportional,
 )
 from jordal.reconstruction import frame, structural_map, tau
@@ -256,6 +257,25 @@ def test_clear_row_denominators_keeps_float_rows():
     nums, d = clear_row_denominators([0.5, 2.5])
     assert (nums, d) == ((0.5, 2.5), 1)
     assert all(type(v) is float for v in nums)
+
+
+def test_over():
+    # int numerators over an int denominator come back in lowest terms
+    assert over((4, -6, 0), 8) == ((2, -3, 0), 4)
+    assert over((3, 5), 7) == ((3, 5), 7)
+    nums, den = over((6, 9), 3)
+    assert (nums, den) == ((2, 3), 1) and all(type(v) is int for v in nums)
+    # over 1 the numerators come back as given, floats or ints
+    for nums in ((1, 2), (0.5, 2.5), (1, 0.5)):
+        assert over(nums, 1) == (nums, 1) and over(nums, 1)[0] is nums
+    # float numerators, alone or among ints, are divided through: floats over 1
+    for nums in ((1.0, -3.0), (1, 0.5, 0)):
+        got, den = over(nums, 4)
+        assert den == 1 and got == tuple(v / 4 for v in nums)
+        assert all(type(v) is float for v in got)
+    # a float denominator divides int numerators too
+    got, den = over((3, -6), 2.0)
+    assert (got, den) == ((1.5, -3.0), 1) and all(type(v) is float for v in got)
 
 
 def test_proportional():
