@@ -2,12 +2,12 @@
 
 Every check has one body and leaves each step that depends on the mode to a
 backend: lifting sampled coordinates, zero tests and comparisons, rank,
-solve, proportionality and determinant ratios. ``EXACT`` keeps ints and
-Fractions, compares with zero tolerance and calls the exact routines of
-``linalg``. ``FloatBackend(tol)`` lifts coordinates to floats, so everything
-built from them is computed in floats; it reads a value as zero when it is
-at most tol * (1 + the size of what is compared), and does linear algebra
-with numpy, which it imports on first use: exact runs never load it.
+solve and determinant ratios. ``EXACT`` keeps ints and Fractions, compares
+with zero tolerance and calls the exact routines of ``linalg``.
+``FloatBackend(tol)`` lifts coordinates to floats, so everything built from
+them is computed in floats; it reads a value as zero when it is at most
+tol * (1 + the size of what is compared), and does linear algebra with
+numpy, which it imports on first use: exact runs never load it.
 """
 
 from __future__ import annotations
@@ -52,9 +52,6 @@ class ExactBackend:
     def solve(self, rows, rhs):
         return linalg.exact_solve(rows, rhs)
 
-    def proportional(self, u, v) -> bool:
-        return linalg.proportional(u, v)
-
     def det_ratio(self, rows, den, base, power) -> TrialOutcome:
         """Whether det(rows) / den = base ** power."""
         return self.close_scalars(linalg.exact_det(rows) / den,
@@ -97,9 +94,6 @@ class FloatBackend:
         x = numpy.linalg.solve(numpy.array(rows, dtype=float),
                                numpy.array(rhs, dtype=float))
         return tuple(float(v) for v in x)
-
-    def proportional(self, u, v) -> bool:
-        return self.rank([u, v]) == 1 and any(u) and any(v)
 
     def det_ratio(self, rows, den, base, power) -> TrialOutcome:
         """det(rows) / den against base ** power, compared in log space.

@@ -14,8 +14,7 @@ from .jordan import (JordanElement, JordanSpec, SpecMismatch, char_coeffs,
                      from_entries, mult_operator)
 from .linalg import SingularMatrix, exact_nullspace, exact_solve, mat_vec
 from .polarization import PolarizedForm, covector_slot, full_polarize, partial_polarize
-from .reconstruction import (NormFrame, _tau_covector_parts, tau, tau_covector,
-                             unit_pairing)
+from .reconstruction import NormFrame, tau, tau_covector, unit_pairing
 from .rng import COORD_HI, COORD_LO, sample_coords
 
 
@@ -169,10 +168,11 @@ def dual_point(fr: NormFrame, x: RankOnePoint, a: JordanElement, backend=EXACT):
     """The hypersurface point x' cut out by x and A, with its tangent covector.
 
     Returns (x', tau_A(x)). x' = A - [Q(A) / (q Q(x,A,...,A))] x lands on
-    {Q = 0} exactly, and tau_A(x) is the (projective) tangent hyperplane of
-    the hypersurface there: it is proportional to the gradient covector of Q
-    at x' and kills the gradient's nullspace. Raises DualityViolation when
-    any of these claims fails.
+    {Q = 0} exactly, and tau_A(x), read from the operator tau_A, is the
+    (projective) tangent hyperplane of the hypersurface there: it is a
+    nonzero multiple of the gradient covector of Q at x', so the two have
+    rank 1 together, and it kills the gradient's nullspace. Raises
+    DualityViolation when any of these claims fails.
     """
     q = fr.q
     a = fr.element(backend.lift(a.coords()))
@@ -180,8 +180,7 @@ def dual_point(fr: NormFrame, x: RankOnePoint, a: JordanElement, backend=EXACT):
     qa = fr.norm(a)
     if backend.is_zero(qa, 0):
         raise SingularConfiguration("Q(A) = 0")
-    # tau_A(x) with Q(x,A,..,A)
-    cov, pairing = _tau_covector_parts(fr, a.coords(), xe.coords(), qa)
+    pairing = partial_polarize(fr.form, a.coords(), q - 1, [xe.coords()])
     if backend.is_zero(pairing, 0):
         raise SingularConfiguration("Q(x, A, ..., A) = 0")
     # Fraction(qa) keeps exact division exact; a float quotient stays float
@@ -191,9 +190,10 @@ def dual_point(fr: NormFrame, x: RankOnePoint, a: JordanElement, backend=EXACT):
     hyper_grad = covector_slot(fr.form, [xp.coords()] * (q - 1))
     if all(v == 0 for v in hyper_grad):
         raise SingularConfiguration("x' is a singular hypersurface point")
-    # the tangent hyperplane at x' is the kernel of the gradient there, so
-    # tau_A(x) kills it exactly when the two covectors are proportional
-    if not backend.proportional(cov, hyper_grad):
+    # the tangent hyperplane at x' is the kernel of the nonzero gradient
+    # there, so tau_A(x) kills it exactly when it is a nonzero multiple
+    cov = tau_covector(fr, a, xe)
+    if backend.rank([cov, hyper_grad]) != 1 or not any(cov):
         raise DualityViolation("tau_A(x) does not kill the tangent "
                                "hyperplane at x'")
     return xp, cov

@@ -193,22 +193,6 @@ def mat_mul(a, b):
                  for nonzero in ([(k, x) for k, x in enumerate(row) if x] for row in a))
 
 
-def proportional(u, v) -> bool:
-    """True when nonzero u and v span the same line.
-
-    When either vector is zero, True exactly when both are.
-    """
-    nu = any(x != 0 for x in u)
-    nv = any(x != 0 for x in v)
-    if not nu or not nv:
-        return nu == nv
-    # cross-multiply against the first nonzero coordinate of u
-    p = next(i for i, x in enumerate(u) if x != 0)
-    if v[p] == 0:
-        return False
-    return all(u[p] * v[j] == v[p] * u[j] for j in range(len(u)))
-
-
 class LinearOperator:
     """Dense operator with domain/codomain tags ("V" or "V*").
 

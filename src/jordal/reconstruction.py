@@ -7,8 +7,7 @@ polarizations, and the distinguished unit element I with Q(I) = 1:
   - tangent operator  tau_M = -D_M G, with the closed polarized formula
         tau_M(B)(c) = -(q-1) Q(M,..,M,B,c)/Q(M)
                       + q Q(M,..,M,B) Q(M,..,M,c)/Q(M)^2;
-  - inner product     <A,B> = tau_I(A)(B)
-                    = q Q(I,..,I,A) Q(I,..,I,B) - (q-1) Q(I,..,I,A,B);
+  - inner product     <A,B> = tau_I(A)(B), the Gram pairing;
   - sharp             the inverse of V -> V*, A -> <A,.>;
   - structural map    H_A = tau_I^{-1} tau_A;
   - the closed product formula
@@ -58,14 +57,14 @@ class NormFrame:
     def _build_gram(self):
         if self._gram is not None:
             return
-        # <A, B> = tau_I(A)(B), and Q(I) = 1
-        rows, den = _tau_numerators(self.q, self.unit_covector,
-                                    *_pair_matrix(self, self.unit_coords), 1)
+        # <A, B> = tau_I(A)(B)
+        gram = tau(self, self.unit)
+        rows, den = gram.numerators, gram.denominator
         inv, inv_den = exact_inverse(rows)
         self._gram_inv = LinearOperator(
             tuple(tuple(den * v for v in row) for row in inv), inv_den, "V*", "V")
         self._det_gram = exact_det(rows) / den ** len(rows)
-        self._gram = LinearOperator(rows, den, "V", "V*")
+        self._gram = gram
 
     @property
     def gram(self) -> LinearOperator:
@@ -120,59 +119,34 @@ def sharp(fr: NormFrame, covector) -> JordanElement:
 
 
 def inner(fr: NormFrame, a: JordanElement, b: JordanElement):
-    """<A,B> = q Q(I,..,I,A) Q(I,..,I,B) - (q-1) Q(I,..,I,A,B)."""
-    q = fr.q
-    cross = partial_polarize(fr.form, fr.unit_coords, q - 2,
-                             [a.coords(), b.coords()])
-    return q * unit_pairing(fr, a) * unit_pairing(fr, b) - (q - 1) * cross
-
-
-def _tau_numerators(q: int, g, w, dw, qm):
-    """(rows, den) of (q g g^T - (q-1) Q(M) W) / Q(M)^2, with W = w / dw:
-    int rows over an int den for exact inputs, float rows over the float
-    Q(M)^2 for float ones; LinearOperator brings either to the number
-    format."""
-    g, dg = clear_row_denominators(g)
-    (qn,), qd = clear_row_denominators((qm,))
-    a = q * dw * qd ** 2
-    b = (q - 1) * dg * dg * qn * qd
-    return (tuple(tuple(a * gi * gj - b * wij for gj, wij in zip(g, row))
-                  for gi, row in zip(g, w)),
-            dg * dg * dw * qn ** 2)
+    """<A,B> = tau_I(A)(B), the Gram pairing."""
+    return sum(c * y for c, y in zip(fr.gram.apply(a.coords()), b.coords()))
 
 
 def tau(fr: NormFrame, m: JordanElement) -> LinearOperator:
-    """tau_M = -D_M G as a V -> V* operator (rows index the covector)."""
+    """tau_M = -D_M G as a V -> V* operator (rows index the covector):
+    (q g g^T - (q-1) Q(M) W) / Q(M)^2 with g = Q(M,..,M,.) and W the pair
+    matrix Q(M,..,M,.,.). Exact inputs give int rows over an int
+    denominator, float ones float rows over Q(M)^2; LinearOperator brings
+    either to the number format. Every other tau quantity reads this one."""
     qm = fr.norm(m)
     if qm == 0:
         raise SingularPoint("tau undefined where Q vanishes")
     q = fr.q
     m_coords = m.coords()
-    g = covector_slot(fr.form, [m_coords] * (q - 1))
-    return LinearOperator(*_tau_numerators(q, g, *_pair_matrix(fr, m_coords), qm),
-                          "V", "V*")
-
-
-def _tau_covector_parts(fr: NormFrame, m_coords, x_coords, qm):
-    """(tau_M(x), Q(M,..,M,x)) for Q(M) = qm != 0: the covector tau_M(x)
-    and the pairing it is scaled by."""
-    q = fr.q
-    s = partial_polarize(fr.form, m_coords, q - 1, [x_coords])
-    g = covector_slot(fr.form, [m_coords] * (q - 1))
-    w = covector_slot(fr.form, [m_coords] * (q - 2) + [x_coords])
-    inv = Fraction(1) / qm
-    inv2 = inv * inv
-    cov = tuple(q * s * g[c] * inv2 - (q - 1) * w[c] * inv
-                for c in range(fr.spec.dim))
-    return cov, s
+    g, dg = clear_row_denominators(covector_slot(fr.form, [m_coords] * (q - 1)))
+    w, dw = _pair_matrix(fr, m_coords)
+    (qn,), qd = clear_row_denominators((qm,))
+    a = q * dw * qd ** 2
+    b = (q - 1) * dg * dg * qn * qd
+    rows = tuple(tuple(a * gi * gj - b * wij for gj, wij in zip(g, row))
+                 for gi, row in zip(g, w))
+    return LinearOperator(rows, dg * dg * dw * qn ** 2, "V", "V*")
 
 
 def tau_covector(fr: NormFrame, m: JordanElement, x: JordanElement):
-    """tau_M(x) as a covector, without assembling the full operator."""
-    qm = fr.norm(m)
-    if qm == 0:
-        raise SingularPoint("tau undefined where Q vanishes")
-    return _tau_covector_parts(fr, m.coords(), x.coords(), qm)[0]
+    """tau_M(x) as a covector: the operator tau_M applied to x."""
+    return tau(fr, m).apply(x.coords())
 
 
 def structural_map(fr: NormFrame, a: JordanElement) -> LinearOperator:

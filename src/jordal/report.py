@@ -65,22 +65,11 @@ class VerificationReport:
         return self.summary["failed"] == 0
 
 
-def _exact_number(value):
-    """Stringify exactly: ints verbatim, rationals as p/q."""
-    if isinstance(value, Fraction):
-        return str(value)
-    if isinstance(value, bool):
-        return value
-    if isinstance(value, int):
-        return str(value)
-    return value
-
-
 def _jsonable(value, exact: bool):
     if value is None or isinstance(value, (str, bool)):
         return value
     if isinstance(value, Fraction) or exact and isinstance(value, int):
-        return _exact_number(value) if exact else float(value)
+        return str(value) if exact else float(value)
     if isinstance(value, (int, float)):
         return value
     if isinstance(value, dict):
@@ -116,12 +105,9 @@ def render_csv(report: VerificationReport) -> bytes:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["id", "paper_anchor", "status", "trials", "max_abs_error"])
+    # csv.writer writes None as "" and everything else, Fractions too, as str()
     for c in report.checks:
-        err = c.max_abs_error
-        if isinstance(err, (int, Fraction)) and not isinstance(err, bool):
-            err = str(err)
-        writer.writerow([c.id, c.paper_anchor, c.status, c.trials,
-                         "" if err is None else err])
+        writer.writerow([c.id, c.paper_anchor, c.status, c.trials, c.max_abs_error])
     return buf.getvalue().encode("utf-8")
 
 

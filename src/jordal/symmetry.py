@@ -13,6 +13,11 @@ from .jordan import (JordanElement, from_entries, identity, jordan_mul,
 from .linalg import LinearOperator
 from .reconstruction import NormFrame, inner, structural_map
 
+# random invertible M a similarity is probed on, and probe pairs (A, B) of
+# the automorphism trichotomy
+_SIMILARITY_PROBES = 10
+_TRICHOTOMY_PROBES = 3
+
 
 class SimilarityViolation(ValueError):
     """A sampled similarity scales Q by a varying or vanishing ratio: a failed
@@ -41,17 +46,17 @@ class GroupElementSample:
     """A sampled norm-similarity operator with a provenance label.
 
     Construction probes that Q(g M) = lam * Q(M) for one constant lam on
-    several random M, in the arithmetic of ``backend``. A varying ratio
-    raises SimilarityViolation, and so does a vanishing one: a similarity is
-    invertible, so its factor is never 0.
+    _SIMILARITY_PROBES random M, in the arithmetic of ``backend``. A varying
+    ratio raises SimilarityViolation, and so does a vanishing one: a
+    similarity is invertible, so its factor is never 0.
     """
 
     __slots__ = ("operator", "provenance", "norm_factor", "frame")
 
     def __init__(self, fr: NormFrame, operator: LinearOperator,
-                 provenance: str, rng, probes: int = 10, backend=EXACT):
+                 provenance: str, rng, backend=EXACT):
         lam = None
-        for _ in range(probes):
+        for _ in range(_SIMILARITY_PROBES):
             m = backend.lift(fr.random_invertible(rng).coords())
             # an exact quotient of exact norms; floats divide as floats
             ratio = Fraction(fr.form(operator.apply(m))) / fr.form(m)
@@ -101,18 +106,18 @@ def structural_sample(fr: NormFrame, rng) -> GroupElementSample:
     raise ValueError("no A with Q(A)^2 != 1 in 200 draws")
 
 
-def automorphism_trichotomy(g: GroupElementSample, rng, probes: int = 5):
+def automorphism_trichotomy(g: GroupElementSample, rng):
     """Probe three conditions: product preserved, unit fixed, pairing preserved.
 
-    Returns (cond1, cond2, cond3) over the sampled probes and checks the
-    logical couplings: 1 and 2 come together, and 1 forces 3. A broken
-    coupling raises TrichotomyViolation.
+    Returns (cond1, cond2, cond3) over _TRICHOTOMY_PROBES sampled pairs and
+    checks the logical couplings: 1 and 2 come together, and 1 forces 3. A
+    broken coupling raises TrichotomyViolation.
     """
     fr = g.frame
     spec = fr.spec
     cond1 = True
     cond3 = True
-    for _ in range(probes):
+    for _ in range(_TRICHOTOMY_PROBES):
         a = random_element(spec, rng)
         b = random_element(spec, rng)
         lhs = jordan_mul(g.apply(a), g.apply(b))

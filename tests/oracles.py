@@ -6,7 +6,9 @@ multiplication table (the rule the library's unrolled kernel encodes),
 Leibniz determinants, Fraction-based Gaussian elimination, classical
 cofactor adjugates, Newton's identities over Fractions on the traces of
 iterated Jordan products, polarization by inclusion-exclusion over black-box
-evaluations of a form, and t-derivatives by exact Lagrange interpolation.
+evaluations of a form, t-derivatives by exact Lagrange interpolation, and
+the closed polarized formulas of the pairing and of tau_M(x) that the
+library reads from the one operator tau instead.
 It also holds the small matrix, vector and element helpers that only tests
 use. None of it is imported by the package itself.
 """
@@ -287,6 +289,41 @@ def transpose_op(op: LinearOperator) -> LinearOperator:
 def is_symmetric(rows) -> bool:
     n = len(rows)
     return all(rows[i][j] == rows[j][i] for i in range(n) for j in range(i + 1, n))
+
+
+def proportional(u, v) -> bool:
+    """True when nonzero u and v span the same line, by cross-multiplying.
+
+    When either vector is zero, True exactly when both are.
+    """
+    nu = any(x != 0 for x in u)
+    nv = any(x != 0 for x in v)
+    if not nu or not nv:
+        return nu == nv
+    p = next(i for i, x in enumerate(u) if x != 0)
+    if v[p] == 0:
+        return False
+    return all(u[p] * v[j] == v[p] * u[j] for j in range(len(u)))
+
+
+def closed_form_inner(fr, a: JordanElement, b: JordanElement):
+    """<A,B> = q Q(I,..,I,A) Q(I,..,I,B) - (q-1) Q(I,..,I,A,B)."""
+    q, unit = fr.q, fr.unit_coords
+    a, b = a.coords(), b.coords()
+    return (q * partial_polarize(fr.form, unit, q - 1, [a])
+            * partial_polarize(fr.form, unit, q - 1, [b])
+            - (q - 1) * partial_polarize(fr.form, unit, q - 2, [a, b]))
+
+
+def closed_form_tau_covector(fr, m: JordanElement, x: JordanElement):
+    """tau_M(x) = q Q(M,..,M,x) Q(M,..,M,.) / Q(M)^2
+    - (q-1) Q(M,..,M,x,.) / Q(M), over Fractions."""
+    q, qm = fr.q, Fraction(fr.norm(m))
+    m, x = m.coords(), x.coords()
+    s = partial_polarize(fr.form, m, q - 1, [x])
+    g = covector_slot(fr.form, [m] * (q - 1))
+    w = covector_slot(fr.form, [m] * (q - 2) + [x])
+    return tuple(q * s * gc / qm ** 2 - (q - 1) * wc / qm for gc, wc in zip(g, w))
 
 
 def primitive_integer_vector(vec):

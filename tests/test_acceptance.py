@@ -47,7 +47,7 @@ from jordal.jordan import (
     quadratic_rep,
     random_element,
 )
-from jordal.linalg import exact_det, exact_rank, proportional
+from jordal.linalg import exact_det, exact_rank
 from jordal.polarization import covector_slot
 from jordal.reconstruction import (
     SingularPoint,
@@ -63,7 +63,7 @@ from jordal.reconstruction import (
 from jordal.rng import stream_rng
 from jordal.runner import RunConfig, run_suite
 from jordal.symmetry import lie_triple_residual
-from oracles import values
+from oracles import proportional, values
 
 FLAGSHIP_SPECS = [(2, 1), (2, 2), (2, 4), (2, 8), (3, 1), (3, 2), (3, 4),
                   (4, 1), (4, 2), (5, 1)]

@@ -22,6 +22,10 @@ denominator, or floats over 1), through ``over`` and
 error math.gcd raises on a float), read ``EXACT_TYPES``, or ask
 ``isinstance(x, float)`` to pick between exact and float arithmetic.
 
+A name with a leading underscore is private to its module: no library
+module may import one from another (``from .x import _name``), since that
+grows a second route beside the module's public functions.
+
 A trial draws again only from ``runner._run_one_trial``: it alone reads
 ``_RESAMPLE``, and no library ``except`` clause names a resample class, so no
 second redraw loop can grow back around a sampler or a check body.
@@ -225,6 +229,17 @@ def test_every_method_is_used():
              for d in cls.body if isinstance(d, ast.FunctionDef)
              and not (d.name.startswith("__") and d.name.endswith("__"))
              and d.name not in read]
+    assert found == []
+
+
+def test_no_private_imports_across_modules():
+    found = []
+    for path in modules():
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found.extend(f"{path.name}:{node.lineno} {alias.name}"
+                     for node in ast.walk(tree)
+                     if isinstance(node, ast.ImportFrom) and node.level
+                     for alias in node.names if alias.name.startswith("_"))
     assert found == []
 
 

@@ -25,13 +25,12 @@ from jordal.linalg import (
     mat_mul,
     mat_vec,
     over,
-    proportional,
 )
 from jordal.reconstruction import frame, structural_map, tau
 from jordal.rng import stream_rng
 from oracles import (gauss_det, gauss_inverse, gauss_rank, gauss_solve,
                      identity_matrix, is_symmetric, operator, primitive_integer_vector,
-                     transpose, transpose_op, values)
+                     proportional, transpose, transpose_op, values)
 
 
 def random_matrix(rng, nrows, ncols, rational=False, deficient=0):

@@ -1,4 +1,5 @@
-"""Seeded bugs in the linear-algebra layer, each pinned to the checks it fails.
+"""Seeded bugs in the linear-algebra and polarization layers, each pinned to
+the checks it fails.
 
 A check that no plausible bug can turn to ``fail`` proves nothing, and the
 report cannot tell it from a strong one. Each bug here is monkeypatched into
@@ -24,6 +25,12 @@ def plus_one(values):
     return (values[0] + 1,) + tuple(values[1:])
 
 
+def last_diagonal_doubled(out):
+    rows, den = out
+    last = rows[-1][:-1] + (2 * rows[-1][-1],)
+    return tuple(rows[:-1]) + (last,), den
+
+
 def first_inverse_entry_plus_one(out):
     rows, den = out
     return (plus_one(rows[0]),) + tuple(rows[1:]), den
@@ -41,11 +48,22 @@ BUGS = {
     "det-negated": (linalg, "exact_det", lambda d: -d, {"tau-normalized-det"}),
     "rank-minus-one": (
         linalg, "exact_rank", lambda r: r - 1,
-        {"cone-vertex", "mult-kernel", "tangent-intersection", "tangent-rank",
-         "terracini-dimension"}),
+        {"cone-vertex", "dual-point", "mult-kernel", "tangent-intersection",
+         "tangent-rank", "terracini-dimension"}),
     "solve-entry": (linalg, "exact_solve", plus_one, {"homogeneity"}),
     "projection-solve-entry": (geometry, "exact_solve", plus_one,
                                {"projection-formula"}),
+    # tau, and so the Gram, the pairing and tau_M(x), read the pair matrix;
+    # tau-symmetry's closed side and the dual point's gradient do not
+    "pair-matrix-diagonal": (
+        reconstruction, "pair_matrix", last_diagonal_doubled,
+        {"adjoint-comatrix", "automorphism-trichotomy", "composite-similarity",
+         "derivative-oracle", "double-adjoint", "dual-point", "homogeneity",
+         "mixed-adjoint", "norm-semisimilarity", "orbit-derivative",
+         "product-reconstruction", "projection-formula", "quadratic-structural",
+         "scalar-reduction", "sharp-identity", "square-decomposition",
+         "structural-norm-factor", "tau-normalized-det", "tau-symmetry",
+         "unit-reduction"}),
     "nullspace-entries": (geometry, "exact_nullspace",
                           lambda basis: [plus_one(v) for v in basis],
                           {"projection-formula"}),

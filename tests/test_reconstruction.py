@@ -30,8 +30,9 @@ from jordal.reconstruction import (
     unit_pairing,
 )
 from jordal.rng import stream_rng
-from oracles import (diagonal_element, gauss_inverse, interpolated_line_derivative,
-                     is_symmetric, transpose, values)
+from oracles import (closed_form_inner, closed_form_tau_covector, diagonal_element,
+                     gauss_inverse, interpolated_line_derivative, is_symmetric,
+                     transpose, values)
 
 JORDAN_SPECS = [(2, 1), (2, 2), (2, 4), (2, 8), (3, 1), (3, 2), (3, 4),
                 (4, 1), (4, 2), (5, 1)]
@@ -190,9 +191,9 @@ def test_tau_properties():
         t = tau(fr, m)
         assert t.domain == "V" and t.codomain == "V*"
         assert is_symmetric(values(t))
-        # covector route agrees with the full operator
+        # the operator agrees with the closed covector formula
         x = random_element(spec, rng)
-        assert tau_covector(fr, m, x) == t.apply(x.coords())
+        assert tau_covector(fr, m, x) == closed_form_tau_covector(fr, m, x)
         # normalized determinant law det(tau_M)/det(tau_I) = Q(M)^-(2+k delta)
         power = 2 + k * delta
         assert exact_det(values(t)) / fr.det_gram == Fraction(1, fr.norm(m) ** power)
@@ -225,21 +226,24 @@ def test_structural_inverts_quadratic_rep():
 
 def test_operators_match_the_fraction_route():
     # the int operators against Fraction matrices built without them: the
-    # Gram matrix from <e_i, e_j>, tau_M column by column from tau_covector,
-    # the Gauss-Jordan inverse and plain Fraction matrix products
+    # Gram matrix from the closed formula of <e_i, e_j>, tau_M column by
+    # column from the closed formula of tau_M(e_j), the Gauss-Jordan inverse
+    # and plain Fraction matrix products
     for (k, delta) in [(2, 1), (2, 8), (3, 4), (4, 1)]:
         spec = JordanSpec(k, delta)
         fr = frame(spec)
         rng = stream_rng(44, "route", k, delta)
         basis = [basis_element(spec, i) for i in range(spec.dim)]
-        gram = tuple(tuple(inner(fr, ei, ej) for ej in basis) for ei in basis)
+        gram = tuple(tuple(closed_form_inner(fr, ei, ej) for ej in basis)
+                     for ei in basis)
         assert values(fr.gram) == gram
         gram_inv = gauss_inverse(gram)
         assert values(fr.gram_inv) == gram_inv
         for _ in range(2):
             a = fr.random_invertible(rng)
             t = tau(fr, a)
-            assert values(t) == transpose([tau_covector(fr, a, e) for e in basis])
+            assert values(t) == transpose([closed_form_tau_covector(fr, a, e)
+                                           for e in basis])
             h = structural_map(fr, a)
             assert values(h) == mat_mul(gram_inv, values(t))
             m, m2 = values(mult_operator(a)), values(mult_operator(jordan_mul(a, a)))

@@ -219,13 +219,13 @@ CORRUPTED_DUAL_POINT = """
 import jordal.geometry as geometry
 from jordal.runner import CHECKS, RunConfig, RunEnv, _run_check
 
-honest = geometry._tau_covector_parts
+honest = geometry.tau_covector
 
-def corrupted(fr, m, x, qm):
-    cov, *parts = honest(fr, m, x, qm)
-    return ((cov[0] + 1,) + cov[1:], *parts)
+def corrupted(fr, m, x):
+    cov = honest(fr, m, x)
+    return (cov[0] + 1,) + cov[1:]
 
-geometry._tau_covector_parts = corrupted
+geometry.tau_covector = corrupted
 env = RunEnv(RunConfig(k=2, delta=1, suite="geometry", trials=2).validate())
 check = next(c for c in CHECKS if c.id == "dual-point")
 result = _run_check(env, check, 1)
