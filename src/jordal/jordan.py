@@ -21,11 +21,15 @@ knows the layout: _layout writes it (for from_entries and the product) and
 _grid_from_coords reads it.
 
 The generic characteristic coefficients sigma_1..sigma_{k+1} come from
-Newton's identities over the power traces p_m = T(A^m); the generic norm is
-Q = sigma_{k+1}, normalized so Q(identity) = 1. Power traces are computed
-on doubled powers D_m = 2^(m-1) A^m, which satisfy the division-free
-recursion D_{m+1} = A D_m + (A D_m)^H, so integer input stays integer until
-the final trace normalization.
+Newton's identities over the power traces p_m = T(A^m), T = Re Tr; the
+generic norm is Q = sigma_{k+1}, normalized so Q(identity) = 1. Power traces
+are computed on doubled powers D_m = 2^(m-1) A^m, which satisfy the
+division-free recursion D_{m+1} = A D_m + (A D_m)^H, so integer input stays
+integer until the final trace normalization. Only D_1..D_ceil(q/2) are
+built, as T(D_m) = 2 T(D_floor(m/2) D_ceil(m/2)). This holds at every shape,
+(3,8) included: Re Tr is cyclic and ignores bracketing over every
+composition algebra (an octonion associator has zero real part), so the
+trace form T(X*Y) is associative (Faraut and Koranyi, 1994).
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
-from operator import add, sub
+from operator import add, mul, sub
 
 from .backend import EXACT
 from .composition import ALLOWED_DIMS, DimensionMismatch, cd_conj, grid_matmul
@@ -125,6 +129,13 @@ class JordanElement:
     def grid(self):
         """Full matrix as nested lists of coordinate tuples (conjugated lower)."""
         return _grid_from_coords(self.spec, self.coords())
+
+    def dot(self, nums, den):
+        """The covector nums / den (int numerators over an int denominator,
+        as clear_row_denominators gives it) at this element: one dot of
+        numerators, divided once."""
+        (v,), d = over((sum(map(mul, nums, self._nums)),), den * self._den)
+        return v if d == 1 else Fraction(v, d)
 
     def is_zero(self) -> bool:
         return not any(self._nums)
@@ -246,48 +257,46 @@ def _grid_from_coords(spec: JordanSpec, vec):
     return grid
 
 
-def _grid_sym_double(p, size: int):
-    """P + P^H (conjugate transpose) entrywise."""
-    out = [[None] * size for _ in range(size)]
-    for i in range(size):
-        for j in range(size):
-            x = p[i][j]
-            y = p[j][i]
-            out[i][j] = (x[0] + y[0],) + tuple(
-                x[s] - y[s] for s in range(1, len(x)))
-    return out
+def _sym_product(spec: JordanSpec, x, y) -> list:
+    """The canonical coordinates of AB + BA, for A and B given by theirs.
 
-
-def _grid_flat_dot(a, b, size: int):
-    """Sum of coordinatewise products over every entry of both grids."""
-    total = 0
-    for i in range(size):
-        for j in range(size):
-            x = a[i][j]
-            y = b[i][j]
-            for s in range(len(x)):
-                if x[s] != 0 and y[s] != 0:
-                    total += x[s] * y[s]
-    return total
-
-
-def _grid_trace(g, size: int):
-    return sum(g[i][i][0] for i in range(size))
-
-
-def _doubled_traces_from_grid(grid, size: int, delta: int, upto: int):
-    """[T(D_1), ..., T(D_upto)] for D_m = 2^(m-1) A^m; division-free.
-
-    D_{m+1} = A D_m + (A D_m)^H and T(D_{m+1}) = 2 <A, D_m> in flat
-    coordinates, so the final power needs no matrix product at all.
+    (AB)^H = BA for Hermitian A and B, since conj(xy) = conj(y) conj(x), so
+    AB + BA = AB + (AB)^H needs one product.
     """
-    doubled = [_grid_trace(grid, size)]
-    d = grid
-    for m in range(2, upto + 1):
-        doubled.append(2 * _grid_flat_dot(grid, d, size))
-        if m < upto:
-            d = _grid_sym_double(grid_matmul(grid, d, size, delta), size)
-    return doubled
+    p = grid_matmul(_grid_from_coords(spec, x), _grid_from_coords(spec, y),
+                    spec.size, spec.delta)
+
+    def entry(i, j):
+        # (P + P^H)[i][j] for i <= j; the diagonal is real
+        u, v = p[i][j], p[j][i]
+        if i == j:
+            return u[0] + v[0]
+        return (u[0] + v[0], *map(sub, u[1:], v[1:]))
+
+    return _layout(spec, entry)
+
+
+def _trace_pairing(spec: JordanSpec, x, y):
+    """T(XY) for X and Y given by their canonical coordinates: the diagonal
+    coordinates once and the off-diagonal ones twice, since the (i, j) and
+    (j, i) entries contribute <x_ij, y_ij> each."""
+    s = spec.size
+    return sum(map(mul, x[:s], y[:s])) + 2 * sum(map(mul, x[s:], y[s:]))
+
+
+def _power_traces(spec: JordanSpec, x, upto: int) -> list:
+    """[T(D_1), ..., T(D_upto)] for the doubled powers D_m = 2^(m-1) A^m of
+    the element with canonical coordinates x; division-free.
+
+    D_{m+1} = A D_m + D_m A builds D_2..D_ceil(upto/2), and
+    T(D_m) = 2 T(D_floor(m/2) D_ceil(m/2)) by the associativity of the
+    trace form, so no power past half the degree is built.
+    """
+    d = [None, x]  # d[m] = D_m
+    for _ in range(2, (upto + 1) // 2 + 1):
+        d.append(_sym_product(spec, x, d[-1]))
+    return [sum(x[:spec.size])] + [2 * _trace_pairing(spec, d[m // 2], d[m - m // 2])
+                                  for m in range(2, upto + 1)]
 
 
 @lru_cache(maxsize=None)
@@ -332,23 +341,11 @@ def jordan_mul(a: JordanElement, b: JordanElement) -> JordanElement:
     """Symmetrized product (AB + BA)/2.
 
     The kernel multiplies the operands' numerators, and the result is
-    reduced once, by the gcd of its numerators and denominator. (AB)^H = BA
-    for Hermitian A and B, since conj(xy) = conj(y) conj(x), so
-    AB + BA = AB + (AB)^H needs one product.
+    reduced once, by the gcd of its numerators and denominator.
     """
     a._check(b)
-    spec = a.spec
-    p = grid_matmul(_grid_from_coords(spec, a._nums), _grid_from_coords(spec, b._nums),
-                    spec.size, spec.delta)
-
-    def entry(i, j):
-        # (P + P^H)[i][j] for i <= j; the diagonal is real
-        x, y = p[i][j], p[j][i]
-        if i == j:
-            return x[0] + y[0]
-        return (x[0] + y[0], *map(sub, x[1:], y[1:]))
-
-    return _reduced(spec, tuple(_layout(spec, entry)), 2 * a._den * b._den)
+    return _reduced(a.spec, tuple(_sym_product(a.spec, a._nums, b._nums)),
+                    2 * a._den * b._den)
 
 
 def char_coeffs(a: JordanElement) -> tuple:
@@ -359,8 +356,7 @@ def char_coeffs(a: JordanElement) -> tuple:
     """
     spec = a.spec
     q = spec.degree
-    doubled = _doubled_traces_from_grid(_grid_from_coords(spec, a._nums),
-                                        spec.size, spec.delta, q)
+    doubled = _power_traces(spec, a._nums, q)
     _, scales = _newton_tables(q)
     den = a._den
     return tuple(fj * s / den ** j for j, (fj, s) in
@@ -417,13 +413,11 @@ def norm_form(spec: JordanSpec) -> PolarizedForm:
     The trace evaluator runs once, on symbolic coordinates, and the form
     keeps the monomial table it expands to.
     """
-    size, delta, q = spec.size, spec.delta, spec.degree
+    q = spec.degree
     scale = _newton_tables(q)[1][q - 1]
 
     def evaluate(vec):
-        grid = _grid_from_coords(spec, vec)
-        return _newton_integers(
-            _doubled_traces_from_grid(grid, size, delta, q), q)[q] * scale
+        return _newton_integers(_power_traces(spec, vec, q), q)[q] * scale
 
     return PolarizedForm(degree=q, dim=spec.dim, func=evaluate,
                          name=f"Q[k={spec.k},delta={spec.delta}]")

@@ -49,6 +49,7 @@ class NormFrame:
         self.unit_coords = self.unit.coords()
         self.unit_covector = covector_slot(
             self.form, [self.unit_coords] * (self.q - 1))
+        self._unit_cleared = clear_row_denominators(self.unit_covector)
         self._gram = None
         self._gram_inv = None
         self._det_gram = None
@@ -109,8 +110,9 @@ def _pair_matrix(fr: NormFrame, m_coords):
 
 
 def unit_pairing(fr: NormFrame, a: JordanElement):
-    """Q(I,...,I,A) via the memoized unit covector."""
-    return sum(c * x for c, x in zip(fr.unit_covector, a.coords()))
+    """Q(I,...,I,A) via the memoized unit covector, as one dot of int
+    numerators."""
+    return a.dot(*fr._unit_cleared)
 
 
 def sharp(fr: NormFrame, covector) -> JordanElement:

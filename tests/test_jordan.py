@@ -237,10 +237,14 @@ def test_unit_and_commutativity():
 
 
 def test_char_coeffs_against_fraction_newton():
-    # integer-only Newton recursion on doubled grid powers vs the Fraction
-    # recursion on traces of iterated Jordan products
-    for (k, delta) in ALL_SPECS:
+    # integer-only Newton recursion on traces paired from half powers, both
+    # on the element (char_coeffs) and on symbolic coordinates (the table of
+    # norm_form), vs the Fraction recursion on traces of left-iterated Jordan
+    # products; at (3,8), which is not Jordan, the routes agree only by the
+    # associativity of the trace form
+    for (k, delta) in ALL_SPECS + [(3, 8)]:
         spec = JordanSpec(k, delta)
+        form = norm_form(spec)
         rng = stream_rng(4, "newton", k, delta)
         for _ in range(4):
             a = random_element(spec, rng)
@@ -250,6 +254,7 @@ def test_char_coeffs_against_fraction_newton():
             # integer inputs give exact integer coefficients
             assert all(s.denominator == 1 for s in sigma)
             assert tuple(sigma) == tuple(expected)
+            assert form(a.coords()) == expected[-1]
             assert sigma[0] == sum(a.grid()[i][i][0] for i in range(spec.size))
 
 

@@ -1,12 +1,12 @@
-"""Seeded bugs in the linear-algebra and polarization layers, each pinned to
-the checks it fails.
+"""Seeded bugs in the linear-algebra, polarization and norm-trace layers, each
+pinned to the checks it fails.
 
 A check that no plausible bug can turn to ``fail`` proves nothing, and the
 report cannot tell it from a strong one. Each bug here is monkeypatched into
 one in-process run of ``--k 2 --delta 8 --suite all --trials 1 --seed 7``,
-which must fail exactly the checks pinned to it. The cached frame is cleared
-before and after each run, so a bug in its Gram inverse neither misses the
-run nor outlives it.
+which must fail exactly the checks pinned to it. The cached frame and norm
+table are cleared before and after each run, so a bug in the Gram inverse or
+in the table neither misses the run nor outlives it.
 
 A sign flip of one nullspace coordinate is not among the bugs: it cancels
 across the two nullspaces of ``tangent_intersection``, so no check fails.
@@ -14,7 +14,8 @@ across the two nullspaces of ``tangent_intersection``, so no check fails.
 
 import pytest
 
-from jordal import geometry, linalg, reconstruction
+from jordal import geometry, jordan, linalg, reconstruction
+from jordal.jordan import norm_form
 from jordal.reconstruction import frame
 from jordal.report import FAIL
 from jordal.runner import RunConfig, run_suite
@@ -67,12 +68,27 @@ BUGS = {
     "nullspace-entries": (geometry, "exact_nullspace",
                           lambda basis: [plus_one(v) for v in basis],
                           {"projection-formula"}),
+    # every power trace past the first doubled: Q's table and char_coeffs
+    # (so jordan_rank) are wrong, jordan_mul is not
+    "trace-pairing-doubled": (
+        jordan, "_trace_pairing", lambda t: 2 * t,
+        {"adjoint-comatrix", "automorphism-trichotomy", "bracketing-words",
+         "cayley-hamilton", "composite-similarity", "derivative-oracle",
+         "double-adjoint", "double-point", "dual-point", "fourth-power",
+         "homogeneity", "mixed-adjoint", "mult-kernel", "norm-semisimilarity",
+         "orbit-derivative", "pairing-product", "product-reconstruction",
+         "projection-formula", "quadratic-structural", "rank-characterization",
+         "scalar-reduction", "secant-membership", "sharp-identity",
+         "square-decomposition", "structural-norm-factor",
+         "tangent-intersection", "tangent-rank", "tau-normalized-det",
+         "terracini-dimension", "trace-lemma", "unit-reduction"}),
 }
 
 
 def failed_checks(monkeypatch, bug=None):
     """Ids of the checks the (2,8) run fails, with bug patched in if given."""
     frame.cache_clear()
+    norm_form.cache_clear()
     try:
         if bug:
             module, name, mutate, _ = BUGS[bug]
@@ -83,6 +99,7 @@ def failed_checks(monkeypatch, bug=None):
     finally:
         monkeypatch.undo()
         frame.cache_clear()
+        norm_form.cache_clear()
     return {c.id for c in report.checks if c.status == FAIL}
 
 
