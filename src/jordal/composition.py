@@ -10,18 +10,25 @@ so that e_{i + d/2} = e_i * e_{d/2} at every level. With this convention
 dimension 1, 2, 4 are the reals, complexes and quaternions; dimension 8 is
 the octonions (alternative but not associative).
 
-Products run through one kernel, ``grid_matmul``: the plain product of two
-square matrices with entries in the algebra, unrolled for each dimension.
-A single product x y is its 1 x 1 case. The kernel computes every entry
-without skipping zeros, so callers that hold Fractions clear denominators
-first and feed it int numerators.
+``unit_table`` applies the rule to basis units, e_s e_t = +-e_u, and every
+product is read from it: ``compile_bilinear`` turns the signed terms of a
+bilinear map into one straight-line function of two coordinate tuples, and
+``cd_mul`` runs the one compiled from the table. The generated code uses
+only +, - and *, so the same function serves ints, floats and symbolic
+coordinates.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from operator import neg
 
 ALLOWED_DIMS = (1, 2, 4, 8)
+
+# most terms summed in one chain of the generated code; CPython's compiler
+# recurses once per + and fails near 3000 of them, and groups of groups keep
+# every chain this short
+_GROUP = 64
 
 
 class DimensionMismatch(ValueError):
@@ -34,72 +41,89 @@ def _check_dim(delta: int) -> None:
                                 f"{ALLOWED_DIMS}, got {delta}")
 
 
-def grid_matmul(a, b, size: int, delta: int):
-    """Plain (nonassociative-entry) product of size x size matrices.
-
-    Entries are coordinate tuples of the dimension-``delta`` algebra; each
-    of the four dimensions has its own unrolled branch. No entry is skipped
-    when zero, so the kernel is fastest on plain int coordinates.
-    """
-    out = [[None] * size for _ in range(size)]
-    rng = range(size)
-    if delta == 1:
-        for i in rng:
-            ai = a[i]
-            for j in rng:
-                out[i][j] = (sum(ai[l][0] * b[l][j][0] for l in rng),)
-        return out
-    if delta == 2:
-        for i in rng:
-            ai = a[i]
-            for j in rng:
-                a0 = a1 = 0
-                for l in rng:
-                    x0, x1 = ai[l]
-                    y0, y1 = b[l][j]
-                    a0 += x0 * y0 - x1 * y1
-                    a1 += x0 * y1 + x1 * y0
-                out[i][j] = (a0, a1)
-        return out
-    if delta == 4:
-        # Hamilton product in this basis (e1 e2 = e3, cyclic)
-        for i in rng:
-            ai = a[i]
-            for j in rng:
-                a0 = a1 = a2 = a3 = 0
-                for l in rng:
-                    x0, x1, x2, x3 = ai[l]
-                    y0, y1, y2, y3 = b[l][j]
-                    a0 += x0 * y0 - x1 * y1 - x2 * y2 - x3 * y3
-                    a1 += x0 * y1 + x1 * y0 + x2 * y3 - x3 * y2
-                    a2 += x0 * y2 - x1 * y3 + x2 * y0 + x3 * y1
-                    a3 += x0 * y3 + x1 * y2 - x2 * y1 + x3 * y0
-                out[i][j] = (a0, a1, a2, a3)
-        return out
+@lru_cache(maxsize=None)
+def unit_table(delta: int) -> tuple:
+    """table[s][t] = (u, sign) with e_s e_t = sign e_u, by doubling from
+    the reals."""
     _check_dim(delta)
-    # delta == 8: the doubling formula applied to the Hamilton product above
-    for i in rng:
-        ai = a[i]
-        for j in rng:
-            a0 = a1 = a2 = a3 = a4 = a5 = a6 = a7 = 0
-            for l in rng:
-                x0, x1, x2, x3, x4, x5, x6, x7 = ai[l]
-                y0, y1, y2, y3, y4, y5, y6, y7 = b[l][j]
-                a0 += x0*y0 - x1*y1 - x2*y2 - x3*y3 - x4*y4 - x5*y5 - x6*y6 - x7*y7
-                a1 += x0*y1 + x1*y0 + x2*y3 - x3*y2 + x4*y5 - x5*y4 - x6*y7 + x7*y6
-                a2 += x0*y2 - x1*y3 + x2*y0 + x3*y1 + x4*y6 + x5*y7 - x6*y4 - x7*y5
-                a3 += x0*y3 + x1*y2 - x2*y1 + x3*y0 + x4*y7 - x5*y6 + x6*y5 - x7*y4
-                a4 += x0*y4 - x1*y5 - x2*y6 - x3*y7 + x4*y0 + x5*y1 + x6*y2 + x7*y3
-                a5 += x0*y5 + x1*y4 - x2*y7 + x3*y6 - x4*y1 + x5*y0 - x6*y3 + x7*y2
-                a6 += x0*y6 + x1*y7 + x2*y4 - x3*y5 - x4*y2 + x5*y3 + x6*y0 - x7*y1
-                a7 += x0*y7 - x1*y6 + x2*y5 + x3*y4 - x4*y3 - x5*y2 + x6*y1 + x7*y0
-            out[i][j] = (a0, a1, a2, a3, a4, a5, a6, a7)
-    return out
+    table = (((0, 1),),)
+    while len(table) < delta:
+        table = _doubled(table)
+    return table
+
+
+def _doubled(half: tuple) -> tuple:
+    """The unit table of the doubled algebra, from the table of the half.
+
+    With n = len(half), e_s = (e_s, 0) and e_{n+s} = (0, e_s), and the
+    doubling rule gives (e_a, 0)(e_b, 0) = (e_a e_b, 0),
+    (e_a, 0)(0, e_b) = (0, e_b e_a), (0, e_a)(e_b, 0) = (0, e_a conj(e_b))
+    and (0, e_a)(0, e_b) = (-conj(e_b) e_a, 0), where conj(e_b) = e_b for
+    b = 0 and -e_b otherwise.
+    """
+    n = len(half)
+
+    def entry(s, t):
+        a, b = s % n, t % n
+        conj = 1 if b == 0 else -1
+        if s < n and t < n:
+            return half[a][b]
+        if s < n:
+            u, sign = half[b][a]
+            return u + n, sign
+        if t < n:
+            u, sign = half[a][b]
+            return u + n, sign * conj
+        u, sign = half[b][a]
+        return u, -sign * conj
+
+    return tuple(tuple(entry(s, t) for t in range(2 * n)) for s in range(2 * n))
+
+
+def _sum(terms) -> str:
+    """The sum of terms (c, text), each standing for c * text, written with
+    no chain of + and - longer than _GROUP: a longer one is summed in
+    parenthesized groups."""
+    while len(terms) > _GROUP:
+        terms = [(1, f"({_sum(terms[i:i + _GROUP])})")
+                 for i in range(0, len(terms), _GROUP)]
+    text = "".join((" - " if c < 0 else " + ")
+                   + (t if abs(c) == 1 else f"{abs(c)}*{t}") for c, t in terms)
+    return text[3:] if terms[0][0] > 0 else "-" + text[3:]
+
+
+def compile_bilinear(nx: int, ny: int, outputs):
+    """The function (x, y) -> tuple of a bilinear map, as straight-line code.
+
+    x and y are sequences of lengths nx and ny; outputs holds, for each
+    result coordinate, its terms (c, a, b) standing for c x[a] y[b], emitted
+    in the given order, as x_a*y_b or, when |c| > 1, as |c|*x_a*y_b.
+    """
+    lines = ["def bilinear(x, y):",
+             "    " + "".join(f"x{a}, " for a in range(nx)) + "= x",
+             "    " + "".join(f"y{b}, " for b in range(ny)) + "= y",
+             "    return ("]
+    lines += [f"        {_sum([(c, f'x{a}*y{b}') for c, a, b in coord])},"
+              for coord in outputs]
+    lines.append("    )")
+    namespace = {}
+    exec("\n".join(lines), namespace)
+    return namespace["bilinear"]
+
+
+@lru_cache(maxsize=None)
+def _mul_kernel(delta: int):
+    """x y in the dimension-delta algebra, compiled from unit_table."""
+    outputs = [[] for _ in range(delta)]
+    for s, row in enumerate(unit_table(delta)):
+        for t, (u, sign) in enumerate(row):
+            outputs[u].append((sign, s, t))
+    return compile_bilinear(delta, delta, outputs)
 
 
 def cd_mul(x, y, delta: int):
     """Product of coordinate tuples in the dimension-``delta`` algebra."""
-    return grid_matmul(((x,),), ((y,),), 1, delta)[0][0]
+    return _mul_kernel(delta)(x, y)
 
 
 def cd_conj(x):
@@ -109,4 +133,3 @@ def cd_conj(x):
 def cd_norm(x):
     """N(x) = x conj(x): the Euclidean sum of squared coordinates."""
     return sum(v * v for v in x)
-

@@ -2,8 +2,13 @@
 
 Elements are (k+1)x(k+1) matrices with scalar diagonal and entries in the
 dimension-delta composition algebra above the diagonal, the conjugates
-below. The product is the symmetrized one, A*B = (AB + BA)/2, computed as
-one matrix product on composition.grid_matmul: AB + BA = AB + (AB)^H.
+below. The product is the symmetrized one, A*B = (AB + BA)/2, with
+AB + BA = AB + (AB)^H. Once per shape, _product_kernel expands that sum
+into its bilinear terms c x_a y_b in canonical coordinates, from
+composition.unit_table and the block layout, and compiles them into one
+straight-line function (composition.compile_bilinear). It uses only +, -
+and *, so int numerators, floats and the symbolic coordinates that build
+Q's table all run through it.
 
 Canonical coordinates: the k+1 diagonal units first, then for each pair
 i < j (lexicographic) and each algebra basis unit e_s the matrix E_ij(e_s)
@@ -17,8 +22,9 @@ positive denominator, in lowest terms; in float mode, floats over 1
 and the characteristic coefficients run on the numerators, so exact
 arithmetic builds no Fraction; coords() builds the coordinate tuple (ints
 and Fractions) once, for callers outside this module. Only this module
-knows the layout: _layout writes it (for from_entries and the product) and
-_grid_from_coords reads it.
+knows the layout: _layout writes it (for from_entries and the product
+kernel) and _grid_from_coords reads it (for grid() and, once per shape, the
+product kernel).
 
 The generic characteristic coefficients sigma_1..sigma_{k+1} come from
 Newton's identities over the power traces p_m = T(A^m), T = Re Tr; the
@@ -41,8 +47,9 @@ from math import lcm
 from operator import add, mul, sub
 
 from .backend import EXACT
-from .composition import ALLOWED_DIMS, DimensionMismatch, cd_conj, grid_matmul
-from .linalg import LinearOperator, clear_row_denominators, over
+from .composition import (ALLOWED_DIMS, DimensionMismatch, cd_conj, compile_bilinear,
+                          unit_table)
+from .linalg import LinearOperator, clear_row_denominators, mat_vec, over
 from .polarization import PolarizedForm
 from .rng import sample_coords
 
@@ -136,6 +143,12 @@ class JordanElement:
         numerators, divided once."""
         (v,), d = over((sum(map(mul, nums, self._nums)),), den * self._den)
         return v if d == 1 else Fraction(v, d)
+
+    def mapped(self, op: LinearOperator):
+        """(numerators, denominator) of op applied to this element: op's
+        rows at this element's numerators, over the product of the two
+        denominators, unreduced, as dot takes it."""
+        return mat_vec(op.numerators, self._nums), op.denominator * self._den
 
     def is_zero(self) -> bool:
         return not any(self._nums)
@@ -240,7 +253,7 @@ def _layout(spec: JordanSpec, entry) -> list:
 
 
 # ---------------------------------------------------------------------------
-# grid arithmetic (nested lists of coordinate tuples)
+# the product kernel
 
 def _grid_from_coords(spec: JordanSpec, vec):
     s, d = spec.size, spec.delta
@@ -257,23 +270,56 @@ def _grid_from_coords(spec: JordanSpec, vec):
     return grid
 
 
-def _sym_product(spec: JordanSpec, x, y) -> list:
-    """The canonical coordinates of AB + BA, for A and B given by theirs.
+@lru_cache(maxsize=None)
+def _product_kernel(spec: JordanSpec):
+    """The function (x, y) -> canonical coordinates of AB + BA, for A and B
+    given by theirs, compiled once per shape.
 
-    (AB)^H = BA for Hermitian A and B, since conj(xy) = conj(y) conj(x), so
-    AB + BA = AB + (AB)^H needs one product.
+    The grid of the coordinates 1..dim names, at each entry and unit, the
+    coordinate found there and its sign (negative where conjugated, 0 for
+    none). (AB)[i][j] then expands through unit_table into terms
+    c x_a y_b, and AB + BA = AB + (AB)^H, since (AB)^H = BA for Hermitian
+    A and B: twice the real part of (AB)[i][i] on the diagonal, and
+    (AB)[i][j] + conj((AB)[j][i]) above it.
     """
-    p = grid_matmul(_grid_from_coords(spec, x), _grid_from_coords(spec, y),
-                    spec.size, spec.delta)
+    s, d = spec.size, spec.delta
+    table = unit_table(d)
+    # held[i][j]: (unit, coordinate, sign) of each coordinate entry (i, j) holds
+    held = [[[(u, abs(v) - 1, 1 if v > 0 else -1) for u, v in enumerate(e) if v]
+             for e in row]
+            for row in _grid_from_coords(spec, tuple(range(1, spec.dim + 1)))]
+
+    def ab(i, j):
+        """(AB)[i][j] as, per unit e_u, {(a, b): c} for the terms c x_a y_b."""
+        out = [{} for _ in range(d)]
+        for l in range(s):
+            for ua, a, sa in held[i][l]:
+                for ub, b, sb in held[l][j]:
+                    u, sign = table[ua][ub]
+                    out[u][a, b] = out[u].get((a, b), 0) + sa * sb * sign
+        return out
+
+    def combined(p, q, sign):
+        """The terms (c, a, b) of p + sign q, sorted by (a, b)."""
+        total = dict(p)
+        for key, c in q.items():
+            total[key] = total.get(key, 0) + sign * c
+        return [(c, a, b) for (a, b), c in sorted(total.items()) if c]
 
     def entry(i, j):
-        # (P + P^H)[i][j] for i <= j; the diagonal is real
-        u, v = p[i][j], p[j][i]
+        p = ab(i, j)
         if i == j:
-            return u[0] + v[0]
-        return (u[0] + v[0], *map(sub, u[1:], v[1:]))
+            return combined(p[0], p[0], 1)
+        q = ab(j, i)
+        return [combined(p[0], q[0], 1)] + [combined(p[u], q[u], -1)
+                                            for u in range(1, d)]
 
-    return _layout(spec, entry)
+    return compile_bilinear(spec.dim, spec.dim, _layout(spec, entry))
+
+
+def _sym_product(spec: JordanSpec, x, y) -> tuple:
+    """The canonical coordinates of AB + BA, for A and B given by theirs."""
+    return _product_kernel(spec)(x, y)
 
 
 def _trace_pairing(spec: JordanSpec, x, y):
@@ -344,7 +390,7 @@ def jordan_mul(a: JordanElement, b: JordanElement) -> JordanElement:
     reduced once, by the gcd of its numerators and denominator.
     """
     a._check(b)
-    return _reduced(a.spec, tuple(_sym_product(a.spec, a._nums, b._nums)),
+    return _reduced(a.spec, _sym_product(a.spec, a._nums, b._nums),
                     2 * a._den * b._den)
 
 

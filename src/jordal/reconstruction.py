@@ -121,8 +121,9 @@ def sharp(fr: NormFrame, covector) -> JordanElement:
 
 
 def inner(fr: NormFrame, a: JordanElement, b: JordanElement):
-    """<A,B> = tau_I(A)(B), the Gram pairing."""
-    return sum(c * y for c, y in zip(fr.gram.apply(a.coords()), b.coords()))
+    """<A,B> = tau_I(A)(B), the Gram pairing: the Gram's int rows at A's
+    numerators, then one dot against B's, divided once."""
+    return b.dot(*a.mapped(fr.gram))
 
 
 def tau(fr: NormFrame, m: JordanElement) -> LinearOperator:

@@ -199,7 +199,8 @@ def classical_adjugate(spec, a: JordanElement) -> JordanElement:
 
 
 def dense_symmetric_product(a: JordanElement, b: JordanElement) -> JordanElement:
-    """(AB + BA)/2 assembled entry by entry from the matrix grids."""
+    """(AB + BA)/2 assembled entry by entry from the matrix grids; a
+    product with a zero entry is skipped, so basis elements are cheap."""
     spec = a.spec
     ga, gb = a.grid(), b.grid()
     size, delta = spec.size, spec.delta
@@ -208,10 +209,9 @@ def dense_symmetric_product(a: JordanElement, b: JordanElement) -> JordanElement
         for j in range(size):
             acc = [0] * delta
             for l in range(size):
-                acc = [p + q for p, q in
-                       zip(acc, doubled_mul(ga[i][l], gb[l][j]))]
-                acc = [p + q for p, q in
-                       zip(acc, doubled_mul(gb[i][l], ga[l][j]))]
+                for x, y in ((ga[i][l], gb[l][j]), (gb[i][l], ga[l][j])):
+                    if any(x) and any(y):
+                        acc = [p + q for p, q in zip(acc, doubled_mul(x, y))]
             prod[i][j] = tuple(Fraction(v, 2) for v in acc)
     return from_entries(spec, lambda i, j: prod[i][j][0] if i == j else prod[i][j])
 

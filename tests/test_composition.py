@@ -10,6 +10,8 @@ from jordal.composition import (
     cd_conj,
     cd_mul,
     cd_norm,
+    compile_bilinear,
+    unit_table,
 )
 from oracles import basis_table, conj_half, doubled_mul
 
@@ -39,7 +41,8 @@ def test_basis_table_conventions():
         for i in range(delta):
             assert t[0][i] == (i, 1)
             assert t[i][0] == (i, 1)
-    # the unrolled kernel multiplies every basis pair as the table says,
+    # the library's table and the kernel compiled from it multiply every
+    # basis pair as the oracle's table says,
     # which by bilinearity pins every product
     for delta in ALLOWED_DIMS:
         t = basis_table(delta)
@@ -47,6 +50,7 @@ def test_basis_table_conventions():
             for j in range(delta):
                 k, s = t[i][j]
                 expected = tuple(s * v for v in cd_unit(delta, k))
+                assert unit_table(delta)[i][j] == (k, s)
                 assert cd_mul(cd_unit(delta, i), cd_unit(delta, j), delta) == expected
 
 
@@ -119,3 +123,13 @@ def test_alternativity_in_dimension_eight():
 def test_dimension_errors():
     with pytest.raises(DimensionMismatch):
         cd_mul((1, 2, 3), (1, 2, 3), 3)
+
+
+def test_long_sums_compile():
+    # CPython's compiler recurses once per + of a chain; the generated sums
+    # are grouped, so a coordinate of 5000 terms (three levels of groups)
+    # compiles and sums like the plain loop
+    n = 5000
+    f = compile_bilinear(1, n, [[(1 if b % 3 else -2, 0, b) for b in range(n)]])
+    y = tuple(range(n))
+    assert f((3,), y) == (sum(3 * v if v % 3 else -6 * v for v in y),)

@@ -1,17 +1,19 @@
 """Hermitian matrix algebras: dimensions, products, characteristic data."""
 
 from fractions import Fraction
+from hashlib import sha256
 from math import gcd
 
 import pytest
 
 import jordal.jordan as jordan_module
 from jordal.backend import FloatBackend
-from jordal.composition import DimensionMismatch
+from jordal.composition import _GROUP, DimensionMismatch
 from jordal.jordan import (
     JordanElement,
     JordanSpec,
     SpecMismatch,
+    basis_element,
     char_coeffs,
     from_entries,
     identity,
@@ -23,6 +25,7 @@ from jordal.jordan import (
     quadratic_rep,
     random_element,
 )
+from jordal.polarization import _Poly
 from jordal.rng import sample_coords, stream_rng
 from oracles import (dense_symmetric_product, diagonal_element, gauss_det,
                      jordan_power, leibniz_det, newton_coeffs, power_traces,
@@ -223,6 +226,55 @@ def test_product_matches_dense_oracle():
         assert all(type(v) is float for v in got)
         want = dense_symmetric_product(lift(xa, Fraction), lift(xb, Fraction))
         assert max(abs(g - w) for g, w in zip(got, want.coords())) < 1e-9
+
+
+@pytest.mark.parametrize("k,delta", [(2, 4), (2, 8), (3, 4), (3, 8)])
+def test_structure_constants_match_dense_oracle(k, delta):
+    # the product is bilinear, so its values at basis pairs pin it; both
+    # orders run, since the kernel's terms x_a y_b and x_b y_a differ
+    spec = JordanSpec(k, delta)
+    basis = [basis_element(spec, i) for i in range(spec.dim)]
+    for a in range(spec.dim):
+        for b in range(a, spec.dim):
+            want = dense_symmetric_product(basis[a], basis[b])
+            assert jordan_mul(basis[a], basis[b]) == want, (a, b)
+            assert jordan_mul(basis[b], basis[a]) == want, (b, a)
+
+
+@pytest.mark.parametrize("k,longest", [(4, 52), (5, 68)])
+def test_kernel_at_long_coordinates(k, longest):
+    # on symbolic coordinates each result coordinate is the sum of its
+    # kernel terms; at (5,8) the longest is longer than one group of the
+    # generated sums, and the kernel still matches the oracle
+    spec = JordanSpec(k, 8)
+    n = spec.dim
+    x = tuple(_Poly({(i,): 1}) for i in range(n))
+    y = tuple(_Poly({(n + i,): 1}) for i in range(n))
+    sym = jordan_module._sym_product(spec, x, y)
+    assert max(len(p.terms) for p in sym) == longest
+    assert (longest > _GROUP) == (k == 5)
+    rng = stream_rng(9, "long", k)
+    for _ in range(2):
+        a = random_element(spec, rng)
+        b = random_element(spec, rng)
+        assert jordan_mul(a, b) == dense_symmetric_product(a, b)
+
+
+# sha256 of repr(norm_form(spec).terms), recorded with the earlier
+# grid-matrix product, so the symbolic route through the kernel keeps Q
+Q_TABLE_SHA256 = {
+    (2, 1): "c1d41a91b1b9795f8c3c71c40d4732f358a92b386ef2b82997ad4d5b884b3d70",
+    (2, 8): "9082c53b72a837a62119f19b1a513f2a20bc8556da83e1488a8c3417e0ae2467",
+    (3, 4): "9cafeb2802c6eab21d7ccf2dfa4a51933b26255ff5969e57aaf05142b34fa911",
+    (3, 8): "ff2b1b8743726e2640db11248b2929e38d69f5aa8bb7f99a49ed9e474444f683",
+    (4, 1): "c26eeae25a26624179ad2192cc1cc916fb022ad07f84dd5473340e5729f38342",
+}
+
+
+@pytest.mark.parametrize("shape", sorted(Q_TABLE_SHA256))
+def test_norm_table_is_pinned(shape):
+    terms = norm_form(JordanSpec(*shape)).terms
+    assert sha256(repr(terms).encode()).hexdigest() == Q_TABLE_SHA256[shape]
 
 
 def test_unit_and_commutativity():

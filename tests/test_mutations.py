@@ -1,12 +1,14 @@
-"""Seeded bugs in the linear-algebra, polarization and norm-trace layers, each
-pinned to the checks it fails.
+"""Seeded bugs in the unit table of the product kernels and in the
+linear-algebra, polarization and norm-trace layers, each pinned to the checks
+it fails.
 
 A check that no plausible bug can turn to ``fail`` proves nothing, and the
 report cannot tell it from a strong one. Each bug here is monkeypatched into
 one in-process run of ``--k 2 --delta 8 --suite all --trials 1 --seed 7``,
-which must fail exactly the checks pinned to it. The cached frame and norm
-table are cleared before and after each run, so a bug in the Gram inverse or
-in the table neither misses the run nor outlives it.
+which must fail exactly the checks pinned to it. The cached frame, the norm
+table, the unit table and the kernels compiled from it are cleared before and
+after each run, so a bug in the Gram inverse or in either table neither
+misses the run nor outlives it.
 
 A sign flip of one nullspace coordinate is not among the bugs: it cancels
 across the two nullspaces of ``tangent_intersection``, so no check fails.
@@ -14,7 +16,7 @@ across the two nullspaces of ``tangent_intersection``, so no check fails.
 
 import pytest
 
-from jordal import geometry, jordan, linalg, reconstruction
+from jordal import composition, geometry, jordan, linalg, reconstruction
 from jordal.jordan import norm_form
 from jordal.reconstruction import frame
 from jordal.report import FAIL
@@ -32,13 +34,35 @@ def last_diagonal_doubled(out):
     return tuple(rows[:-1]) + (last,), den
 
 
+def e1_e0_negated(table):
+    """The unit table with e_1 e_0 = -e_1 in place of e_1."""
+    (u, sign), rest = table[1][0], table[1][1:]
+    return (table[0], ((u, -sign),) + rest) + table[2:]
+
+
 def first_inverse_entry_plus_one(out):
     rows, den = out
     return (plus_one(rows[0]),) + tuple(rows[1:]), den
 
 
-# name: (module, function, how its result is changed, checks that must fail)
+# name: (module or tuple of modules, function, how its result is changed,
+#        checks that must fail)
 BUGS = {
+    # one sign of the table both product kernels are compiled from: cd_mul
+    # and the Jordan product (so Q's table) are wrong
+    "unit-table-sign": (
+        (composition, jordan), "unit_table", e1_e0_negated,
+        {"adjoint-comatrix", "automorphism-trichotomy", "bracketing-words",
+         "cayley-hamilton", "commutativity", "composite-similarity",
+         "derivative-oracle", "double-adjoint", "double-point", "dual-point",
+         "fourth-power", "homogeneity", "jordan-identity", "lie-triple",
+         "mixed-adjoint", "mult-kernel", "norm-multiplicativity",
+         "norm-semisimilarity", "pairing-product", "power-associativity",
+         "product-reconstruction", "projection-formula",
+         "quadratic-structural", "rank-characterization", "secant-membership",
+         "square-decomposition", "structural-norm-factor",
+         "tangent-intersection", "tangent-rank", "tau-normalized-det",
+         "terracini-dimension", "unit-reduction"}),
     "inverse-entry": (
         reconstruction, "exact_inverse", first_inverse_entry_plus_one,
         {"adjoint-comatrix", "automorphism-trichotomy", "composite-similarity",
@@ -85,21 +109,29 @@ BUGS = {
 }
 
 
+def clear_caches():
+    for cached in (frame, norm_form, composition.unit_table,
+                   composition._mul_kernel, jordan._product_kernel):
+        cached.cache_clear()
+
+
 def failed_checks(monkeypatch, bug=None):
-    """Ids of the checks the (2,8) run fails, with bug patched in if given."""
-    frame.cache_clear()
-    norm_form.cache_clear()
+    """Ids of the checks the (2,8) run fails, with bug patched in if given;
+    a bug given for several modules is patched into each."""
+    clear_caches()
     try:
         if bug:
-            module, name, mutate, _ = BUGS[bug]
-            original = getattr(module, name)
-            monkeypatch.setattr(module, name,
-                                lambda *args: mutate(original(*args)))
+            modules, name, mutate, _ = BUGS[bug]
+            if not isinstance(modules, tuple):
+                modules = (modules,)
+            original = getattr(modules[0], name)
+            for module in modules:
+                monkeypatch.setattr(module, name,
+                                    lambda *args: mutate(original(*args)))
         report = run_suite(RunConfig(k=2, delta=8, suite="all", trials=1, seed=7))
     finally:
         monkeypatch.undo()
-        frame.cache_clear()
-        norm_form.cache_clear()
+        clear_caches()
     return {c.id for c in report.checks if c.status == FAIL}
 
 
