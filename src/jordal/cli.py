@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import sys
 
+from .composition import ALLOWED_DIMS
 from .report import emit_report
 from .runner import (FORMATS, MODES, SUITES, RunConfig, default_seed,
                      dimension_table, run_suite)
@@ -24,7 +25,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser("verify", help="run a verification suite")
     verify.add_argument("--k", type=int, required=True,
                         help="matrix size is k+1 (k >= 2)")
-    verify.add_argument("--delta", type=int, required=True, choices=(1, 2, 4, 8),
+    verify.add_argument("--delta", type=int, required=True, choices=ALLOWED_DIMS,
                         help="dimension of the coordinate algebra")
     verify.add_argument("--suite", default="all", choices=("all",) + SUITES)
     verify.add_argument("--trials", type=int, default=50,
@@ -42,7 +43,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     dims = sub.add_parser("dims", help="print the dimension table")
     dims.add_argument("--k", type=int, required=True)
-    dims.add_argument("--delta", type=int, required=True, choices=(1, 2, 4, 8))
+    dims.add_argument("--delta", type=int, required=True, choices=ALLOWED_DIMS)
     return parser
 
 

@@ -11,8 +11,8 @@ from fractions import Fraction
 from .backend import EXACT
 from .composition import cd_conj, cd_mul, cd_norm
 from .jordan import (JordanElement, JordanSpec, SpecMismatch, char_coeffs,
-                     from_entries, mult_operator)
-from .linalg import SingularMatrix, exact_nullspace, exact_solve, mat_vec
+                     from_entries, mult_operator, reduced)
+from .linalg import SingularMatrix, combine, exact_nullspace, exact_solve, mat_vec
 from .polarization import PolarizedForm, covector_slot, full_polarize, partial_polarize
 from .reconstruction import NormFrame, tau, tau_covector, unit_pairing
 from .rng import COORD_HI, COORD_LO, sample_coords
@@ -167,12 +167,12 @@ def rank_one_double_slot(fr: NormFrame, x: RankOnePoint, fillers):
 def dual_point(fr: NormFrame, x: RankOnePoint, a: JordanElement, backend=EXACT):
     """The hypersurface point x' cut out by x and A, with its tangent covector.
 
-    Returns (x', tau_A(x)). x' = A - [Q(A) / (q Q(x,A,...,A))] x lands on
-    {Q = 0} exactly, and tau_A(x), read from the operator tau_A, is the
-    (projective) tangent hyperplane of the hypersurface there: it is a
-    nonzero multiple of the gradient covector of Q at x', so the two have
-    rank 1 together, and it kills the gradient's nullspace. Raises
-    DualityViolation when any of these claims fails.
+    Returns (x', tau_A(x)), the covector as (nums, den). x' = A - [Q(A) /
+    (q Q(x,A,...,A))] x lands on {Q = 0} exactly, and tau_A(x), read from the
+    operator tau_A, is the (projective) tangent hyperplane of the
+    hypersurface there: it is a nonzero multiple of the gradient covector of
+    Q at x', so the two have rank 1 together, and it kills the gradient's
+    nullspace. Raises DualityViolation when any of these claims fails.
     """
     q = fr.q
     a = fr.element(backend.lift(a.coords()))
@@ -187,13 +187,13 @@ def dual_point(fr: NormFrame, x: RankOnePoint, a: JordanElement, backend=EXACT):
     xp = a - xe.scale(Fraction(qa) / (q * pairing))
     if not backend.is_zero(fr.norm(xp), (1 + xp.max_abs()) ** q):
         raise DualityViolation("Q(x') != 0")
-    hyper_grad = covector_slot(fr.form, [xp.coords()] * (q - 1))
-    if all(v == 0 for v in hyper_grad):
+    hyper_grad, _ = covector_slot(fr.form, [xp.coords()] * (q - 1))
+    if not any(hyper_grad):
         raise SingularConfiguration("x' is a singular hypersurface point")
     # the tangent hyperplane at x' is the kernel of the nonzero gradient
     # there, so tau_A(x) kills it exactly when it is a nonzero multiple
     cov = tau_covector(fr, a, xe)
-    if backend.rank([cov, hyper_grad]) != 1 or not any(cov):
+    if backend.rank([cov[0], hyper_grad]) != 1 or not any(cov[0]):
         raise DualityViolation("tau_A(x) does not kill the tangent "
                                "hyperplane at x'")
     return xp, cov
@@ -205,10 +205,11 @@ def homogeneity_witness(fr: NormFrame, a: JordanElement, b: JordanElement,
     a, b, xe = (fr.element(backend.lift(e.coords())) for e in (a, b, x.element))
     if backend.is_zero(fr.norm(a), 0) or backend.is_zero(fr.norm(b), 0):
         raise SingularConfiguration("need Q(A) != 0 and Q(B) != 0")
-    # tau_A = N / d, so tau_A x = target is N x = d * target
+    # tau_A = N / d and tau_B x = nums / den, so N y = d * nums gives den * image
     t = tau(fr, a)
-    target = [t.denominator * c for c in tau_covector(fr, b, xe)]
-    return fr.element(backend.solve(t.numerators, target))
+    nums, den = tau_covector(fr, b, xe)
+    y = backend.solve(t.numerators, [t.denominator * v for v in nums])
+    return fr.element(y).scale(Fraction(1, den))
 
 
 def tangent_intersection(xa: RankOnePoint, xb: RankOnePoint):
@@ -248,22 +249,18 @@ def product_projection(fr: NormFrame, xa: RankOnePoint,
     cross = partial_polarize(fr.form, fr.unit_coords, q - 2,
                              [a.coords(), b.coords()])
     scal = (k + 1) * (k + 1) * pa * pb - Fraction(k * (k + 1), 2) * cross
-    elems = [fr.element(w) for w in basis]
     # <w_i, w_j> = w_i^T G w_j with G = N / d; the int system N' c = d * rhs,
     # N'[i][j] = w_i^T N w_j, has the same solution as the Gram system
     g = fr.gram
     images = [mat_vec(g.numerators, w) for w in basis]
     gram = [[sum(x * y for x, y in zip(wi, gj)) for gj in images] for wi in basis]
     # <scal*I, w> = scal * Q(I,...,I,w) because tau_I fixes I
-    rhs = [g.denominator * scal * unit_pairing(fr, w) for w in elems]
+    rhs = [g.denominator * scal * unit_pairing(fr, fr.element(w)) for w in basis]
     try:
         coeffs = exact_solve(gram, rhs)
     except SingularMatrix:
         raise DegenerateIntersection("intersection meets its orthogonal space")
-    out = JordanElement.zero(spec)
-    for c, w in zip(coeffs, elems):
-        out = out + w.scale(c)
-    return out
+    return reduced(spec, *combine(coeffs, [(w, 1) for w in basis]))
 
 
 def expected_mult_kernel_dim(spec: JordanSpec) -> int:
@@ -277,10 +274,10 @@ def mult_kernel_dim(x: RankOnePoint, backend=EXACT) -> int:
 
 
 def cone_vertex_stack(form: PolarizedForm, rng):
-    """Stack of dim + 2 covectors v -> F(v, A_i, ..., A_i) for random A_i."""
+    """Numerators of dim + 2 covectors v -> F(v, A_i, ..., A_i), random A_i."""
     out = []
     for _ in range(form.dim + 2):
         a = sample_coords(rng, form.dim)
-        out.append(list(covector_slot(form, [a] * (form.degree - 1))))
+        out.append(list(covector_slot(form, [a] * (form.degree - 1))[0]))
     return out
 

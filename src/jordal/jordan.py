@@ -20,11 +20,12 @@ An element holds the int numerators of its canonical coordinates over one
 positive denominator, in lowest terms; in float mode, floats over 1
 (linalg.over decides the format). The product, sums, scaling, comparisons
 and the characteristic coefficients run on the numerators, so exact
-arithmetic builds no Fraction; coords() builds the coordinate tuple (ints
-and Fractions) once, for callers outside this module. Only this module
-knows the layout: _layout writes it (for from_entries and the product
-kernel) and _grid_from_coords reads it (for grid() and, once per shape, the
-product kernel).
+arithmetic builds no Fraction. ``cleared`` reads an element as (numerators,
+denominator) and ``reduced`` builds one from that pair; coords() builds the
+values (ints and Fractions) once, for polarization arguments and callers
+outside the library. Only this module knows the layout: _layout writes it
+(for from_entries and the product kernel) and _grid_from_coords reads it (for
+grid() and, once per shape, the product kernel).
 
 The generic characteristic coefficients sigma_1..sigma_{k+1} come from
 Newton's identities over the power traces p_m = T(A^m), T = Re Tr; the
@@ -49,7 +50,7 @@ from operator import add, mul, sub
 from .backend import EXACT
 from .composition import (ALLOWED_DIMS, DimensionMismatch, cd_conj, compile_bilinear,
                           unit_table)
-from .linalg import LinearOperator, clear_row_denominators, mat_vec, over
+from .linalg import LinearOperator, clear_row_denominators, over
 from .polarization import PolarizedForm
 from .rng import sample_coords
 
@@ -120,10 +121,6 @@ class JordanElement:
     def __setattr__(self, *_):
         raise AttributeError("JordanElement is immutable")
 
-    @classmethod
-    def zero(cls, spec: JordanSpec) -> "JordanElement":
-        return cls(spec, (0,) * spec.dim)
-
     def coords(self) -> tuple:
         """The canonical coordinates (ints and Fractions, or floats), built
         once."""
@@ -137,18 +134,17 @@ class JordanElement:
         """Full matrix as nested lists of coordinate tuples (conjugated lower)."""
         return _grid_from_coords(self.spec, self.coords())
 
+    @property
+    def cleared(self) -> tuple:
+        """(numerators, denominator): the element as reduced takes it."""
+        return self._nums, self._den
+
     def dot(self, nums, den):
         """The covector nums / den (int numerators over an int denominator,
-        as clear_row_denominators gives it) at this element: one dot of
-        numerators, divided once."""
+        as covector_slot and LinearOperator.apply give it) at this element:
+        one dot of numerators, divided once."""
         (v,), d = over((sum(map(mul, nums, self._nums)),), den * self._den)
         return v if d == 1 else Fraction(v, d)
-
-    def mapped(self, op: LinearOperator):
-        """(numerators, denominator) of op applied to this element: op's
-        rows at this element's numerators, over the product of the two
-        denominators, unreduced, as dot takes it."""
-        return mat_vec(op.numerators, self._nums), op.denominator * self._den
 
     def is_zero(self) -> bool:
         return not any(self._nums)
@@ -168,9 +164,9 @@ class JordanElement:
         self._check(other)
         da, db = self._den, other._den
         if da == db:
-            return _reduced(self.spec, tuple(map(op, self._nums, other._nums)), da)
-        return _reduced(self.spec, tuple(op(x * db, y * da) for x, y in
-                                         zip(self._nums, other._nums)), da * db)
+            return reduced(self.spec, tuple(map(op, self._nums, other._nums)), da)
+        return reduced(self.spec, tuple(op(x * db, y * da) for x, y in
+                                        zip(self._nums, other._nums)), da * db)
 
     def __add__(self, other):
         return self._combine(other, add)
@@ -179,10 +175,8 @@ class JordanElement:
         return self._combine(other, sub)
 
     def scale(self, c) -> "JordanElement":
-        if isinstance(c, (int, Fraction)):
-            return _reduced(self.spec, tuple(c.numerator * v for v in self._nums),
-                            self._den * c.denominator)
-        return JordanElement(self.spec, (c * v for v in self.coords()))
+        (n,), d = clear_row_denominators((c,))
+        return reduced(self.spec, tuple([n * v for v in self._nums]), self._den * d)
 
     def __eq__(self, other):
         if not isinstance(other, JordanElement):
@@ -207,7 +201,7 @@ def _init(e: JordanElement, spec: JordanSpec, nums: tuple, den, coords):
     object.__setattr__(e, "_coords", coords)
 
 
-def _reduced(spec: JordanSpec, nums: tuple, den: int) -> JordanElement:
+def reduced(spec: JordanSpec, nums: tuple, den: int) -> JordanElement:
     """The element nums / den in the number format linalg.over decides: int
     numerators in lowest terms, or, where a float is among them, floats
     over 1."""
@@ -390,8 +384,8 @@ def jordan_mul(a: JordanElement, b: JordanElement) -> JordanElement:
     reduced once, by the gcd of its numerators and denominator.
     """
     a._check(b)
-    return _reduced(a.spec, _sym_product(a.spec, a._nums, b._nums),
-                    2 * a._den * b._den)
+    return reduced(a.spec, _sym_product(a.spec, a._nums, b._nums),
+                   2 * a._den * b._den)
 
 
 def char_coeffs(a: JordanElement) -> tuple:

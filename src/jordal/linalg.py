@@ -3,17 +3,17 @@
 This module decides the one number format of the package: int numerators
 over one positive int denominator in lowest terms, or, once a float is
 involved, floats over 1. ``over`` brings numerators over a denominator to
-that format and ``clear_row_denominators`` takes values to it; no other
-module tests number types to choose between exact and float arithmetic.
+that format, ``clear_row_denominators`` takes values to it and ``combine``
+forms linear combinations in it; no other module tests number types to
+choose between exact and float arithmetic.
 
 Matrices are sequences of rows of ints / Fractions. Each row is cleared to
 int numerators, and one fraction-free (Bareiss) echelon of the int rows
 gives rank, nullspace, determinant, solve and inverse, the last three
 finished by one back-substitution. A nullspace comes back as primitive int
-vectors. A LinearOperator holds int numerators over one denominator, so it
-composes, applies and takes traces on ints, and callers hand its
-``numerators`` to rank, solve and det; Fractions appear only in the values
-that leave (determinants, solutions, ``apply`` results and traces).
+vectors. A LinearOperator holds int numerators over one denominator and
+applies to a vector given the same way, (numerators, denominator); Fractions
+appear only in the scalars that leave (determinants, solutions, traces).
 """
 
 from __future__ import annotations
@@ -70,6 +70,18 @@ def over(nums, den):
     except TypeError:  # math.gcd takes only ints
         return tuple([v / den for v in nums]), 1
     return (nums, den) if g == 1 else (tuple([v // g for v in nums]), den // g)
+
+
+def combine(coeffs, vectors):
+    """sum_i coeffs[i] vectors[i] as (nums, den), for vectors given that way.
+
+    The coefficients are cleared like any values, so a float among them makes
+    every coordinate a float."""
+    cs, d = clear_row_denominators(coeffs)
+    common = lcm(*(d * den for _, den in vectors))
+    terms = [[c * (common // (d * den)) * v for v in nums]
+             for c, (nums, den) in zip(cs, vectors)]
+    return over(tuple(map(sum, zip(*terms))), common)
 
 
 def _echelon(rows, ncols):
@@ -216,10 +228,9 @@ class LinearOperator:
     def dim(self) -> int:
         return len(self.numerators)
 
-    def apply(self, vec):
-        nums, d = clear_row_denominators(vec)
-        out, den = over(mat_vec(self.numerators, nums), self.denominator * d)
-        return out if den == 1 else tuple(Fraction(v, den) for v in out)
+    def apply(self, nums, den):
+        """(numerators, denominator) of the image of the vector nums / den."""
+        return over(mat_vec(self.numerators, nums), self.denominator * den)
 
     def compose(self, other: "LinearOperator") -> "LinearOperator":
         """self after other (matrix product self @ other)."""

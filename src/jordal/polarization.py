@@ -24,7 +24,8 @@ Every argument is first cleared to int numerators over one denominator, so
 the contraction runs on ints and the result is divided once, through
 linalg.over, which decides the number format: exact arguments give exact
 values, and float vectors pass through unchanged, so float mode computes
-in floats.
+in floats. Covectors and pair matrices leave as those numerators over one
+denominator; only a scalar becomes a value.
 """
 
 from __future__ import annotations
@@ -164,8 +165,8 @@ def _multilinear(factors, mono, steps):
 
 
 def _contract(form: PolarizedForm, base, rest, gradient: bool = False):
-    """F~(B^(q-m), r_1..r_m), or with gradient=True the covector slot
-    x -> F~(B^(q-1-m), r_1..r_m, x), in one pass over the monomial table."""
+    """F~(B^(q-m), r_1..r_m), or with gradient=True the covector slot (nums,
+    den) of x -> F~(B^(q-1-m), r_1..r_m, x), in one pass over the table."""
     q = form.degree
     m = len(rest)
     free = q - m - gradient  # how often the base fills a slot
@@ -179,9 +180,9 @@ def _contract(form: PolarizedForm, base, rest, gradient: bool = False):
     num = factorial(free)
     den *= factorial(q)
 
-    def divide(totals):
-        nums, d = over(tuple([t * num for t in totals]), den)
-        return nums if d == 1 else tuple([Fraction(v, d) for v in nums])
+    def value(total):
+        (v,), d = over((total * num,), den)
+        return v if d == 1 else Fraction(v, d)
 
     if not (m or gradient):
         # F(B) itself: with no slots the coefficient is the product of the base
@@ -190,7 +191,7 @@ def _contract(form: PolarizedForm, base, rest, gradient: bool = False):
             for i in mono:
                 c *= base[i]
             total += c
-        return divide((total,))[0]
+        return value(total)
     factors = tuple(zip(*columns))  # factors[i] = (B_i, r_1[i], ..., r_m[i])
     steps = _subset_steps(m)
     # the slots fill m + gradient positions, so a monomial with more
@@ -203,7 +204,7 @@ def _contract(form: PolarizedForm, base, rest, gradient: bool = False):
         for mono, c in form.terms:
             if zeros is None or sum(map(zeros, mono)) <= m:
                 total += c * _multilinear(factors, mono, steps)
-        return divide((total,))[0]
+        return value(total)
     out = [0] * form.dim
     for mono, c in form.terms:
         n = 0 if zeros is None else sum(map(zeros, mono))
@@ -220,7 +221,7 @@ def _contract(form: PolarizedForm, base, rest, gradient: bool = False):
                 for j in others:
                     v *= base[j]
                 out[i] += v
-    return divide(out)
+    return over(tuple([t * num for t in out]), den)
 
 
 def pair_matrix(form: PolarizedForm, base):
@@ -268,9 +269,9 @@ def partial_polarize(form: PolarizedForm, base, mult: int, rest):
 def covector_slot(form: PolarizedForm, fixed):
     """The functional x -> F~(fixed..., x) on the canonical basis.
 
-    Materialized as a coordinate covector of length form.dim: the first
-    fixed argument is the base, and the others that differ from it are the
-    slots.
+    Materialized as (nums, den), nums / den the coordinate covector of
+    length form.dim, in the format linalg.over decides: the first fixed
+    argument is the base, and the others that differ from it are the slots.
     """
     q = form.degree
     fixed = [tuple(f) for f in fixed]

@@ -21,6 +21,8 @@ Q enters as its monomial table (polarization.PolarizedForm), so every
 polarization above is a contraction of that table. A NormFrame holds the
 per-spec shared data (the table, unit covector, the Gram matrix of <.,.>
 and its exact inverse), computed once and shared read-only.
+Covectors stay (numerators, denominator) pairs from covector_slot, through
+LinearOperator.apply, JordanElement.dot and linalg.combine, to jordan.reduced.
 """
 
 from __future__ import annotations
@@ -28,8 +30,9 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .jordan import JordanSpec, JordanElement, identity, norm_form
-from .linalg import LinearOperator, clear_row_denominators, exact_det, exact_inverse
+from .jordan import JordanSpec, JordanElement, identity, norm_form, reduced
+from .linalg import (LinearOperator, clear_row_denominators, combine, exact_det,
+                     exact_inverse)
 from .polarization import PolarizedForm, covector_slot, pair_matrix, partial_polarize
 from .rng import sample_coords
 
@@ -49,7 +52,6 @@ class NormFrame:
         self.unit_coords = self.unit.coords()
         self.unit_covector = covector_slot(
             self.form, [self.unit_coords] * (self.q - 1))
-        self._unit_cleared = clear_row_denominators(self.unit_covector)
         self._gram = None
         self._gram_inv = None
         self._det_gram = None
@@ -110,20 +112,19 @@ def _pair_matrix(fr: NormFrame, m_coords):
 
 
 def unit_pairing(fr: NormFrame, a: JordanElement):
-    """Q(I,...,I,A) via the memoized unit covector, as one dot of int
-    numerators."""
-    return a.dot(*fr._unit_cleared)
+    """Q(I,...,I,A): the memoized unit covector dotted with A's numerators."""
+    return a.dot(*fr.unit_covector)
 
 
 def sharp(fr: NormFrame, covector) -> JordanElement:
-    """The element S with <S, x> = covector(x) for all x."""
-    return fr.element(fr.gram_inv.apply(covector))
+    """The element S with <S, x> = covector(x) for all x; covector = (nums, den)."""
+    return reduced(fr.spec, *fr.gram_inv.apply(*covector))
 
 
 def inner(fr: NormFrame, a: JordanElement, b: JordanElement):
-    """<A,B> = tau_I(A)(B), the Gram pairing: the Gram's int rows at A's
+    """<A,B> = tau_I(A)(B), the Gram pairing: the Gram applied to A's
     numerators, then one dot against B's, divided once."""
-    return b.dot(*a.mapped(fr.gram))
+    return b.dot(*fr.gram.apply(*a.cleared))
 
 
 def tau(fr: NormFrame, m: JordanElement) -> LinearOperator:
@@ -137,7 +138,7 @@ def tau(fr: NormFrame, m: JordanElement) -> LinearOperator:
         raise SingularPoint("tau undefined where Q vanishes")
     q = fr.q
     m_coords = m.coords()
-    g, dg = clear_row_denominators(covector_slot(fr.form, [m_coords] * (q - 1)))
+    g, dg = covector_slot(fr.form, [m_coords] * (q - 1))
     w, dw = _pair_matrix(fr, m_coords)
     (qn,), qd = clear_row_denominators((qm,))
     a = q * dw * qd ** 2
@@ -148,8 +149,8 @@ def tau(fr: NormFrame, m: JordanElement) -> LinearOperator:
 
 
 def tau_covector(fr: NormFrame, m: JordanElement, x: JordanElement):
-    """tau_M(x) as a covector: the operator tau_M applied to x."""
-    return tau(fr, m).apply(x.coords())
+    """tau_M(x) as a covector (nums, den): the operator tau_M applied to x."""
+    return tau(fr, m).apply(*x.cleared)
 
 
 def structural_map(fr: NormFrame, a: JordanElement) -> LinearOperator:
@@ -159,20 +160,16 @@ def structural_map(fr: NormFrame, a: JordanElement) -> LinearOperator:
 
 def reconstructed_product(fr: NormFrame, a: JordanElement,
                           b: JordanElement) -> JordanElement:
-    """A*B rebuilt from polarizations of Q (no matrix multiplication)."""
-    k = fr.q - 1
-    q = fr.q
+    """A*B rebuilt from polarizations of Q (no matrix multiplication), as
+    one combination of the closed formula's four terms."""
+    k, q, unit = fr.q - 1, fr.q, fr.unit_coords
     a_coords, b_coords = a.coords(), b.coords()
-    pa = unit_pairing(fr, a)
-    pb = unit_pairing(fr, b)
-    cross = partial_polarize(fr.form, fr.unit_coords, q - 2, [a_coords, b_coords])
-    cov = covector_slot(fr.form,
-                        [fr.unit_coords] * (q - 3) + [a_coords, b_coords])
-    sharped = sharp(fr, cov)
-    out = sharped.scale(Fraction(k * (k - 1), 2))
-    out = out + b.scale(Fraction(k + 1, 2) * pa) + a.scale(Fraction(k + 1, 2) * pb)
-    out = out - fr.unit.scale(Fraction(k * (k + 1), 2) * cross)
-    return out
+    cross = partial_polarize(fr.form, unit, q - 2, [a_coords, b_coords])
+    sharped = sharp(fr, covector_slot(fr.form, [unit] * (q - 3) + [a_coords, b_coords]))
+    return reduced(fr.spec, *combine(
+        (k * (k - 1) // 2, Fraction(k + 1, 2) * unit_pairing(fr, a),
+         Fraction(k + 1, 2) * unit_pairing(fr, b), -(k * (k + 1) // 2) * cross),
+        (sharped.cleared, b.cleared, a.cleared, fr.unit.cleared)))
 
 
 def _structural_line_derivative(fr: NormFrame, a: JordanElement,
@@ -186,24 +183,21 @@ def _structural_line_derivative(fr: NormFrame, a: JordanElement,
         c4(t) = Q(M)           (degree q, c4(0) = Q(I) = 1),
     and each t-derivative at 0 trades one I for A: c1' = (q-2) Q(I,..,I,A,B,.),
     c2' = (q-1) Q(I,..,I,A,B), c3' = (q-1) Q(I,..,I,A,.), c4' = q Q(I,..,I,A).
+    phi = -(q-1) c1/c4 + q c2 c3/c4^2, whose derivative combines the covectors.
     """
-    q = fr.q
-    unit = fr.unit_coords
-    a_coords = a.coords()
-    b_coords = b.coords()
-    c1_0 = covector_slot(fr.form, [unit] * (q - 2) + [b_coords])
-    c1_d = [(q - 2) * v for v in
-            covector_slot(fr.form, [unit] * (q - 3) + [a_coords, b_coords])]
+    q, unit = fr.q, fr.unit_coords
+    a_coords, b_coords = a.coords(), b.coords()
     c2_0 = unit_pairing(fr, b)
     c2_d = (q - 1) * partial_polarize(fr.form, unit, q - 2, [a_coords, b_coords])
-    c3_0 = fr.unit_covector
-    c3_d = [(q - 1) * v for v in covector_slot(fr.form, [unit] * (q - 2) + [a_coords])]
     c4_d = q * unit_pairing(fr, a)
-    phi_d = tuple(
-        -(q - 1) * (c1_d[c] - c1_0[c] * c4_d)
-        + q * (c2_d * c3_0[c] + c2_0 * c3_d[c] - 2 * c2_0 * c3_0[c] * c4_d)
-        for c in range(fr.spec.dim))
-    return fr.element(fr.gram_inv.apply(phi_d))
+    phi_d = combine(
+        ((q - 1) * c4_d, -(q - 1) * (q - 2),
+         q * c2_d - 2 * q * c2_0 * c4_d, q * (q - 1) * c2_0),
+        (covector_slot(fr.form, [unit] * (q - 2) + [b_coords]),
+         covector_slot(fr.form, [unit] * (q - 3) + [a_coords, b_coords]),
+         fr.unit_covector,
+         covector_slot(fr.form, [unit] * (q - 2) + [a_coords])))
+    return sharp(fr, phi_d)
 
 
 def derivative_product_oracle(fr: NormFrame, a: JordanElement,

@@ -31,9 +31,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .backend import EXACT, FloatBackend, TrialOutcome
-from .composition import cd_mul, cd_norm
+from .composition import ALLOWED_DIMS, cd_mul, cd_norm
 from .jordan import (JordanElement, JordanSpec, identity, jordan_identity_residual,
-                     jordan_mul, jordan_rank, mult_operator, quadratic_rep)
+                     jordan_mul, jordan_rank, mult_operator, quadratic_rep, reduced)
 from .polarization import covector_slot, partial_polarize
 from .reconstruction import (NormFrame, SingularPoint, derivative_product_oracle,
                              frame, inner, orbit_map_derivative,
@@ -60,7 +60,6 @@ from .rng import sample_coords, stream_rng
 SUITES = ("algebra", "mccrimmon", "geometry", "symmetric", "severi", "negative")
 MODES = ("exact", "float")
 FORMATS = ("json", "csv", "text")
-_DELTAS = (1, 2, 4, 8)
 
 # a degenerate draw, not a counterexample: the trial runs its body again
 _RESAMPLE = (SingularConfiguration, SingularPoint, DegenerateIntersection)
@@ -86,8 +85,9 @@ class RunConfig:
     def validate(self) -> "RunConfig":
         if not isinstance(self.k, int) or self.k < 2:
             raise InvalidConfig(f"k must be an integer >= 2, got {self.k!r}")
-        if self.delta not in _DELTAS:
-            raise InvalidConfig(f"delta must be one of {_DELTAS}, got {self.delta!r}")
+        if self.delta not in ALLOWED_DIMS:
+            raise InvalidConfig(f"delta must be one of {ALLOWED_DIMS}, "
+                                f"got {self.delta!r}")
         if self.suite != "all" and self.suite not in SUITES:
             raise InvalidConfig(f"unknown suite {self.suite!r}; pick from "
                                 f"{('all',) + SUITES}")
@@ -245,7 +245,7 @@ def _ck_norm_semisimilarity(env, rng):
     fr = env.frame
     a = env.sample_invertible(rng)
     b = env.sample(rng)
-    hb = fr.element(structural_map(fr, a).apply(b.coords()))
+    hb = reduced(env.spec, *structural_map(fr, a).apply(*b.cleared))
     qa = fr.norm(a)
     return env.backend.close_scalars(fr.norm(hb) * qa * qa, fr.norm(b))
 
@@ -266,7 +266,7 @@ def _ck_tau_symmetry(env, rng):
     b, c = env.sample(rng), env.sample(rng)
     q, qm = fr.q, fr.norm(m)
     mc, bc, cc = m.coords(), b.coords(), c.coords()
-    read = sum(x * y for x, y in zip(tau_covector(fr, m, c), bc)) * qm * qm
+    read = b.dot(*tau_covector(fr, m, c)) * qm * qm
     closed = (q * partial_polarize(fr.form, mc, q - 1, [bc])
               * partial_polarize(fr.form, mc, q - 1, [cc])
               - (q - 1) * qm * partial_polarize(fr.form, mc, q - 2, [bc, cc]))

@@ -9,7 +9,7 @@ from fractions import Fraction
 
 from .backend import EXACT
 from .jordan import (JordanElement, from_entries, identity, jordan_mul,
-                     operator_from_action, random_element)
+                     operator_from_action, random_element, reduced)
 from .linalg import LinearOperator
 from .reconstruction import NormFrame, inner, structural_map
 
@@ -58,8 +58,9 @@ class GroupElementSample:
         lam = None
         for _ in range(_SIMILARITY_PROBES):
             m = backend.lift(fr.random_invertible(rng).coords())
-            # an exact quotient of exact norms; floats divide as floats
-            ratio = Fraction(fr.form(operator.apply(m))) / fr.form(m)
+            # Q(nums / den) = Q(nums) / den^q, exact; floats divide as floats
+            nums, den = operator.apply(m, 1)
+            ratio = Fraction(fr.form(nums)) / (den ** fr.q * fr.form(m))
             if lam is None:
                 lam = ratio
             elif not backend.close_scalars(ratio, lam).ok:
@@ -76,7 +77,7 @@ class GroupElementSample:
         raise AttributeError("GroupElementSample is immutable")
 
     def apply(self, a: JordanElement) -> JordanElement:
-        return self.frame.element(self.operator.apply(a.coords()))
+        return reduced(a.spec, *self.operator.apply(*a.cleared))
 
     def __repr__(self):
         return f"GroupElementSample({self.provenance}, factor={self.norm_factor})"

@@ -261,6 +261,14 @@ def transpose(rows):
     return tuple(zip(*rows))
 
 
+def vector_values(pair):
+    """The vector nums / den of a (numerators, denominator) pair, as covector
+    slots and operator images come, as values: Fractions over den, or the
+    numerators as they are (ints or floats) when den is 1."""
+    nums, den = pair
+    return nums if den == 1 else tuple(Fraction(v, den) for v in nums)
+
+
 def values(op: LinearOperator):
     """The entries of op as values: Fractions over its denominator, or its
     numerators as they are (ints or floats) when that is 1."""
@@ -321,8 +329,8 @@ def closed_form_tau_covector(fr, m: JordanElement, x: JordanElement):
     q, qm = fr.q, Fraction(fr.norm(m))
     m, x = m.coords(), x.coords()
     s = partial_polarize(fr.form, m, q - 1, [x])
-    g = covector_slot(fr.form, [m] * (q - 1))
-    w = covector_slot(fr.form, [m] * (q - 2) + [x])
+    g = vector_values(covector_slot(fr.form, [m] * (q - 1)))
+    w = vector_values(covector_slot(fr.form, [m] * (q - 2) + [x]))
     return tuple(q * s * gc / qm ** 2 - (q - 1) * wc / qm for gc, wc in zip(g, w))
 
 
@@ -414,10 +422,10 @@ def interpolated_line_derivative(fr, a: JordanElement, b: JordanElement):
     d1 = derivative_at_zero_weights(tuple(range(q - 1)))
     d2 = derivative_at_zero_weights(tuple(range(q)))
     d4 = derivative_at_zero_weights(tuple(range(q + 1)))
-    c1 = [covector_slot(fr.form, [m_at(t)] * (q - 2) + [b_coords])
+    c1 = [vector_values(covector_slot(fr.form, [m_at(t)] * (q - 2) + [b_coords]))
           for t in range(q - 1)]
     c2 = [partial_polarize(fr.form, m_at(t), q - 1, [b_coords]) for t in range(q)]
-    c3 = [covector_slot(fr.form, [m_at(t)] * (q - 1)) for t in range(q)]
+    c3 = [vector_values(covector_slot(fr.form, [m_at(t)] * (q - 1))) for t in range(q)]
     c4 = [fr.form(m_at(t)) for t in range(q + 1)]
     c1_d = [sum(w * s[c] for w, s in zip(d1, c1)) for c in range(dim)]
     c2_d = sum(w * s for w, s in zip(d2, c2))
@@ -427,4 +435,4 @@ def interpolated_line_derivative(fr, a: JordanElement, b: JordanElement):
         -(q - 1) * (c1_d[c] - c1[0][c] * c4_d)
         + q * (c2_d * c3[0][c] + c2[0] * c3_d[c] - 2 * c2[0] * c3[0][c] * c4_d)
         for c in range(dim))
-    return fr.element(fr.gram_inv.apply(phi_d))
+    return fr.element(vector_values(fr.gram_inv.apply(*clear_row_denominators(phi_d))))

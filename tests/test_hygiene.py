@@ -17,10 +17,13 @@ which the runner reports as ``fail``; ``raise AssertionError`` would stop
 the run instead, so the library may not raise it.
 
 Only ``linalg.py`` decides the number format (int numerators over one
-denominator, or floats over 1), through ``over`` and
-``clear_row_denominators``. No other library module may catch TypeError (the
-error math.gcd raises on a float), read ``EXACT_TYPES``, or ask
-``isinstance(x, float)`` to pick between exact and float arithmetic.
+denominator, or floats over 1), through ``over``, ``clear_row_denominators``
+and ``combine``. No other library module may catch TypeError (the error
+math.gcd raises on a float), read ``EXACT_TYPES``, or ask
+``isinstance(x, float)`` to pick between exact and float arithmetic, nor
+``isinstance(x, Fraction)`` (alone or in a tuple of types) to pick between
+numerators and values; ``report.py`` may, since it only formats values for
+output.
 
 A name with a leading underscore is private to its module: no library
 module may import one from another (``from .x import _name``), since that
@@ -280,8 +283,14 @@ def test_number_format_decided_in_linalg():
                   or isinstance(n, ast.Attribute) and n.attr == "EXACT_TYPES"):
                 found.append(f"{name}:{n.lineno} EXACT_TYPES")
             elif (isinstance(n, ast.Call) and getattr(n.func, "id", None) == "isinstance"
-                  and len(n.args) == 2 and getattr(n.args[1], "id", None) == "float"):
-                found.append(f"{name}:{n.lineno} isinstance(..., float)")
+                  and len(n.args) == 2):
+                kind = n.args[1]
+                kinds = {getattr(t, "id", None) or getattr(t, "attr", None)
+                         for t in getattr(kind, "elts", [kind])}
+                if getattr(kind, "id", None) == "float":
+                    found.append(f"{name}:{n.lineno} isinstance(..., float)")
+                elif "Fraction" in kinds and name != "report.py":
+                    found.append(f"{name}:{n.lineno} isinstance(..., Fraction)")
     assert found == []
 
 

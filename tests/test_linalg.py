@@ -30,7 +30,7 @@ from jordal.reconstruction import frame, structural_map, tau
 from jordal.rng import stream_rng
 from oracles import (gauss_det, gauss_inverse, gauss_rank, gauss_solve,
                      identity_matrix, is_symmetric, operator, primitive_integer_vector,
-                     proportional, transpose, transpose_op, values)
+                     proportional, transpose, transpose_op, values, vector_values)
 
 
 def random_matrix(rng, nrows, ncols, rational=False, deficient=0):
@@ -297,7 +297,7 @@ def test_linear_operator_tags_and_compose():
     b = operator(((2, 0), (0, 3)), "V*", "V")
     c = b.compose(a)  # first a, then b: V -> V
     assert c.domain == "V" and c.codomain == "V"
-    assert c.apply((1, 0)) == (2, 0)
+    assert c.apply((1, 0), 1) == ((2, 0), 1)
     with pytest.raises(TagMismatch):
         a.compose(a)
     t = transpose_op(a)
@@ -319,7 +319,7 @@ def test_linear_operator_numerators():
     c = a.compose(b)
     assert values(c) == mat_mul(values(a), values(b))
     assert all(type(v) is int for row in c.numerators for v in row)
-    assert c.apply((1, Fraction(1, 3))) == mat_vec(values(c), (1, Fraction(1, 3)))
+    assert vector_values(c.apply((3, 1), 3)) == mat_vec(values(c), (1, Fraction(1, 3)))
     assert c.trace() == Fraction(3, 8) + Fraction(1, 2)
     # a float factor takes the denominator in: floats over 1
     f = operator(((0.5, 1.5), (2.0, -1.0)))
@@ -328,5 +328,6 @@ def test_linear_operator_numerators():
         assert op.denominator == 1
         assert all(type(v) is float for row in op.numerators for v in row)
     assert values(a.compose(f)) == ((0.25, 0.75), (0.375 + 2.0, 1.125 - 1.0))
-    assert all(type(v) is float for v in a.apply((1.0, 3.0)))
-    assert a.apply((1.0, 3.0)) == (0.5, 0.75 + 3.0)
+    image, den = a.apply((1.0, 3.0), 1)
+    assert den == 1 and all(type(v) is float for v in image)
+    assert image == (0.5, 0.75 + 3.0)

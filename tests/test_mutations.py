@@ -1,6 +1,6 @@
-"""Seeded bugs in the unit table of the product kernels and in the
-linear-algebra, polarization and norm-trace layers, each pinned to the checks
-it fails.
+"""Seeded bugs in the unit table of the product kernels, in Q's monomial
+table and in the linear-algebra, polarization and norm-trace layers, each
+pinned to the checks it fails.
 
 A check that no plausible bug can turn to ``fail`` proves nothing, and the
 report cannot tell it from a strong one. Each bug here is monkeypatched into
@@ -13,6 +13,8 @@ misses the run nor outlives it.
 A sign flip of one nullspace coordinate is not among the bugs: it cancels
 across the two nullspaces of ``tangent_intersection``, so no check fails.
 """
+
+import copy
 
 import pytest
 
@@ -43,6 +45,19 @@ def e1_e0_negated(table):
 def first_inverse_entry_plus_one(out):
     rows, den = out
     return (plus_one(rows[0]),) + tuple(rows[1:]), den
+
+
+def first_numerator_plus_one(out):
+    nums, den = out
+    return plus_one(nums), den
+
+
+def last_coordinate_dropped(form):
+    """A copy of the form whose table drops every term that contains the
+    last coordinate, so Q ignores it."""
+    out = copy.copy(form)
+    out.terms = tuple((mono, c) for mono, c in form.terms if form.dim - 1 not in mono)
+    return out
 
 
 # name: (module or tuple of modules, function, how its result is changed,
@@ -88,6 +103,25 @@ BUGS = {
          "product-reconstruction", "projection-formula", "quadratic-structural",
          "scalar-reduction", "sharp-identity", "square-decomposition",
          "structural-norm-factor", "tau-normalized-det", "tau-symmetry",
+         "unit-reduction"}),
+    # the one combination routine: the closed product formula, the
+    # derivative route's covector and the projection's element
+    "combine-entry": (
+        (reconstruction, geometry), "combine", first_numerator_plus_one,
+        {"derivative-oracle", "orbit-derivative", "product-reconstruction",
+         "projection-formula"}),
+    # Q's table without the terms of the last coordinate: Q ignores it, so
+    # the Gram is singular and no covector has a last entry
+    "q-ignores-last-coordinate": (
+        reconstruction, "norm_form", last_coordinate_dropped,
+        {"adjoint-comatrix", "automorphism-trichotomy", "cayley-hamilton",
+         "composite-similarity", "cone-vertex", "derivative-oracle",
+         "double-adjoint", "double-point", "dual-point", "fourth-power",
+         "homogeneity", "mixed-adjoint", "norm-semisimilarity",
+         "orbit-derivative", "pairing-product", "permutation-similarity",
+         "product-reconstruction", "projection-formula", "quadratic-structural",
+         "rank-characterization", "scalar-reduction", "sharp-identity",
+         "square-decomposition", "structural-norm-factor", "tau-normalized-det",
          "unit-reduction"}),
     "nullspace-entries": (geometry, "exact_nullspace",
                           lambda basis: [plus_one(v) for v in basis],

@@ -19,7 +19,8 @@ from jordal.polarization import (
 )
 from jordal.reconstruction import _pair_matrix, frame
 from jordal.rng import sample_coords, stream_rng
-from oracles import derivative_at_zero_weights, inclusion_exclusion_polarize
+from oracles import (derivative_at_zero_weights, inclusion_exclusion_polarize,
+                     vector_values)
 
 
 def cube_form():
@@ -88,7 +89,7 @@ def test_covector_slot_matches_partials():
     rng = stream_rng(22, "cov")
     a = sample_coords(rng, spec.dim)
     b = sample_coords(rng, spec.dim)
-    cov = covector_slot(form, [a, b])
+    cov = vector_values(covector_slot(form, [a, b]))
     assert len(cov) == spec.dim
     for c in range(spec.dim):
         e_c = tuple(int(i == c) for i in range(spec.dim))
@@ -240,7 +241,7 @@ def test_table_matches_inclusion_exclusion(k, delta, kind):
     e_last = tuple(int(i == form.dim - 1) for i in range(form.dim))
     for fixed in ([base] * (q - 2) + [rest[0]],
                   [base] * (q - 3) + [rest[0], rest[1]]):
-        cov = covector_slot(form, fixed)
+        cov = vector_values(covector_slot(form, fixed))
         mult = fixed.count(base)
         others = [exact(f) for f in fixed[mult:]]
         assert_agrees(pairing(cov, x), inclusion_exclusion_polarize(
@@ -270,7 +271,7 @@ def test_every_slot_count_matches_inclusion_exclusion(k, delta, kind):
         assert_agrees(partial_polarize(form, point, q - m, slots), want, kind)
         if m == q:
             continue
-        cov = _contract(form, point, slots, gradient=True)
+        cov = vector_values(_contract(form, point, slots, gradient=True))
         assert len(cov) == form.dim
         assert_agrees(pairing(cov, x), inclusion_exclusion_polarize(
             form, exact(point), q - 1 - m, [exact(r) for r in slots] + [exact(x)]),
@@ -288,12 +289,12 @@ def test_zero_base_and_repeated_base_match_inclusion_exclusion(k, delta, kind):
     args = [a, a] + [base] * (q - 2)
     assert_agrees(full_polarize(form, args), inclusion_exclusion_polarize(
         form, (0,) * form.dim, 0, [exact(v) for v in args]), kind)
-    cov = _contract(form, (0,) * form.dim, args[1:], gradient=True)
+    cov = vector_values(_contract(form, (0,) * form.dim, args[1:], gradient=True))
     assert_agrees(pairing(cov, x), inclusion_exclusion_polarize(
         form, (0,) * form.dim, 0, [exact(v) for v in args[1:]] + [exact(x)]), kind)
     # fixed arguments that repeat the base apart from its first place
     fixed = [base, a] + [base] * (q - 3)
-    assert_agrees(pairing(covector_slot(form, fixed), x),
+    assert_agrees(pairing(vector_values(covector_slot(form, fixed)), x),
                   inclusion_exclusion_polarize(form, exact(base), q - 2,
                                                [exact(a), exact(x)]), kind)
 
@@ -325,7 +326,8 @@ def test_pair_matrix_matches_inclusion_exclusion(k, delta, kind):
     # row by row, the covector slots Q(M,..,M,e_i,.)
     for i, row in enumerate(w):
         e_i = tuple(int(c == i) for c in range(spec.dim))
-        for got, want in zip(row, covector_slot(fr.form, [m] * (fr.q - 2) + [e_i])):
+        for got, want in zip(row, vector_values(
+                covector_slot(fr.form, [m] * (fr.q - 2) + [e_i]))):
             assert_agrees(got, want, kind)
 
 

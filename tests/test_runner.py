@@ -222,8 +222,9 @@ from jordal.runner import CHECKS, RunConfig, RunEnv, _run_check
 honest = geometry.tau_covector
 
 def corrupted(fr, m, x):
-    cov = honest(fr, m, x)
-    return (cov[0] + 1,) + cov[1:]
+    # the first entry of the covector nums / den raised by one
+    nums, den = honest(fr, m, x)
+    return (nums[0] + den,) + nums[1:], den
 
 geometry.tau_covector = corrupted
 env = RunEnv(RunConfig(k=2, delta=1, suite="geometry", trials=2).validate())
