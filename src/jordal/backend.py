@@ -43,6 +43,9 @@ class ExactBackend:
         return self.small(lhs - rhs, None)
 
     def close_elements(self, lhs, rhs) -> TrialOutcome:
+        # equal elements give what the subtraction would: err the int 0
+        if lhs == rhs:
+            return TrialOutcome(True, 0)
         return self.small((lhs - rhs).max_abs(), None)
 
     # linalg is read at call time, so a tracer that patches it sees the calls

@@ -222,7 +222,7 @@ def basis_element(spec: JordanSpec, idx: int) -> JordanElement:
 
 
 def random_element(spec: JordanSpec, rng) -> JordanElement:
-    return JordanElement(spec, sample_coords(rng, spec.dim))
+    return reduced(spec, sample_coords(rng, spec.dim), 1)
 
 
 def from_entries(spec: JordanSpec, entry) -> JordanElement:

@@ -131,7 +131,8 @@ class RunEnv:
         return frame(self.spec)
 
     def sample(self, rng) -> JordanElement:
-        return JordanElement(self.spec, self.backend.lift(sample_coords(rng, self.spec.dim)))
+        # drawn ints (or their floats) over 1 are already in the number format
+        return reduced(self.spec, self.backend.lift(sample_coords(rng, self.spec.dim)), 1)
 
     def sample_invertible(self, rng) -> JordanElement:
         return JordanElement(

@@ -6,9 +6,10 @@ multiplication table (the rule the library's unrolled kernel encodes),
 Leibniz determinants, Fraction-based Gaussian elimination, classical
 cofactor adjugates, Newton's identities over Fractions on the traces of
 iterated Jordan products, polarization by inclusion-exclusion over black-box
-evaluations of a form, t-derivatives by exact Lagrange interpolation, and
+evaluations of a form, t-derivatives by exact Lagrange interpolation,
 the closed polarized formulas of the pairing and of tau_M(x) that the
-library reads from the one operator tau instead.
+library reads from the one operator tau instead, and the standard library's
+randint for the coordinate draws the library reads from getrandbits words.
 It also holds the small matrix, vector and element helpers that only tests
 use. None of it is imported by the package itself.
 """
@@ -21,6 +22,7 @@ from math import factorial, gcd
 from jordal.jordan import JordanElement, from_entries, identity, jordan_mul
 from jordal.linalg import LinearOperator, clear_row_denominators, common_denominator
 from jordal.polarization import covector_slot, partial_polarize
+from jordal.rng import COORD_HI, COORD_LO
 
 
 @lru_cache(maxsize=None)
@@ -436,3 +438,9 @@ def interpolated_line_derivative(fr, a: JordanElement, b: JordanElement):
         + q * (c2_d * c3[0][c] + c2[0] * c3_d[c] - 2 * c2[0] * c3[0][c] * c4_d)
         for c in range(dim))
     return fr.element(vector_values(fr.gram_inv.apply(*clear_row_denominators(phi_d))))
+
+
+def randint_coords(rng, n: int) -> tuple:
+    """n coordinates drawn by rng.randint, the route rng.sample_coords
+    writes out on getrandbits words."""
+    return tuple(rng.randint(COORD_LO, COORD_HI) for _ in range(n))

@@ -33,6 +33,11 @@ A trial draws again only from ``runner._run_one_trial``: it alone reads
 ``_RESAMPLE``, and no library ``except`` clause names a resample class, so no
 second redraw loop can grow back around a sampler or a check body.
 
+Coordinates are drawn in one place, ``rng.sample_coords``, which reads
+getrandbits words itself: no library module calls ``randint``, so a report's
+draws rest on MT19937's words and not on the standard library's ``randint``
+code. Other draws (``randrange``, ``choice``, ``shuffle``) may stay.
+
 The traced benchmark (``perfbench/run.py --trace 1``) patches library
 functions by name, so every name it patches must still resolve.
 """
@@ -291,6 +296,16 @@ def test_number_format_decided_in_linalg():
                     found.append(f"{name}:{n.lineno} isinstance(..., float)")
                 elif "Fraction" in kinds and name != "report.py":
                     found.append(f"{name}:{n.lineno} isinstance(..., Fraction)")
+    assert found == []
+
+
+def test_coordinates_drawn_in_rng():
+    found = []
+    for path in modules():
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found.extend(f"{path.name}:{n.lineno}" for n in ast.walk(tree)
+                     if isinstance(n, ast.Call)
+                     and getattr(n.func, "attr", None) == "randint")
     assert found == []
 
 
