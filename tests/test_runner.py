@@ -189,6 +189,19 @@ def test_cache_state_does_not_change_bytes():
     assert cold == warm
 
 
+def test_algebra_suite_builds_no_frame():
+    # the algebra suite's identities read only the product and the
+    # composition norm; a side that touched env.frame would build the frame
+    # and Q's table on every cold product-kernel run
+    clear_shared_caches()
+    try:
+        run_suite(RunConfig(k=3, delta=4, suite="algebra", trials=2, seed=0))
+        sizes = [cached.cache_info().currsize for cached in (frame, norm_form)]
+    finally:
+        clear_shared_caches()
+    assert sizes == [0, 0]
+
+
 def test_seed_changes_sampled_witnesses():
     rep1 = run_suite(RunConfig(k=3, delta=8, suite="negative", trials=5, seed=1))
     rep2 = run_suite(RunConfig(k=3, delta=8, suite="negative", trials=5, seed=2))
