@@ -96,7 +96,7 @@ class FloatBackend:
         import numpy
         x = numpy.linalg.solve(numpy.array(rows, dtype=float),
                                numpy.array(rhs, dtype=float))
-        return tuple(float(v) for v in x)
+        return tuple(float(v) for v in x), 1
 
     def det_ratio(self, rows, den, base, power) -> TrialOutcome:
         """det(rows) / den against base ** power, compared in log space.

@@ -208,8 +208,8 @@ def homogeneity_witness(fr: NormFrame, a: JordanElement, b: JordanElement,
     # tau_A = N / d and tau_B x = nums / den, so N y = d * nums gives den * image
     t = tau(fr, a)
     nums, den = tau_covector(fr, b, xe)
-    y = backend.solve(t.numerators, [t.denominator * v for v in nums])
-    return fr.element(y).scale(Fraction(1, den))
+    y, d = backend.solve(t.numerators, [t.denominator * v for v in nums])
+    return reduced(fr.spec, y, d * den)
 
 
 def tangent_intersection(xa: RankOnePoint, xb: RankOnePoint):
@@ -257,10 +257,10 @@ def product_projection(fr: NormFrame, xa: RankOnePoint,
     # <scal*I, w> = scal * Q(I,...,I,w) because tau_I fixes I
     rhs = [g.denominator * scal * unit_pairing(fr, fr.element(w)) for w in basis]
     try:
-        coeffs = exact_solve(gram, rhs)
+        coeffs, d = exact_solve(gram, rhs)
     except SingularMatrix:
         raise DegenerateIntersection("intersection meets its orthogonal space")
-    return reduced(spec, *combine(coeffs, [(w, 1) for w in basis]))
+    return reduced(spec, *combine(coeffs, [(w, d) for w in basis]))
 
 
 def expected_mult_kernel_dim(spec: JordanSpec) -> int:

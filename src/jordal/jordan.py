@@ -438,14 +438,6 @@ def quadratic_rep(a: JordanElement) -> LinearOperator:
     return LinearOperator(nums, d1 * d2, "V", "V")
 
 
-def jordan_identity_residual(a: JordanElement, b: JordanElement):
-    """Max residual coordinate of (A*B)*A^2 - A*(B*A^2)."""
-    a2 = jordan_mul(a, a)
-    lhs = jordan_mul(jordan_mul(a, b), a2)
-    rhs = jordan_mul(a, jordan_mul(b, a2))
-    return (lhs - rhs).max_abs()
-
-
 @lru_cache(maxsize=None)
 def norm_form(spec: JordanSpec) -> PolarizedForm:
     """The generic norm as a polarizable degree-(k+1) form on coordinates.

@@ -13,7 +13,7 @@ gives rank, nullspace, determinant, solve and inverse, the last three
 finished by one back-substitution. A nullspace comes back as primitive int
 vectors. A LinearOperator holds int numerators over one denominator and
 applies to a vector given the same way, (numerators, denominator); Fractions
-appear only in the scalars that leave (determinants, solutions, traces).
+appear only in the scalars that leave (determinants, traces).
 """
 
 from __future__ import annotations
@@ -180,9 +180,9 @@ def _solve(rows, rhs):
 
 
 def exact_solve(rows, rhs):
-    """Solve R x = rhs exactly; raises SingularMatrix if R is singular."""
+    """x with R x = rhs as (numerators, denominator); raises SingularMatrix."""
     (x,), den = _solve(rows, [[b] for b in rhs])
-    return tuple(Fraction(v, den) for v in x)
+    return over(tuple(x), den)
 
 
 def exact_inverse(rows):

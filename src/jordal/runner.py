@@ -10,12 +10,17 @@ draw is degenerate (a ``_RESAMPLE`` exception) runs its check body again on
 the rest of the same stream, up to 64 runs; ``_run_one_trial`` is the only
 place that draws again.
 
-One backend object (backend.py) decides the arithmetic mode, and each check
-has one body that runs in both modes: exact mode uses rational arithmetic
-and zero tolerance, float mode lifts sampled elements to floats, compares
-against a scaled tolerance and takes ranks and solves with numpy. Discrete
-constructions (rank-one vectors, permutation operators) are always built
-over the integers because the claims are about what is built from them.
+Most claims are sampled identities, stated once in their ``CHECKS`` entry
+beside the anchor: ``_ck_identity(operands, sides)`` draws one operand per
+letter (see ``_OPERANDS``), all before either side, and compares the two
+elements or scalars that ``sides`` returns. Checks of ranks, dimensions and
+group actions, the scaled-residual checks and those with draws or verdicts
+of their own keep their own bodies.
+
+One backend object (backend.py) decides the arithmetic mode, and every body
+runs in both modes through it. Discrete constructions (rank-one vectors,
+permutation operators) are always built over the integers because the
+claims are about what is built from them.
 
 Shapes where a claim's hypotheses fail are reported as skips: everything
 that needs the commutative product to satisfy the defining identity (the
@@ -32,8 +37,8 @@ from fractions import Fraction
 
 from .backend import EXACT, FloatBackend, TrialOutcome
 from .composition import ALLOWED_DIMS, cd_mul, cd_norm
-from .jordan import (JordanElement, JordanSpec, identity, jordan_identity_residual,
-                     jordan_mul, jordan_rank, mult_operator, quadratic_rep, reduced)
+from .jordan import (JordanElement, JordanSpec, identity, jordan_mul,
+                     jordan_rank, mult_operator, quadratic_rep, reduced)
 from .polarization import covector_slot, partial_polarize
 from .reconstruction import (NormFrame, SingularPoint, derivative_product_oracle,
                              frame, inner, orbit_map_derivative,
@@ -156,122 +161,91 @@ def _is_counterexample_shape(env: RunEnv) -> bool:
 
 
 # --------------------------------------------------------------------------
+# sampled identities
+
+
+# what each operand letter draws: an element, one with Q != 0, lifted
+# composition-algebra coordinates, a rank-one point (looked up at call time,
+# so a tracer that patches sample_rank_one sees the call)
+_OPERANDS = {
+    "s": RunEnv.sample,
+    "i": RunEnv.sample_invertible,
+    "c": lambda env, rng: env.backend.lift(sample_coords(rng, env.spec.delta)),
+    "r": lambda env, rng: sample_rank_one(env.spec, rng),
+}
+
+
+def _draw(env, rng, operands):
+    """One operand per letter of ``operands``, drawn in that order."""
+    return [_OPERANDS[kind](env, rng) for kind in operands]
+
+
+def _ck_identity(operands, sides):
+    """The body of a sampled identity: every operand is drawn first, then
+    sides(env, *operands) gives two elements or two scalars that must agree."""
+    def run(env, rng):
+        lhs, rhs = sides(env, *_draw(env, rng, operands))
+        if isinstance(lhs, JordanElement):
+            return env.backend.close_elements(lhs, rhs)
+        return env.backend.close_scalars(lhs, rhs)
+
+    return run
+
+
+# --------------------------------------------------------------------------
 # algebra suite
 
 
-def _ck_unit_law(env, rng):
-    a = env.sample(rng)
-    return env.backend.close_elements(jordan_mul(env.unit, a), a)
-
-
-def _ck_commutativity(env, rng):
-    a, b = env.sample(rng), env.sample(rng)
-    return env.backend.close_elements(jordan_mul(a, b), jordan_mul(b, a))
-
-
-def _ck_jordan_identity(env, rng):
-    a, b = env.sample(rng), env.sample(rng)
+def _jordan_sides(_env, a, b):
     sq = jordan_mul(a, a)
-    lhs = jordan_mul(a, jordan_mul(b, sq))
-    rhs = jordan_mul(jordan_mul(a, b), sq)
-    return env.backend.close_elements(lhs, rhs)
+    return jordan_mul(a, jordan_mul(b, sq)), jordan_mul(jordan_mul(a, b), sq)
 
 
-def _ck_power_associativity(env, rng):
-    a = env.sample(rng)
+def _power_sides(_env, a):
     sq = jordan_mul(a, a)
-    return env.backend.close_elements(jordan_mul(sq, sq),
-                                      jordan_mul(a, jordan_mul(a, sq)))
-
-
-def _ck_norm_multiplicativity(env, rng):
-    d = env.spec.delta
-    x = env.backend.lift(sample_coords(rng, d))
-    y = env.backend.lift(sample_coords(rng, d))
-    return env.backend.close_scalars(cd_norm(cd_mul(x, y, d)), cd_norm(x) * cd_norm(y))
+    return jordan_mul(sq, sq), jordan_mul(a, jordan_mul(a, sq))
 
 
 # --------------------------------------------------------------------------
 # mccrimmon suite
 
 
-def _ck_product_reconstruction(env, rng):
-    a, b = env.sample(rng), env.sample(rng)
-    return env.backend.close_elements(reconstructed_product(env.frame, a, b),
-                                      jordan_mul(a, b))
-
-
-def _ck_derivative_oracle(env, rng):
-    a, b = env.sample(rng), env.sample(rng)
-    return env.backend.close_elements(derivative_product_oracle(env.frame, a, b),
-                                      jordan_mul(a, b))
-
-
-def _ck_orbit_derivative(env, rng):
-    a = env.sample(rng)
-    return env.backend.close_elements(orbit_map_derivative(env.frame, a), a.scale(-2))
-
-
-def _ck_trace_lemma(env, rng):
-    m = env.sample(rng)
-    return env.backend.close_scalars(mult_operator(m).trace(),
-                                     env.spec.dim * unit_pairing(env.frame, m))
-
-
-def _ck_pairing_product(env, rng):
-    a, b = env.sample(rng), env.sample(rng)
-    return env.backend.close_scalars(inner(env.frame, a, b),
-                                     unit_pairing(env.frame, jordan_mul(a, b)))
-
-
-def _ck_sharp_identity(env, rng):
-    fr, spec = env.frame, env.spec
-    a = env.sample(rng)
+def _sharp_sides(env, a):
+    fr, k = env.frame, env.spec.k
     cov = covector_slot(fr.form, [fr.unit_coords] * (fr.q - 2) + [a.coords()])
-    lhs = sharp(fr, cov)
-    k = spec.k
-    rhs = (env.unit.scale((k + 1) * unit_pairing(fr, a)) - a).scale(Fraction(1, k))
-    return env.backend.close_elements(lhs, rhs)
+    return (sharp(fr, cov),
+            (env.unit.scale((k + 1) * unit_pairing(fr, a)) - a).scale(Fraction(1, k)))
 
 
-def _small_entries(env, op, deviations):
-    """Zero test of the largest deviation, counted in op's numerators."""
-    den = op.denominator
-    dev = max(deviations, default=0)
-    scale = max(abs(v) for row in op.numerators for v in row) / den
-    return env.backend.small(dev if den == 1 else Fraction(dev, den), scale)
-
-
-def _ck_norm_semisimilarity(env, rng):
+def _semisimilarity_sides(env, a, b):
     fr = env.frame
-    a = env.sample_invertible(rng)
-    b = env.sample(rng)
     hb = reduced(env.spec, *structural_map(fr, a).apply(*b.cleared))
     qa = fr.norm(a)
-    return env.backend.close_scalars(fr.norm(hb) * qa * qa, fr.norm(b))
+    return fr.norm(hb) * qa * qa, fr.norm(b)
 
 
 def _ck_quadratic_structural(env, rng):
     a = env.sample_invertible(rng)
     comp = structural_map(env.frame, a).compose(quadratic_rep(a))
     nums, den, n = comp.numerators, comp.denominator, env.spec.dim
-    return _small_entries(env, comp, (abs(nums[i][j] - (den if i == j else 0))
-                                      for i in range(n) for j in range(n)))
+    # the largest deviation from the identity, counted in numerators
+    dev = max(abs(nums[i][j] - (den if i == j else 0))
+              for i in range(n) for j in range(n))
+    scale = max(abs(v) for row in nums for v in row) / den
+    return env.backend.small(dev if den == 1 else Fraction(dev, den), scale)
 
 
-def _ck_tau_symmetry(env, rng):
+def _tau_symmetry_sides(env, m, b, c):
     # tau_M(C)(B) read from the operator against tau_M(B)(C) from the closed
     # two-slot formula, both times Q(M)^2 so that exact values stay integral
     fr = env.frame
-    m = env.sample_invertible(rng)
-    b, c = env.sample(rng), env.sample(rng)
     q, qm = fr.q, fr.norm(m)
     mc, bc, cc = m.coords(), b.coords(), c.coords()
     read = b.dot(*tau_covector(fr, m, c)) * qm * qm
     closed = (q * partial_polarize(fr.form, mc, q - 1, [bc])
               * partial_polarize(fr.form, mc, q - 1, [cc])
               - (q - 1) * qm * partial_polarize(fr.form, mc, q - 2, [bc, cc]))
-    return env.backend.close_scalars(read, closed)
+    return read, closed
 
 
 def _ck_tau_normalized_det(env, rng):
@@ -348,19 +322,9 @@ def _ck_homogeneity(env, rng):
 
 
 def _ck_tangent_intersection(env, rng):
-    spec = env.spec
-    xa = sample_rank_one(spec, rng)
-    xb = sample_rank_one(spec, rng)
-    got = tangent_intersection_dim(xa, xb, env.backend)
-    return TrialOutcome(got == spec.delta, None,
-                        {"dim": got, "expected": spec.delta})
-
-
-def _ck_projection_formula(env, rng):
-    xa = sample_rank_one(env.spec, rng)
-    xb = sample_rank_one(env.spec, rng)
-    proj = product_projection(env.frame, xa, xb)
-    return env.backend.close_elements(proj, jordan_mul(xa.element, xb.element))
+    got = tangent_intersection_dim(*_draw(env, rng, "rr"), env.backend)
+    want = env.spec.delta
+    return TrialOutcome(got == want, None, {"dim": got, "expected": want})
 
 
 def _ck_mult_kernel(env, rng):
@@ -417,8 +381,7 @@ def _ck_composite_similarity(env, rng):
 
 
 def _ck_lie_triple(env, rng):
-    a, b = env.sample(rng), env.sample(rng)
-    x, y = env.sample(rng), env.sample(rng)
+    a, b, x, y = _draw(env, rng, "ssss")
     res = lie_triple_residual(a, b, x, y)
     scale = 1.0
     for e in (a, b, x, y):
@@ -448,11 +411,12 @@ def _ck_adjoint_comatrix(env, rng):
     return TrialOutcome(out.ok and unit_fixed, out.err, witness)
 
 
-def _ck_residual(residual, power, operands=1):
-    """The body of a severi check: residual(frame, *xs) on ``operands``
-    sampled xs is small against their cubic scale of degree ``power``."""
+def _ck_residual(residual, power, operands="s"):
+    """The body of a severi check: residual(frame, *xs) on xs drawn as
+    ``operands`` lists them is small against their cubic scale of degree
+    ``power``."""
     def run(env, rng):
-        xs = [env.sample(rng) for _ in range(operands)]
+        xs = _draw(env, rng, operands)
         return env.backend.small(residual(env.frame, *xs), _cubic_scale(power, *xs))
 
     return run
@@ -483,8 +447,9 @@ def _ck_rank_characterization(env, rng):
 
 
 def _ck_jordan_violation(env, rng):
-    a, b = env.sample(rng), env.sample(rng)
-    diff = jordan_identity_residual(a, b)
+    a, b = _draw(env, rng, "ss")
+    lhs, rhs = _jordan_sides(env, a, b)
+    diff = (lhs - rhs).max_abs()
     scale = ((1 + float(a.max_abs())) ** 3) * (1 + float(b.max_abs()))
     out = env.backend.small(diff, scale)
     witness = None
@@ -510,32 +475,45 @@ class CheckDef:
 
 
 CHECKS = (
-    CheckDef("unit-law", "algebra", "I*A = A", _ck_unit_law),
-    CheckDef("commutativity", "algebra", "A*B = B*A", _ck_commutativity),
-    CheckDef("jordan-identity", "algebra",
-             "A*(B*(A*A)) = (A*B)*(A*A)", _ck_jordan_identity, _is_jordan),
-    CheckDef("power-associativity", "algebra",
-             "(A*A)*(A*A) = A*(A*(A*A))", _ck_power_associativity, _is_jordan),
-    CheckDef("norm-multiplicativity", "algebra",
-             "N(xy) = N(x) N(y)", _ck_norm_multiplicativity),
+    CheckDef("unit-law", "algebra", "I*A = A",
+             _ck_identity("s", lambda env, a: (jordan_mul(env.unit, a), a))),
+    CheckDef("commutativity", "algebra", "A*B = B*A",
+             _ck_identity("ss", lambda _env, a, b: (jordan_mul(a, b),
+                                                    jordan_mul(b, a)))),
+    CheckDef("jordan-identity", "algebra", "A*(B*(A*A)) = (A*B)*(A*A)",
+             _ck_identity("ss", _jordan_sides), _is_jordan),
+    CheckDef("power-associativity", "algebra", "(A*A)*(A*A) = A*(A*(A*A))",
+             _ck_identity("s", _power_sides), _is_jordan),
+    CheckDef("norm-multiplicativity", "algebra", "N(xy) = N(x) N(y)",
+             _ck_identity("cc", lambda env, x, y: (
+                 cd_norm(cd_mul(x, y, env.spec.delta)), cd_norm(x) * cd_norm(y)))),
     CheckDef("product-reconstruction", "mccrimmon",
-             "A*B rebuilt from polarizations of Q", _ck_product_reconstruction),
+             "A*B rebuilt from polarizations of Q",
+             _ck_identity("ss", lambda env, a, b: (
+                 reconstructed_product(env.frame, a, b), jordan_mul(a, b)))),
     CheckDef("derivative-oracle", "mccrimmon",
-             "A*B = -1/2 d/dt H_{I+tA}(B) at t=0", _ck_derivative_oracle),
+             "A*B = -1/2 d/dt H_{I+tA}(B) at t=0",
+             _ck_identity("ss", lambda env, a, b: (
+                 derivative_product_oracle(env.frame, a, b), jordan_mul(a, b)))),
     CheckDef("orbit-derivative", "mccrimmon",
-             "d/dt tau_I^{-1} tau_{I+tA}(I) at t=0 = -2A", _ck_orbit_derivative),
-    CheckDef("trace-lemma", "mccrimmon",
-             "tr(M_A) = dim(V) Q(I,..,I,A)", _ck_trace_lemma),
-    CheckDef("pairing-product", "mccrimmon",
-             "<A,B> = Q(I,..,I,A*B)", _ck_pairing_product),
+             "d/dt tau_I^{-1} tau_{I+tA}(I) at t=0 = -2A",
+             _ck_identity("s", lambda env, a: (orbit_map_derivative(env.frame, a),
+                                               a.scale(-2)))),
+    CheckDef("trace-lemma", "mccrimmon", "tr(M_A) = dim(V) Q(I,..,I,A)",
+             _ck_identity("s", lambda env, a: (
+                 mult_operator(a).trace(), env.spec.dim * unit_pairing(env.frame, a)))),
+    CheckDef("pairing-product", "mccrimmon", "<A,B> = Q(I,..,I,A*B)",
+             _ck_identity("ss", lambda env, a, b: (
+                 inner(env.frame, a, b), unit_pairing(env.frame, jordan_mul(a, b))))),
     CheckDef("sharp-identity", "mccrimmon",
-             "Q(I,..,I,A,.)# = ((k+1) phi(A) I - A)/k", _ck_sharp_identity),
-    CheckDef("norm-semisimilarity", "mccrimmon",
-             "Q(H_A B) = Q(A)^-2 Q(B)", _ck_norm_semisimilarity, _is_jordan),
+             "Q(I,..,I,A,.)# = ((k+1) phi(A) I - A)/k",
+             _ck_identity("s", _sharp_sides)),
+    CheckDef("norm-semisimilarity", "mccrimmon", "Q(H_A B) = Q(A)^-2 Q(B)",
+             _ck_identity("is", _semisimilarity_sides), _is_jordan),
     CheckDef("quadratic-structural", "mccrimmon",
              "H_A P(A) = id", _ck_quadratic_structural, _is_jordan),
-    CheckDef("tau-symmetry", "mccrimmon",
-             "tau_M(B,C) = tau_M(C,B)", _ck_tau_symmetry),
+    CheckDef("tau-symmetry", "mccrimmon", "tau_M(B,C) = tau_M(C,B)",
+             _ck_identity("iss", _tau_symmetry_sides)),
     CheckDef("tau-normalized-det", "mccrimmon",
              "det(tau_M)/det(tau_I) = Q(M)^-(2+k delta)",
              _ck_tau_normalized_det, _is_jordan),
@@ -561,7 +539,10 @@ CHECKS = (
              "dim(T_A int T_B) = delta", _ck_tangent_intersection, _is_jordan),
     CheckDef("projection-formula", "geometry",
              "A*B recovered from the tangent-intersection pairing",
-             _ck_projection_formula, _is_jordan),
+             _ck_identity("rr", lambda env, xa, xb: (
+                 product_projection(env.frame, xa, xb),
+                 jordan_mul(xa.element, xb.element))),
+             _is_jordan),
     CheckDef("mult-kernel", "geometry",
              "dim ker M_x = k + delta k(k-1)/2", _ck_mult_kernel, _is_jordan),
     CheckDef("cone-vertex", "geometry",
@@ -588,7 +569,7 @@ CHECKS = (
              _is_cubic),
     CheckDef("mixed-adjoint", "severi",
              "4 Q(adj A, Q(A,B,.)#, .)# = 3 Q(A,A,B) A + Q(A) B",
-             _ck_residual(mixed_adjoint_residual, 5, operands=2), _is_cubic),
+             _ck_residual(mixed_adjoint_residual, 5, "ss"), _is_cubic),
     CheckDef("unit-reduction", "severi",
              "2 Q(adj A, A, .)# = 6 phi(A) Q(adj A, I, .)# - Q(A) I - 3 Q(A,A,I) A",
              _ck_residual(unit_reduction_residual, 4), _is_cubic),

@@ -215,7 +215,7 @@ def test_solve_and_inverse():
             if exact_det(m) == 0:
                 continue
             rhs = [rng.randint(-9, 9) for _ in range(n)]
-            x = exact_solve(m, rhs)
+            x = vector_values(exact_solve(m, rhs))
             assert list(x) == gauss_solve(m, rhs)
             assert [sum(a * b for a, b in zip(row, x)) for row in m] == list(rhs)
             inv = as_fractions(*exact_inverse(m))

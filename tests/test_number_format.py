@@ -1,9 +1,10 @@
 """Covectors, operator images and combinations leave in one number format.
 
-covector_slot, LinearOperator.apply, tau_covector and linalg.combine return
-a vector as (numerators, denominator): for exact inputs, int numerators over
-a positive int denominator in lowest terms; once a float is involved, floats
-over 1. A float among Fraction coefficients gives floats, never Fractions.
+covector_slot, LinearOperator.apply, tau_covector, linalg.combine and both
+backends' solve return a vector as (numerators, denominator): for exact
+inputs, int numerators over a positive int denominator in lowest terms; once
+a float is involved, floats over 1. A float among Fraction coefficients gives
+floats, never Fractions.
 """
 
 from fractions import Fraction
@@ -11,6 +12,7 @@ from math import gcd
 
 import pytest
 
+from jordal.backend import EXACT, FloatBackend
 from jordal.jordan import JordanElement, JordanSpec, random_element
 from jordal.linalg import combine
 from jordal.polarization import covector_slot
@@ -88,3 +90,13 @@ def test_combine_clears_its_coefficients():
     assert vector_values(mixed) == pytest.approx([float(x) for x in (
         Fraction(1, 3) * Fraction(p, 2) + Fraction(1, 2) * Fraction(q, 7)
         + Fraction(2, 7) * r for p, q, r in zip(u[0], v[0], w[0]))])
+
+
+def test_both_backends_solve_to_pairs():
+    rows, rhs = [[2, 1], [1, 3]], [1, 2]
+    exact = EXACT.solve(rows, rhs)
+    assert_exact(exact)
+    assert list(vector_values(exact)) == [Fraction(1, 5), Fraction(3, 5)]
+    floated = FloatBackend(1e-8).solve(rows, rhs)
+    assert_float(floated)
+    assert list(vector_values(floated)) == pytest.approx([0.2, 0.6])
