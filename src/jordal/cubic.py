@@ -21,12 +21,12 @@ from .reconstruction import NormFrame, sharp, unit_pairing
 def _trilinear(fr: NormFrame, x: JordanElement, y: JordanElement,
                z: JordanElement):
     """Fully polarized norm Q(x, y, z); Q(a, a, a) = Q(a)."""
-    return partial_polarize(fr.form, x.coords(), 1, [y.coords(), z.coords()])
+    return partial_polarize(fr.form, x.cleared, 1, [y.cleared, z.cleared])
 
 
 def _raise(fr: NormFrame, x: JordanElement, y: JordanElement) -> JordanElement:
     """The element S with <S, B> = Q(x, y, B) for every B."""
-    return sharp(fr, covector_slot(fr.form, [x.coords(), y.coords()]))
+    return sharp(fr, covector_slot(fr.form, [x.cleared, y.cleared]))
 
 
 def adjoint(fr: NormFrame, a: JordanElement) -> JordanElement:

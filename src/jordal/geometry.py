@@ -116,8 +116,8 @@ def expected_tangent_rank(spec: JordanSpec) -> int:
 def tangent_frame(x: RankOnePoint):
     """Differentiate (v+tw)(v+tw)^H at t=0 over chart coordinate directions w.
 
-    Returns the coordinate rows w v^H + v w^H, which span the tangent space
-    at x. Their rank is the tangent-rank check's claim, so it is not tested
+    Returns the numerator rows of w v^H + v w^H, which span the tangent
+    space at x (a row's scale does not change the span). Their rank is the tangent-rank check's claim, so it is not tested
     here: a trial draws again only on a degenerate draw, never on a wrong
     rank (see runner._run_one_trial).
 
@@ -137,7 +137,7 @@ def tangent_frame(x: RankOnePoint):
                 continue
             w = [(0,) * delta] * size
             w[p] = tuple(int(t == s) for t in range(delta))
-            rows.append(list(_outer_sym(spec, w, x.v).coords()))
+            rows.append(list(_outer_sym(spec, w, x.v).cleared[0]))
     return rows
 
 
@@ -159,8 +159,8 @@ def terracini_dim(spec: JordanSpec, l: int, rng, backend=EXACT) -> int:
 
 def rank_one_double_slot(fr: NormFrame, x: RankOnePoint, fillers):
     """Q(x, x, C_3, ..., C_q); vanishes identically on the rank-one cone."""
-    args = [x.element.coords(), x.element.coords()]
-    args.extend(c.coords() for c in fillers)
+    args = [x.element.cleared] * 2
+    args.extend(c.cleared for c in fillers)
     return full_polarize(fr.form, args)
 
 
@@ -175,19 +175,19 @@ def dual_point(fr: NormFrame, x: RankOnePoint, a: JordanElement, backend=EXACT):
     nullspace. Raises DualityViolation when any of these claims fails.
     """
     q = fr.q
-    a = fr.element(backend.lift(a.coords()))
-    xe = fr.element(backend.lift(x.element.coords()))
+    a = a.lifted(backend)
+    xe = x.element.lifted(backend)
     qa = fr.norm(a)
     if backend.is_zero(qa, 0):
         raise SingularConfiguration("Q(A) = 0")
-    pairing = partial_polarize(fr.form, a.coords(), q - 1, [xe.coords()])
+    pairing = partial_polarize(fr.form, a.cleared, q - 1, [xe.cleared])
     if backend.is_zero(pairing, 0):
         raise SingularConfiguration("Q(x, A, ..., A) = 0")
     # Fraction(qa) keeps exact division exact; a float quotient stays float
     xp = a - xe.scale(Fraction(qa) / (q * pairing))
     if not backend.is_zero(fr.norm(xp), (1 + xp.max_abs()) ** q):
         raise DualityViolation("Q(x') != 0")
-    hyper_grad, _ = covector_slot(fr.form, [xp.coords()] * (q - 1))
+    hyper_grad, _ = covector_slot(fr.form, [xp.cleared] * (q - 1))
     if not any(hyper_grad):
         raise SingularConfiguration("x' is a singular hypersurface point")
     # the tangent hyperplane at x' is the kernel of the nonzero gradient
@@ -202,7 +202,7 @@ def dual_point(fr: NormFrame, x: RankOnePoint, a: JordanElement, backend=EXACT):
 def homogeneity_witness(fr: NormFrame, a: JordanElement, b: JordanElement,
                         x: RankOnePoint, backend=EXACT) -> JordanElement:
     """tau_A^{-1} tau_B applied to a rank-one point; stays rank one."""
-    a, b, xe = (fr.element(backend.lift(e.coords())) for e in (a, b, x.element))
+    a, b, xe = (e.lifted(backend) for e in (a, b, x.element))
     if backend.is_zero(fr.norm(a), 0) or backend.is_zero(fr.norm(b), 0):
         raise SingularConfiguration("need Q(A) != 0 and Q(B) != 0")
     # tau_A = N / d and tau_B x = nums / den, so N y = d * nums gives den * image
@@ -246,8 +246,8 @@ def product_projection(fr: NormFrame, xa: RankOnePoint,
     a, b = xa.element, xb.element
     pa = unit_pairing(fr, a)
     pb = unit_pairing(fr, b)
-    cross = partial_polarize(fr.form, fr.unit_coords, q - 2,
-                             [a.coords(), b.coords()])
+    cross = partial_polarize(fr.form, fr.unit.cleared, q - 2,
+                             [a.cleared, b.cleared])
     scal = (k + 1) * (k + 1) * pa * pb - Fraction(k * (k + 1), 2) * cross
     # <w_i, w_j> = w_i^T G w_j with G = N / d; the int system N' c = d * rhs,
     # N'[i][j] = w_i^T N w_j, has the same solution as the Gram system
@@ -278,6 +278,6 @@ def cone_vertex_stack(form: PolarizedForm, rng):
     out = []
     for _ in range(form.dim + 2):
         a = sample_coords(rng, form.dim)
-        out.append(list(covector_slot(form, [a] * (form.degree - 1))[0]))
+        out.append(list(covector_slot(form, [(a, 1)] * (form.degree - 1))[0]))
     return out
 

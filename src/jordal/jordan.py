@@ -20,10 +20,10 @@ An element holds the int numerators of its canonical coordinates over one
 positive denominator, in lowest terms; in float mode, floats over 1
 (linalg.over decides the format). The product, sums, scaling, comparisons
 and the characteristic coefficients run on the numerators, so exact
-arithmetic builds no Fraction. ``cleared`` reads an element as (numerators,
-denominator) and ``reduced`` builds one from that pair; coords() builds the
-values (ints and Fractions) once, for polarization arguments and callers
-outside the library. Only this module knows the layout: _layout writes it
+arithmetic builds no Fraction. ``cleared`` reads an element as the pair
+(numerators, denominator) that reduced and every polarization take, and
+``lifted`` carries it into a backend; coords() builds values on each call,
+for display and comparison. Only this module knows the layout: _layout writes it
 (for from_entries and the product kernel) and _grid_from_coords reads it (for
 grid() and, once per shape, the product kernel).
 
@@ -109,26 +109,21 @@ class JordanElement:
     """Immutable element: int numerators of its canonical coordinates over
     one positive denominator in lowest terms, or floats over 1."""
 
-    __slots__ = ("spec", "_nums", "_den", "_coords")
+    __slots__ = ("spec", "_nums", "_den")
 
     def __init__(self, spec: JordanSpec, coords):
         coords = tuple(coords)
         if len(coords) != spec.dim:
             raise SpecMismatch(f"expected {spec.dim} coordinates, got {len(coords)}")
-        nums, den = clear_row_denominators(coords)
-        _init(self, spec, nums, den, coords)
+        _init(self, spec, *clear_row_denominators(coords))
 
     def __setattr__(self, *_):
         raise AttributeError("JordanElement is immutable")
 
     def coords(self) -> tuple:
-        """The canonical coordinates (ints and Fractions, or floats), built
-        once."""
-        if self._coords is None:
-            den = self._den
-            object.__setattr__(self, "_coords", self._nums if den == 1 else
-                               tuple(Fraction(v, den) for v in self._nums))
-        return self._coords
+        """The canonical coordinates as values (ints and Fractions, or floats)."""
+        den = self._den
+        return self._nums if den == 1 else tuple(Fraction(v, den) for v in self._nums)
 
     def grid(self):
         """Full matrix as nested lists of coordinate tuples (conjugated lower)."""
@@ -136,8 +131,12 @@ class JordanElement:
 
     @property
     def cleared(self) -> tuple:
-        """(numerators, denominator): the element as reduced takes it."""
+        """(numerators, denominator): as reduced and polarization take it."""
         return self._nums, self._den
+
+    def lifted(self, backend) -> "JordanElement":
+        """The same element in the arithmetic of backend (floats in float mode)."""
+        return reduced(self.spec, backend.lift(self._nums), self._den)
 
     def dot(self, nums, den):
         """The covector nums / den (int numerators over an int denominator,
@@ -194,11 +193,10 @@ class JordanElement:
         return f"JordanElement({self.spec.k}, {self.spec.delta}, {self.coords()})"
 
 
-def _init(e: JordanElement, spec: JordanSpec, nums: tuple, den, coords):
+def _init(e: JordanElement, spec: JordanSpec, nums: tuple, den):
     object.__setattr__(e, "spec", spec)
     object.__setattr__(e, "_nums", nums)
     object.__setattr__(e, "_den", den)
-    object.__setattr__(e, "_coords", coords)
 
 
 def reduced(spec: JordanSpec, nums: tuple, den: int) -> JordanElement:
@@ -207,7 +205,7 @@ def reduced(spec: JordanSpec, nums: tuple, den: int) -> JordanElement:
     over 1."""
     nums, den = over(nums, den)
     e = JordanElement.__new__(JordanElement)
-    _init(e, spec, nums, den, None)
+    _init(e, spec, nums, den)
     return e
 
 

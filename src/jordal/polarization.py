@@ -20,12 +20,12 @@ time, at that position's index, scaled by (q-1-m)!/q!; the pair matrix
 F~(B^(q-2), e_i, e_j) collects the base product over the other positions
 for every pair of positions. Each contraction reads the table once.
 
-Every argument is first cleared to int numerators over one denominator, so
-the contraction runs on ints and the result is divided once, through
-linalg.over, which decides the number format: exact arguments give exact
-values, and float vectors pass through unchanged, so float mode computes
-in floats. Covectors and pair matrices leave as those numerators over one
-denominator; only a scalar becomes a value.
+Every vector argument is a pair (numerators, denominator), ``a.cleared`` for
+an element and (coords, 1) for an integer draw; a bare tuple of values
+raises ArityError. The contraction runs on the numerators and the result is
+divided once, through linalg.over, which decides the number format: int
+numerators give exact values, floats over 1 give floats. Covectors and pair
+matrices leave as numerators over one denominator; only a scalar becomes a value.
 """
 
 from __future__ import annotations
@@ -130,12 +130,12 @@ class PolarizedForm:
 
 
 def _cleared(form: PolarizedForm, vec):
-    """(int numerators, denominator) of one argument vector."""
-    vec = tuple(vec)
-    if len(vec) != form.dim:
-        raise ArityError(f"{form.name}: expected {form.dim} coordinates, "
-                         f"got {len(vec)}")
-    return clear_row_denominators(vec)
+    """vec, checked to be a pair (numerators, denominator) of form.dim numerators."""
+    nums = vec[0] if isinstance(vec, tuple) and len(vec) == 2 else None
+    if not isinstance(nums, (tuple, list)) or len(nums) != form.dim:
+        raise ArityError(f"{form.name}: expected a pair of {form.dim} "
+                         f"numerators and a denominator, got {vec!r}")
+    return vec
 
 
 def _subset_steps(m: int):
@@ -229,8 +229,8 @@ def pair_matrix(form: PolarizedForm, base):
 
     One pass over the table: each pair of positions of a monomial takes e_i
     and e_j in both orders, times the base at the other positions. The rows
-    come in the number format linalg.over decides: exact arguments give int
-    rows over one denominator in lowest terms, float arguments floats over 1.
+    come in the number format linalg.over decides: an int base gives int
+    rows over one denominator in lowest terms, a float base floats over 1.
     """
     q, dim = form.degree, form.dim
     base, d = _cleared(form, base)
@@ -254,7 +254,7 @@ def pair_matrix(form: PolarizedForm, base):
 
 def full_polarize(form: PolarizedForm, args):
     """F~(args_1, ..., args_q): the partial polarization with no base."""
-    return partial_polarize(form, (0,) * form.dim, 0, args)
+    return partial_polarize(form, ((0,) * form.dim, 1), 0, args)
 
 
 def partial_polarize(form: PolarizedForm, base, mult: int, rest):
@@ -271,10 +271,11 @@ def covector_slot(form: PolarizedForm, fixed):
 
     Materialized as (nums, den), nums / den the coordinate covector of
     length form.dim, in the format linalg.over decides: the first fixed
-    argument is the base, and the others that differ from it are the slots.
+    argument is the base, and the other pairs that differ from it are the
+    slots.
     """
     q = form.degree
-    fixed = [tuple(f) for f in fixed]
+    fixed = list(fixed)
     if len(fixed) != q - 1:
         raise ArityError(f"covector slot of a degree-{q} form needs {q - 1} "
                          f"fixed arguments, got {len(fixed)}")

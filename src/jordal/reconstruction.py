@@ -21,8 +21,9 @@ Q enters as its monomial table (polarization.PolarizedForm), so every
 polarization above is a contraction of that table. A NormFrame holds the
 per-spec shared data (the table, unit covector, the Gram matrix of <.,.>
 and its exact inverse), computed once and shared read-only.
-Covectors stay (numerators, denominator) pairs from covector_slot, through
-LinearOperator.apply, JordanElement.dot and linalg.combine, to jordan.reduced.
+Vectors stay (numerators, denominator) pairs: elements enter polarization as
+``a.cleared``, and covectors go from covector_slot through LinearOperator.apply,
+JordanElement.dot and linalg.combine to jordan.reduced.
 """
 
 from __future__ import annotations
@@ -49,9 +50,8 @@ class NormFrame:
         self.form: PolarizedForm = norm_form(spec)
         self.q = spec.degree
         self.unit = identity(spec)
-        self.unit_coords = self.unit.coords()
         self.unit_covector = covector_slot(
-            self.form, [self.unit_coords] * (self.q - 1))
+            self.form, [self.unit.cleared] * (self.q - 1))
         self._gram = None
         self._gram_inv = None
         self._det_gram = None
@@ -85,7 +85,7 @@ class NormFrame:
         return self._det_gram
 
     def norm(self, a: JordanElement):
-        return self.form(a.coords())
+        return self.form(a.cleared)
 
     def element(self, coords) -> JordanElement:
         return JordanElement(self.spec, coords)
@@ -95,7 +95,7 @@ class NormFrame:
         of draws raises a plain ValueError, which fails the trial."""
         for _ in range(200):
             coords = sample_coords(rng, self.spec.dim)
-            if self.form(coords) != 0:
+            if self.form((coords, 1)) != 0:
                 return self.element(coords)
         raise ValueError("no element with Q != 0 in 200 draws")
 
@@ -105,10 +105,10 @@ def frame(spec: JordanSpec) -> NormFrame:
     return NormFrame(spec)
 
 
-def _pair_matrix(fr: NormFrame, m_coords):
+def _pair_matrix(fr: NormFrame, m):
     """(rows, den): the symmetric matrix W[i][j] = Q(M,..,M,e_i,e_j) over the
-    canonical basis is rows / den, from one pass over Q's monomial table."""
-    return pair_matrix(fr.form, m_coords)
+    canonical basis is rows / den, from one pass over Q's table; m is M's pair."""
+    return pair_matrix(fr.form, m)
 
 
 def unit_pairing(fr: NormFrame, a: JordanElement):
@@ -137,9 +137,8 @@ def tau(fr: NormFrame, m: JordanElement) -> LinearOperator:
     if qm == 0:
         raise SingularPoint("tau undefined where Q vanishes")
     q = fr.q
-    m_coords = m.coords()
-    g, dg = covector_slot(fr.form, [m_coords] * (q - 1))
-    w, dw = _pair_matrix(fr, m_coords)
+    g, dg = covector_slot(fr.form, [m.cleared] * (q - 1))
+    w, dw = _pair_matrix(fr, m.cleared)
     (qn,), qd = clear_row_denominators((qm,))
     a = q * dw * qd ** 2
     b = (q - 1) * dg * dg * qn * qd
@@ -162,10 +161,10 @@ def reconstructed_product(fr: NormFrame, a: JordanElement,
                           b: JordanElement) -> JordanElement:
     """A*B rebuilt from polarizations of Q (no matrix multiplication), as
     one combination of the closed formula's four terms."""
-    k, q, unit = fr.q - 1, fr.q, fr.unit_coords
-    a_coords, b_coords = a.coords(), b.coords()
-    cross = partial_polarize(fr.form, unit, q - 2, [a_coords, b_coords])
-    sharped = sharp(fr, covector_slot(fr.form, [unit] * (q - 3) + [a_coords, b_coords]))
+    k, q, unit = fr.q - 1, fr.q, fr.unit.cleared
+    cross = partial_polarize(fr.form, unit, q - 2, [a.cleared, b.cleared])
+    sharped = sharp(fr, covector_slot(fr.form,
+                                      [unit] * (q - 3) + [a.cleared, b.cleared]))
     return reduced(fr.spec, *combine(
         (k * (k - 1) // 2, Fraction(k + 1, 2) * unit_pairing(fr, a),
          Fraction(k + 1, 2) * unit_pairing(fr, b), -(k * (k + 1) // 2) * cross),
@@ -185,18 +184,18 @@ def _structural_line_derivative(fr: NormFrame, a: JordanElement,
     c2' = (q-1) Q(I,..,I,A,B), c3' = (q-1) Q(I,..,I,A,.), c4' = q Q(I,..,I,A).
     phi = -(q-1) c1/c4 + q c2 c3/c4^2, whose derivative combines the covectors.
     """
-    q, unit = fr.q, fr.unit_coords
-    a_coords, b_coords = a.coords(), b.coords()
+    q, unit = fr.q, fr.unit.cleared
+    a_pair, b_pair = a.cleared, b.cleared
     c2_0 = unit_pairing(fr, b)
-    c2_d = (q - 1) * partial_polarize(fr.form, unit, q - 2, [a_coords, b_coords])
+    c2_d = (q - 1) * partial_polarize(fr.form, unit, q - 2, [a_pair, b_pair])
     c4_d = q * unit_pairing(fr, a)
     phi_d = combine(
         ((q - 1) * c4_d, -(q - 1) * (q - 2),
          q * c2_d - 2 * q * c2_0 * c4_d, q * (q - 1) * c2_0),
-        (covector_slot(fr.form, [unit] * (q - 2) + [b_coords]),
-         covector_slot(fr.form, [unit] * (q - 3) + [a_coords, b_coords]),
+        (covector_slot(fr.form, [unit] * (q - 2) + [b_pair]),
+         covector_slot(fr.form, [unit] * (q - 3) + [a_pair, b_pair]),
          fr.unit_covector,
-         covector_slot(fr.form, [unit] * (q - 2) + [a_coords])))
+         covector_slot(fr.form, [unit] * (q - 2) + [a_pair])))
     return sharp(fr, phi_d)
 
 

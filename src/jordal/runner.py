@@ -140,8 +140,7 @@ class RunEnv:
         return reduced(self.spec, self.backend.lift(sample_coords(rng, self.spec.dim)), 1)
 
     def sample_invertible(self, rng) -> JordanElement:
-        return JordanElement(
-            self.spec, self.backend.lift(self.frame.random_invertible(rng).coords()))
+        return self.frame.random_invertible(rng).lifted(self.backend)
 
 
 def _is_jordan(env: RunEnv) -> bool:
@@ -212,7 +211,7 @@ def _power_sides(_env, a):
 
 def _sharp_sides(env, a):
     fr, k = env.frame, env.spec.k
-    cov = covector_slot(fr.form, [fr.unit_coords] * (fr.q - 2) + [a.coords()])
+    cov = covector_slot(fr.form, [fr.unit.cleared] * (fr.q - 2) + [a.cleared])
     return (sharp(fr, cov),
             (env.unit.scale((k + 1) * unit_pairing(fr, a)) - a).scale(Fraction(1, k)))
 
@@ -240,7 +239,7 @@ def _tau_symmetry_sides(env, m, b, c):
     # two-slot formula, both times Q(M)^2 so that exact values stay integral
     fr = env.frame
     q, qm = fr.q, fr.norm(m)
-    mc, bc, cc = m.coords(), b.coords(), c.coords()
+    mc, bc, cc = m.cleared, b.cleared, c.cleared
     read = b.dot(*tau_covector(fr, m, c)) * qm * qm
     closed = (q * partial_polarize(fr.form, mc, q - 1, [bc])
               * partial_polarize(fr.form, mc, q - 1, [cc])
@@ -283,7 +282,7 @@ def _ck_secant_membership(env, rng):
         total = sample_rank_one(spec, rng).element
         for _ in range(l):
             total = total + sample_rank_one(spec, rng).element
-        point = JordanElement(spec, env.backend.lift(total.coords()))
+        point = total.lifted(env.backend)
         r = jordan_rank(point, env.backend)
         if r < l + 1:
             # the random points were linearly degenerate; draw again
@@ -431,7 +430,7 @@ def _ck_rank_characterization(env, rng):
         env.sample(rng),
     ]
     for m in samples:
-        point = JordanElement(spec, env.backend.lift(m.coords()))
+        point = m.lifted(env.backend)
         r = jordan_rank(point, env.backend)
         adj_zero = env.backend.is_zero(adjoint(fr, point).max_abs(),
                                        _cubic_scale(2, point))

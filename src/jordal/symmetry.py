@@ -57,10 +57,9 @@ class GroupElementSample:
                  provenance: str, rng, backend=EXACT):
         lam = None
         for _ in range(_SIMILARITY_PROBES):
-            m = backend.lift(fr.random_invertible(rng).coords())
-            # Q(nums / den) = Q(nums) / den^q, exact; floats divide as floats
-            nums, den = operator.apply(m, 1)
-            ratio = Fraction(fr.form(nums)) / (den ** fr.q * fr.form(m))
+            m = fr.random_invertible(rng).lifted(backend).cleared
+            # Fraction keeps the exact ratio exact; floats divide as floats
+            ratio = Fraction(fr.form(operator.apply(*m))) / fr.form(m)
             if lam is None:
                 lam = ratio
             elif not backend.close_scalars(ratio, lam).ok:

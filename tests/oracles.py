@@ -318,8 +318,8 @@ def proportional(u, v) -> bool:
 
 def closed_form_inner(fr, a: JordanElement, b: JordanElement):
     """<A,B> = q Q(I,..,I,A) Q(I,..,I,B) - (q-1) Q(I,..,I,A,B)."""
-    q, unit = fr.q, fr.unit_coords
-    a, b = a.coords(), b.coords()
+    q, unit = fr.q, fr.unit.cleared
+    a, b = a.cleared, b.cleared
     return (q * partial_polarize(fr.form, unit, q - 1, [a])
             * partial_polarize(fr.form, unit, q - 1, [b])
             - (q - 1) * partial_polarize(fr.form, unit, q - 2, [a, b]))
@@ -329,7 +329,7 @@ def closed_form_tau_covector(fr, m: JordanElement, x: JordanElement):
     """tau_M(x) = q Q(M,..,M,x) Q(M,..,M,.) / Q(M)^2
     - (q-1) Q(M,..,M,x,.) / Q(M), over Fractions."""
     q, qm = fr.q, Fraction(fr.norm(m))
-    m, x = m.coords(), x.coords()
+    m, x = m.cleared, x.cleared
     s = partial_polarize(fr.form, m, q - 1, [x])
     g = vector_values(covector_slot(fr.form, [m] * (q - 1)))
     w = vector_values(covector_slot(fr.form, [m] * (q - 2) + [x]))
@@ -416,17 +416,19 @@ def interpolated_line_derivative(fr, a: JordanElement, b: JordanElement):
     derivatives at 0 recovered with exact Lagrange weights.
     """
     q, dim = fr.q, fr.spec.dim
-    a_coords, b_coords = a.coords(), b.coords()
+    a_coords, b_pair = a.coords(), b.cleared
 
     def m_at(t):
-        return tuple(u + t * x for u, x in zip(fr.unit_coords, a_coords))
+        """I + tA as the pair the library takes."""
+        return clear_row_denominators(
+            tuple(u + t * x for u, x in zip(fr.unit.coords(), a_coords)))
 
     d1 = derivative_at_zero_weights(tuple(range(q - 1)))
     d2 = derivative_at_zero_weights(tuple(range(q)))
     d4 = derivative_at_zero_weights(tuple(range(q + 1)))
-    c1 = [vector_values(covector_slot(fr.form, [m_at(t)] * (q - 2) + [b_coords]))
+    c1 = [vector_values(covector_slot(fr.form, [m_at(t)] * (q - 2) + [b_pair]))
           for t in range(q - 1)]
-    c2 = [partial_polarize(fr.form, m_at(t), q - 1, [b_coords]) for t in range(q)]
+    c2 = [partial_polarize(fr.form, m_at(t), q - 1, [b_pair]) for t in range(q)]
     c3 = [vector_values(covector_slot(fr.form, [m_at(t)] * (q - 1))) for t in range(q)]
     c4 = [fr.form(m_at(t)) for t in range(q + 1)]
     c1_d = [sum(w * s[c] for w, s in zip(d1, c1)) for c in range(dim)]

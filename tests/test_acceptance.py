@@ -137,7 +137,7 @@ def test_criterion_2_norm_identity_suite(capsys):
                 "tau-det": exact_det(values(tau(fr, m))) / fr.det_gram
                 == Fraction(1, fr.norm(m) ** power),
                 "sharp": sharp(fr, covector_slot(
-                    fr.form, [fr.unit_coords] * (fr.q - 2) + [a.coords()]))
+                    fr.form, [fr.unit.cleared] * (fr.q - 2) + [a.cleared]))
                 == (e.scale((k + 1) * unit_pairing(fr, a)) - a).scale(
                     Fraction(1, k)),
             }
@@ -191,7 +191,7 @@ def test_criterion_4_duality_and_homogeneity(capsys):
             x, a, (xp, cov), y = retrying(rng, build)
             if fr.norm(xp) != 0:
                 bad.append((k, delta, trial, "norm"))
-            grad = vector_values(covector_slot(fr.form, [xp.coords()] * (fr.q - 1)))
+            grad = vector_values(covector_slot(fr.form, [xp.cleared] * (fr.q - 1)))
             if not proportional(vector_values(cov), grad):
                 bad.append((k, delta, trial, "gradient"))
             if jordan_rank(y) != 1:

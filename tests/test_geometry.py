@@ -153,7 +153,7 @@ def test_double_slot_vanishes_on_cone():
         vals = []
         for _ in range(4):
             fillers = [random_element(spec, rng) for _ in range(spec.degree - 2)]
-            args = [y.coords(), y.coords()] + [f.coords() for f in fillers]
+            args = [y.cleared, y.cleared] + [f.cleared for f in fillers]
             from jordal.polarization import full_polarize
             vals.append(full_polarize(fr.form, args))
         assert any(v != 0 for v in vals)
@@ -175,7 +175,7 @@ def test_dual_point():
         # Q(xp, ..., xp, u) = 0
         from jordal.linalg import exact_nullspace
         from jordal.polarization import covector_slot
-        grad = vector_values(covector_slot(fr.form, [xp.coords()] * (fr.q - 1)))
+        grad = vector_values(covector_slot(fr.form, [xp.cleared] * (fr.q - 1)))
         for u in exact_nullspace([list(grad)]):
             assert sum(c * v for c, v in zip(vector_values(cov), u)) == 0
 

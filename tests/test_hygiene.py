@@ -38,6 +38,12 @@ getrandbits words itself: no library module calls ``randint``, so a report's
 draws rest on MT19937's words and not on the standard library's ``randint``
 code. Other draws (``randrange``, ``choice``, ``shuffle``) may stay.
 
+Vectors cross every library boundary as (numerators, denominator) pairs:
+an element is read as ``a.cleared``, so no library code calls ``coords()``
+to compute with, and no frame keeps a ``unit_coords`` value tuple.
+``coords()`` stays a view for ``jordan.py`` itself (grid, repr, comparison
+by value) and for the jordan-violation witness, which reports values.
+
 The traced benchmark (``perfbench/run.py --trace 1``) patches library
 functions by name, so every name it patches must still resolve.
 """
@@ -306,6 +312,23 @@ def test_coordinates_drawn_in_rng():
         found.extend(f"{path.name}:{n.lineno}" for n in ast.walk(tree)
                      if isinstance(n, ast.Call)
                      and getattr(n.func, "attr", None) == "randint")
+    assert found == []
+
+
+def test_elements_cross_as_pairs():
+    found = []
+    for name, tree in library_trees().items():
+        if name == "jordan.py":
+            continue
+        for top in tree.body:
+            if name == "runner.py" and getattr(top, "name", None) == "_ck_jordan_violation":
+                continue
+            for n in ast.walk(top):
+                if (isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+                        and n.func.attr == "coords"):
+                    found.append(f"{name}:{n.lineno} .coords()")
+                elif isinstance(n, ast.Attribute) and n.attr == "unit_coords":
+                    found.append(f"{name}:{n.lineno} unit_coords")
     assert found == []
 
 

@@ -51,8 +51,8 @@ def test_exact_inputs_give_ints_in_lowest_terms(k, delta):
     rng = stream_rng(71, "format", k, delta)
     m = fr.random_invertible(rng)
     a, x = fractional(spec, rng), random_element(spec, rng)
-    pairs = [covector_slot(fr.form, [a.coords()] * (fr.q - 1)),
-             covector_slot(fr.form, [m.coords()] * (fr.q - 2) + [x.coords()]),
+    pairs = [covector_slot(fr.form, [a.cleared] * (fr.q - 1)),
+             covector_slot(fr.form, [m.cleared] * (fr.q - 2) + [x.cleared]),
              fr.unit_covector,
              fr.gram_inv.apply(*a.cleared),
              tau(fr, m).apply(*x.cleared),
@@ -70,8 +70,8 @@ def test_float_inputs_give_floats_over_one(k, delta):
     rng = stream_rng(72, "format", k, delta)
     m = floats(fr.random_invertible(rng))
     a, x = floats(fractional(spec, rng)), floats(random_element(spec, rng))
-    for pair in (covector_slot(fr.form, [a.coords()] * (fr.q - 1)),
-                 covector_slot(fr.form, [m.coords()] * (fr.q - 2) + [x.coords()]),
+    for pair in (covector_slot(fr.form, [a.cleared] * (fr.q - 1)),
+                 covector_slot(fr.form, [m.cleared] * (fr.q - 2) + [x.cleared]),
                  fr.gram_inv.apply(*a.cleared),
                  tau(fr, m).apply(*x.cleared),
                  tau_covector(fr, m, a)):

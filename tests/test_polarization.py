@@ -1,5 +1,9 @@
 """Polarization machinery on forms with hand-checkable polarizations, and
-the monomial table against inclusion-exclusion over evaluations of Q."""
+the monomial table against inclusion-exclusion over evaluations of Q.
+
+The library takes every vector as its pair (numerators, denominator), so the
+tests write their value vectors through ``pair``; the oracle routes keep
+taking the values."""
 
 import itertools
 import math
@@ -9,6 +13,7 @@ import numpy
 import pytest
 
 from jordal.jordan import JordanSpec, norm_form
+from jordal.linalg import clear_row_denominators
 from jordal.polarization import (
     ArityError,
     PolarizedForm,
@@ -23,6 +28,16 @@ from oracles import (derivative_at_zero_weights, inclusion_exclusion_polarize,
                      vector_values)
 
 
+def pair(vec):
+    """The value vector vec as the (numerators, denominator) pair the
+    library takes."""
+    return clear_row_denominators(vec)
+
+
+def pairs(vecs):
+    return [pair(v) for v in vecs]
+
+
 def cube_form():
     # F(x, y) = x^3 + y^3: full polarization is (x1 x2 x3 + y1 y2 y3)
     return PolarizedForm(3, 2, lambda v: v[0] ** 3 + v[1] ** 3, name="cubes")
@@ -32,7 +47,7 @@ def test_known_full_polarization():
     f = cube_form()
     args = [(1, 2), (3, 5), (7, 11)]
     expected = 1 * 3 * 7 + 2 * 5 * 11
-    assert full_polarize(f, args) == expected
+    assert full_polarize(f, pairs(args)) == expected
 
 
 def test_monomial_polarization():
@@ -42,13 +57,13 @@ def test_monomial_polarization():
     perm = 0
     for p in [(a, b, c), (a, c, b), (b, a, c), (b, c, a), (c, a, b), (c, b, a)]:
         perm += p[0][0] * p[1][1] * p[2][2]
-    assert full_polarize(f, [a, b, c]) == Fraction(perm, 6)
+    assert full_polarize(f, pairs([a, b, c])) == Fraction(perm, 6)
 
 
 def test_collapse_to_form_value():
     # all slots equal recovers the plain value, for full and partial routes
     f = cube_form()
-    x = (2, -3)
+    x = pair((2, -3))
     assert full_polarize(f, [x, x, x]) == f(x)
     assert partial_polarize(f, x, 3, []) == f(x)
     assert partial_polarize(f, x, 2, [x]) == f(x)
@@ -61,8 +76,8 @@ def test_partial_matches_full():
         form = norm_form(spec)
         rng = stream_rng(20, "partial", k, delta)
         q = spec.degree
-        base = sample_coords(rng, spec.dim)
-        rest = [sample_coords(rng, spec.dim) for _ in range(2)]
+        base = pair(sample_coords(rng, spec.dim))
+        rest = [pair(sample_coords(rng, spec.dim)) for _ in range(2)]
         full_args = [base] * (q - 2) + rest
         assert partial_polarize(form, base, q - 2, rest) == \
             full_polarize(form, full_args)
@@ -73,14 +88,14 @@ def test_symmetry_and_multilinearity():
     form = norm_form(spec)
     rng = stream_rng(21, "multi")
     a, b, c = (sample_coords(rng, spec.dim) for _ in range(3))
-    base = full_polarize(form, [a, b, c])
-    assert full_polarize(form, [b, a, c]) == base
-    assert full_polarize(form, [c, b, a]) == base
+    base = full_polarize(form, pairs([a, b, c]))
+    assert full_polarize(form, pairs([b, a, c])) == base
+    assert full_polarize(form, pairs([c, b, a])) == base
     scaled = tuple(5 * v for v in a)
-    assert full_polarize(form, [scaled, b, c]) == 5 * base
+    assert full_polarize(form, pairs([scaled, b, c])) == 5 * base
     shifted = tuple(x + y for x, y in zip(a, c))
-    assert full_polarize(form, [shifted, b, c]) == \
-        base + full_polarize(form, [c, b, c])
+    assert full_polarize(form, pairs([shifted, b, c])) == \
+        base + full_polarize(form, pairs([c, b, c]))
 
 
 def test_covector_slot_matches_partials():
@@ -89,31 +104,33 @@ def test_covector_slot_matches_partials():
     rng = stream_rng(22, "cov")
     a = sample_coords(rng, spec.dim)
     b = sample_coords(rng, spec.dim)
-    cov = vector_values(covector_slot(form, [a, b]))
+    cov = vector_values(covector_slot(form, pairs([a, b])))
     assert len(cov) == spec.dim
     for c in range(spec.dim):
         e_c = tuple(int(i == c) for i in range(spec.dim))
-        assert cov[c] == full_polarize(form, [a, b, e_c])
+        assert cov[c] == full_polarize(form, pairs([a, b, e_c]))
     # pairing the covector against a vector equals the trilinear value
     x = sample_coords(rng, spec.dim)
-    assert sum(w * v for w, v in zip(cov, x)) == full_polarize(form, [a, b, x])
+    assert sum(w * v for w, v in zip(cov, x)) == full_polarize(form, pairs([a, b, x]))
 
 
 def test_rational_arguments():
     f = cube_form()
-    x = (Fraction(1, 2), Fraction(-1, 3))
+    x = pair((Fraction(1, 2), Fraction(-1, 3)))
     assert f(x) == Fraction(1, 8) - Fraction(1, 27)
-    assert partial_polarize(f, x, 2, [(1, 1)]) == \
-        full_polarize(f, [x, x, (1, 1)])
+    assert partial_polarize(f, x, 2, [pair((1, 1))]) == \
+        full_polarize(f, [x, x, pair((1, 1))])
 
 
 def test_cache_rescales_to_integers():
-    # rational arguments are cleared to int numerators, F(z/d) = F(z)/d^q,
-    # and equal rationals give equal values however they are written
+    # rational arguments are int numerators over a denominator, F(z/d) =
+    # F(z)/d^q, and equal rationals give equal values however they are
+    # written, a pair not in lowest terms included
     f = cube_form()
-    value = f((Fraction(1, 2), Fraction(3, 2)))
-    assert value == f((1, 3)) / 2 ** 3 == Fraction(1 + 27, 8)
-    assert f((Fraction(2, 4), Fraction(3, 2))) == value
+    value = f(pair((Fraction(1, 2), Fraction(3, 2))))
+    assert value == f(pair((1, 3))) / 2 ** 3 == Fraction(1 + 27, 8)
+    assert f(pair((Fraction(2, 4), Fraction(3, 2)))) == value
+    assert f(((2, 6), 4)) == value
 
 
 @pytest.mark.parametrize("k,delta", [(2, 2), (2, 4)])
@@ -124,15 +141,15 @@ def test_float_and_exact_calls_keep_their_types(k, delta):
     form = PolarizedForm(norm.degree, norm.dim, norm.func, name="fresh")
     ints = tuple(sample_coords(stream_rng(23, "types", k, delta), norm.dim))
     floats = tuple(float(v) for v in ints)
-    exact = form(ints)
+    exact = form(pair(ints))
     assert isinstance(exact, (int, Fraction))
-    assert type(form(floats)) is float
-    assert form(ints) == exact and isinstance(form(ints), (int, Fraction))
+    assert type(form(pair(floats))) is float
+    assert form(pair(ints)) == exact and isinstance(form(pair(ints)), (int, Fraction))
     # float subclasses such as numpy's are not exact either
-    assert isinstance(form(tuple(numpy.float64(v) for v in ints)), float)
+    assert isinstance(form(pair(tuple(numpy.float64(v) for v in ints))), float)
     other = PolarizedForm(norm.degree, norm.dim, norm.func, name="fresh")
-    assert type(other(floats)) is float
-    assert other(ints) == exact and isinstance(other(ints), (int, Fraction))
+    assert type(other(pair(floats))) is float
+    assert other(pair(ints)) == exact and isinstance(other(pair(ints)), (int, Fraction))
 
 
 def test_cache_eviction():
@@ -142,7 +159,7 @@ def test_cache_eviction():
                       name="stress")
     inputs = [(i % 13 - 6, (7 * i) % 11 - 5) for i in range(400)]
     for x, y in inputs:
-        assert f((x, y)) == x * x + 3 * y * y
+        assert f(pair((x, y))) == x * x + 3 * y * y
 
 
 def test_table_of_known_forms():
@@ -176,13 +193,21 @@ def test_derivative_weights():
 def test_arity_errors():
     f = cube_form()
     with pytest.raises(ArityError):
-        f((1, 2, 3))
+        f(pair((1, 2, 3)))
     with pytest.raises(ArityError):
-        full_polarize(f, [(1, 0), (0, 1)])
+        full_polarize(f, pairs([(1, 0), (0, 1)]))
     with pytest.raises(ArityError):
-        partial_polarize(f, (1, 0), 2, [(0, 1), (1, 1)])
+        partial_polarize(f, pair((1, 0)), 2, pairs([(0, 1), (1, 1)]))
     with pytest.raises(ArityError):
-        covector_slot(f, [(1, 0)])
+        covector_slot(f, pairs([(1, 0)]))
+    # a bare tuple of values is not a pair, whatever its length
+    for bare in ((1, 2), (1, 2, 3), ((1, 2),)):
+        with pytest.raises(ArityError):
+            f(bare)
+    with pytest.raises(ArityError):
+        partial_polarize(f, pair((1, 0)), 2, [(0, 1)])
+    with pytest.raises(ArityError):
+        covector_slot(f, [(1, 0), (0, 1)])
 
 
 ORACLE_SHAPES = [(2, 1), (2, 8), (3, 4), (4, 1)]
@@ -228,10 +253,10 @@ def test_table_matches_inclusion_exclusion(k, delta, kind):
     q = form.degree
     args = oracle_args(spec, kind, q + 1, "values")
     base, rest = args[0], args[1:]
-    assert_agrees(form(base), form.func(exact(base)), kind)
+    assert_agrees(form(pair(base)), form.func(exact(base)), kind)
     for mult in range(q + 1):
         slots = rest[:q - mult]
-        assert_agrees(partial_polarize(form, base, mult, slots),
+        assert_agrees(partial_polarize(form, pair(base), mult, pairs(slots)),
                       inclusion_exclusion_polarize(
                           form, exact(base), mult, [exact(r) for r in slots]),
                       kind)
@@ -241,7 +266,7 @@ def test_table_matches_inclusion_exclusion(k, delta, kind):
     e_last = tuple(int(i == form.dim - 1) for i in range(form.dim))
     for fixed in ([base] * (q - 2) + [rest[0]],
                   [base] * (q - 3) + [rest[0], rest[1]]):
-        cov = vector_values(covector_slot(form, fixed))
+        cov = vector_values(covector_slot(form, pairs(fixed)))
         mult = fixed.count(base)
         others = [exact(f) for f in fixed[mult:]]
         assert_agrees(pairing(cov, x), inclusion_exclusion_polarize(
@@ -268,10 +293,11 @@ def test_every_slot_count_matches_inclusion_exclusion(k, delta, kind):
         slots = pool[:m]
         want = inclusion_exclusion_polarize(form, exact(point), q - m,
                                             [exact(r) for r in slots])
-        assert_agrees(partial_polarize(form, point, q - m, slots), want, kind)
+        assert_agrees(partial_polarize(form, pair(point), q - m, pairs(slots)),
+                      want, kind)
         if m == q:
             continue
-        cov = vector_values(_contract(form, point, slots, gradient=True))
+        cov = vector_values(_contract(form, pair(point), pairs(slots), gradient=True))
         assert len(cov) == form.dim
         assert_agrees(pairing(cov, x), inclusion_exclusion_polarize(
             form, exact(point), q - 1 - m, [exact(r) for r in slots] + [exact(x)]),
@@ -287,14 +313,15 @@ def test_zero_base_and_repeated_base_match_inclusion_exclusion(k, delta, kind):
     base, a, x = oracle_args(spec, kind, 3, "repeats")
     # a zero base: every slot is an argument, one of them twice
     args = [a, a] + [base] * (q - 2)
-    assert_agrees(full_polarize(form, args), inclusion_exclusion_polarize(
+    assert_agrees(full_polarize(form, pairs(args)), inclusion_exclusion_polarize(
         form, (0,) * form.dim, 0, [exact(v) for v in args]), kind)
-    cov = vector_values(_contract(form, (0,) * form.dim, args[1:], gradient=True))
+    cov = vector_values(_contract(form, pair((0,) * form.dim), pairs(args[1:]),
+                                  gradient=True))
     assert_agrees(pairing(cov, x), inclusion_exclusion_polarize(
         form, (0,) * form.dim, 0, [exact(v) for v in args[1:]] + [exact(x)]), kind)
     # fixed arguments that repeat the base apart from its first place
     fixed = [base, a] + [base] * (q - 3)
-    assert_agrees(pairing(vector_values(covector_slot(form, fixed)), x),
+    assert_agrees(pairing(vector_values(covector_slot(form, pairs(fixed))), x),
                   inclusion_exclusion_polarize(form, exact(base), q - 2,
                                                [exact(a), exact(x)]), kind)
 
@@ -302,7 +329,7 @@ def test_zero_base_and_repeated_base_match_inclusion_exclusion(k, delta, kind):
 def pair_values(fr, m):
     """The pair matrix at m as values: its int rows over their denominator,
     or its floats over 1."""
-    rows, den = _pair_matrix(fr, m)
+    rows, den = _pair_matrix(fr, pair(m))
     return [[v if den == 1 else Fraction(v, den) for v in row] for row in rows]
 
 
@@ -327,7 +354,7 @@ def test_pair_matrix_matches_inclusion_exclusion(k, delta, kind):
     for i, row in enumerate(w):
         e_i = tuple(int(c == i) for c in range(spec.dim))
         for got, want in zip(row, vector_values(
-                covector_slot(fr.form, [m] * (fr.q - 2) + [e_i]))):
+                covector_slot(fr.form, pairs([m] * (fr.q - 2) + [e_i])))):
             assert_agrees(got, want, kind)
 
 
@@ -348,5 +375,5 @@ def test_pair_matrix_reads_the_table_once(monkeypatch):
     table = CountingTable(fr.form.terms)
     monkeypatch.setattr(fr.form, "terms", table)
     m = sample_coords(stream_rng(25, "sweep"), fr.spec.dim)
-    _pair_matrix(fr, m)
+    _pair_matrix(fr, pair(m))
     assert table.passes == 1

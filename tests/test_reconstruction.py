@@ -162,7 +162,7 @@ def test_sharp_of_unit_slot_covector():
         fr = frame(spec)
         rng = stream_rng(38, "slot", k, delta)
         a = random_element(spec, rng)
-        cov = covector_slot(fr.form, [fr.unit_coords] * (fr.q - 2) + [a.coords()])
+        cov = covector_slot(fr.form, [fr.unit.cleared] * (fr.q - 2) + [a.cleared])
         lhs = sharp(fr, cov)
         e = identity(spec)
         rhs = (e.scale((k + 1) * unit_pairing(fr, a)) - a).scale(Fraction(1, k))
@@ -175,7 +175,7 @@ def test_gradient_map_at_unit():
     fr = frame(spec)
     e = identity(spec)
     # G(M) = Q(M,...,M,.)/Q(M), and Q(I) = 1
-    grad = vector_values(covector_slot(fr.form, [e.coords()] * (fr.q - 1)))
+    grad = vector_values(covector_slot(fr.form, [e.cleared] * (fr.q - 1)))
     rng = stream_rng(39, "grad")
     x = random_element(spec, rng)
     paired = sum(g * c for g, c in zip(grad, x.coords()))

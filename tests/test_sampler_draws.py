@@ -96,7 +96,7 @@ def test_pinned_invertible_streams_meet_rejections():
     for rng in streams("random_invertible", 2, 1, 8):
         accepted = 0
         while accepted < 64:
-            if fr.form(sample_coords(rng, fr.spec.dim)) == 0:
+            if fr.form((sample_coords(rng, fr.spec.dim), 1)) == 0:
                 rejected += 1
             else:
                 accepted += 1
