@@ -117,9 +117,10 @@ def tangent_frame(x: RankOnePoint):
     """Differentiate (v+tw)(v+tw)^H at t=0 over chart coordinate directions w.
 
     Returns the numerator rows of w v^H + v w^H, which span the tangent
-    space at x (a row's scale does not change the span). Their rank is the tangent-rank check's claim, so it is not tested
-    here: a trial draws again only on a degenerate draw, never on a wrong
-    rank (see runner._run_one_trial).
+    space at x (a row's scale does not change the span). Their rank is the
+    tangent-rank check's claim, so it is not tested here: a trial draws
+    again only on a degenerate draw, never on a wrong rank (see
+    runner._run_one_trial).
 
     The directions keep the scalar slot of v scalar, so every perturbed
     vector still has pairwise associating entries and the curve stays inside

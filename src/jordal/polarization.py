@@ -275,7 +275,6 @@ def covector_slot(form: PolarizedForm, fixed):
     slots.
     """
     q = form.degree
-    fixed = list(fixed)
     if len(fixed) != q - 1:
         raise ArityError(f"covector slot of a degree-{q} form needs {q - 1} "
                          f"fixed arguments, got {len(fixed)}")

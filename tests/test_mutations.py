@@ -1,6 +1,6 @@
 """Seeded bugs in the Jordan product, in the unit table of the product
 kernels, in Q's monomial table and in the linear-algebra, polarization and
-norm-trace layers, each pinned to the checks it fails.
+norm-trace layers, each pinned to the checks it fails, some at two shapes.
 
 A check that no plausible bug can turn to ``fail`` proves nothing, and the
 report cannot tell it from a strong one, so every check is pinned by some
@@ -68,6 +68,14 @@ def coordinatewise_product(_original):
         (x, dx), (y, dy) = a.cleared, b.cleared
         return reduced(a.spec, tuple(map(mul, x, y)), dx * dy)
     return product
+
+
+def first_coefficient_plus_one(form):
+    """A copy of the form whose first table coefficient is raised by one."""
+    out = copy.copy(form)
+    (mono, c), rest = form.terms[0], form.terms[1:]
+    out.terms = ((mono, c + 1),) + rest
+    return out
 
 
 def last_coordinate_dropped(form):
@@ -158,6 +166,19 @@ BUGS = {
          "rank-characterization", "scalar-reduction", "sharp-identity",
          "square-decomposition", "structural-norm-factor", "tau-normalized-det",
          "unit-reduction"}),
+    # Q's table with its first coefficient raised by one: Q, every
+    # polarization and the Gram are wrong, the product is not
+    "q-table-coefficient": (
+        reconstruction, "norm_form", on_result(first_coefficient_plus_one),
+        {"adjoint-comatrix", "automorphism-trichotomy", "bracketing-words",
+         "cayley-hamilton", "composite-similarity", "derivative-oracle",
+         "double-adjoint", "double-point", "dual-point", "fourth-power",
+         "homogeneity", "mixed-adjoint", "norm-semisimilarity",
+         "orbit-derivative", "pairing-product", "product-reconstruction",
+         "projection-formula", "quadratic-structural", "rank-characterization",
+         "scalar-reduction", "sharp-identity", "square-decomposition",
+         "structural-norm-factor", "tau-normalized-det", "trace-lemma",
+         "unit-reduction"}),
     "nullspace-entries": (geometry, "exact_nullspace",
                           on_result(lambda basis: [plus_one(v) for v in basis]),
                           {"projection-formula"}),
@@ -178,6 +199,41 @@ BUGS = {
 }
 # bugs run at another shape than (2, 8)
 SHAPES = {"coordinatewise-product": (3, 8)}
+# bugs also run at (3, 4), under their own names: a quartic norm, where the
+# severi suite skips; the checks each fails there
+AT_3_4 = {
+    "q-table-coefficient": {
+        "automorphism-trichotomy", "composite-similarity", "derivative-oracle",
+        "double-point", "dual-point", "homogeneity", "norm-semisimilarity",
+        "orbit-derivative", "pairing-product", "product-reconstruction",
+        "projection-formula", "quadratic-structural", "sharp-identity",
+        "structural-norm-factor", "tau-normalized-det", "trace-lemma"},
+    "unit-table-sign": {
+        "automorphism-trichotomy", "commutativity", "composite-similarity",
+        "derivative-oracle", "double-point", "dual-point", "homogeneity",
+        "jordan-identity", "lie-triple", "mult-kernel", "norm-multiplicativity",
+        "norm-semisimilarity", "pairing-product", "power-associativity",
+        "product-reconstruction", "projection-formula", "quadratic-structural",
+        "secant-membership", "structural-norm-factor", "tangent-intersection",
+        "tangent-rank", "tau-normalized-det", "terracini-dimension"},
+    "pair-matrix-diagonal": {
+        "automorphism-trichotomy", "composite-similarity", "derivative-oracle",
+        "dual-point", "homogeneity", "norm-semisimilarity", "orbit-derivative",
+        "pairing-product", "product-reconstruction", "projection-formula",
+        "quadratic-structural", "sharp-identity", "structural-norm-factor",
+        "tau-normalized-det", "tau-symmetry"},
+    "trace-pairing-doubled": {
+        "automorphism-trichotomy", "composite-similarity", "derivative-oracle",
+        "double-point", "dual-point", "homogeneity", "mult-kernel",
+        "norm-semisimilarity", "orbit-derivative", "pairing-product",
+        "product-reconstruction", "projection-formula", "quadratic-structural",
+        "secant-membership", "sharp-identity", "structural-norm-factor",
+        "tangent-intersection", "tangent-rank", "tau-normalized-det",
+        "terracini-dimension", "trace-lemma"},
+}
+for bug, checks in AT_3_4.items():
+    BUGS[f"{bug}-at-3-4"] = BUGS[bug][:3] + (checks,)
+    SHAPES[f"{bug}-at-3-4"] = (3, 4)
 
 
 def clear_caches():
