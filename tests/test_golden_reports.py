@@ -1,13 +1,18 @@
-"""Golden exact-mode reports: the sha256 of each pinned configuration.
+"""Golden reports: the sha256 of each pinned configuration.
 
 Exact mode promises byte-identical reports, so a refactor that changes a
-single byte of these reports changed a result or its rendering. The hashes
+single byte of these reports changed a result or its rendering. Float
+reports are pinned too, for the suites whose comparison rule a refactor may
+move: their errors are IEEE doubles computed in a fixed order, so they are
+as reproducible as the exact ones on every supported Python. The hashes
 were recorded under Python 3.11.7; a mismatch on another Python version is
 a cross-version drift of the report, which the project treats as a failure
-too.
+too, and the message lists every check of the report that was produced, so
+the check that moved is named.
 """
 
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -19,35 +24,68 @@ RECORDED_UNDER = "3.11.7"
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 # the three benchmark configurations, then two shapes no benchmark workload
-# runs: delta = 1 and a degree-5 norm; last, the geometry and symmetric
-# suites on a degree-4 norm
-GOLDEN = [
-    (["--k", "2", "--delta", "8", "--suite", "all", "--trials", "1", "--seed", "42"],
-     "9e66531178d525c653e8e07330079336ccf726fb505baa5326d177d372a11445", 8728),
-    (["--k", "3", "--delta", "8", "--suite", "all", "--trials", "1", "--seed", "42"],
-     "303c979b866d7c48c39a6ea1341e0c1652ab1742afc41db18708e2d015fe97f8", 10209),
-    (["--k", "3", "--delta", "4", "--suite", "algebra", "--trials", "200",
-      "--seed", "42"],
-     "447d844b6c20e8a4bd8d37e4e31689a0573f1b054f42a862ac67bda176fca301", 1145),
-    (["--k", "2", "--delta", "1", "--suite", "all", "--trials", "3", "--seed", "7"],
-     "fd35922fe32991b791859a04031896ee8f5c667ddc9e96ecdf2654e494c6ad80", 8721),
-    (["--k", "4", "--delta", "1", "--suite", "all", "--trials", "3", "--seed", "7"],
-     "caac9b072b97aabbc8b7b8ab0be0c49ebbb20e0ac2415d6de8427bdc819c9618", 8784),
-    (["--k", "3", "--delta", "4", "--suite", "all", "--trials", "3", "--seed", "7"],
-     "bce1f7be541c4dfb52a243a659b6e8811332264574301b7377345041620b6f7a", 8741),
-]
+# runs: delta = 1 and a degree-5 norm; then the geometry and symmetric
+# suites on a degree-4 norm; last, float runs of the severi, symmetric and
+# negative suites
+GOLDEN = {
+    "k2-d8-all": (
+        ["--k", "2", "--delta", "8", "--suite", "all", "--trials", "1", "--seed", "42",
+         "--mode", "exact"],
+        "9e66531178d525c653e8e07330079336ccf726fb505baa5326d177d372a11445", 8728),
+    "k3-d8-all": (
+        ["--k", "3", "--delta", "8", "--suite", "all", "--trials", "1", "--seed", "42",
+         "--mode", "exact"],
+        "303c979b866d7c48c39a6ea1341e0c1652ab1742afc41db18708e2d015fe97f8", 10209),
+    "k3-d4-algebra": (
+        ["--k", "3", "--delta", "4", "--suite", "algebra", "--trials", "200",
+         "--seed", "42", "--mode", "exact"],
+        "447d844b6c20e8a4bd8d37e4e31689a0573f1b054f42a862ac67bda176fca301", 1145),
+    "k2-d1-all": (
+        ["--k", "2", "--delta", "1", "--suite", "all", "--trials", "3", "--seed", "7",
+         "--mode", "exact"],
+        "fd35922fe32991b791859a04031896ee8f5c667ddc9e96ecdf2654e494c6ad80", 8721),
+    "k4-d1-all": (
+        ["--k", "4", "--delta", "1", "--suite", "all", "--trials", "3", "--seed", "7",
+         "--mode", "exact"],
+        "caac9b072b97aabbc8b7b8ab0be0c49ebbb20e0ac2415d6de8427bdc819c9618", 8784),
+    "k3-d4-all": (
+        ["--k", "3", "--delta", "4", "--suite", "all", "--trials", "3", "--seed", "7",
+         "--mode", "exact"],
+        "bce1f7be541c4dfb52a243a659b6e8811332264574301b7377345041620b6f7a", 8741),
+    "k2-d8-severi-float": (
+        ["--k", "2", "--delta", "8", "--suite", "severi", "--trials", "3", "--seed", "7",
+         "--mode", "float"],
+        "3b60fcec01445600a3c149e63931b83541fdb9b2613d3e8c20bc975f2617f180", 2357),
+    "k3-d4-symmetric-float": (
+        ["--k", "3", "--delta", "4", "--suite", "symmetric", "--trials", "3",
+         "--seed", "7", "--mode", "float"],
+        "187fc2c95a660d0a7c432af7e25867f98730c580380b7a4f1f066eb8ba927949", 1281),
+    "k3-d8-negative-float": (
+        ["--k", "3", "--delta", "8", "--suite", "negative", "--trials", "3",
+         "--seed", "7", "--mode", "float"],
+        "56bbe6a0d2a319baf8d0d7c3fecb63b9732031821a1056aca0b7d6b6cf9b9fa0", 2146),
+}
 
 
-@pytest.mark.parametrize("args,sha256,size", GOLDEN,
-                         ids=["k2-d8-all", "k3-d8-all", "k3-d4-algebra",
-                              "k2-d1-all", "k4-d1-all", "k3-d4-all"])
-def test_exact_report_matches_golden_hash(args, sha256, size):
+def in_mode(mode):
+    return [key for key, (args, *_) in GOLDEN.items()
+            if args[args.index("--mode") + 1] == mode]
+
+
+def check_lines(report: bytes) -> str:
+    """One line "id status max_abs_error" per check of a JSON report."""
+    return "\n".join(f"{c['id']} {c['status']} {c['max_abs_error']}"
+                     for c in json.loads(report)["checks"])
+
+
+def assert_golden(key):
+    args, sha256, size = GOLDEN[key]
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     proc = subprocess.run(
         [sys.executable, "-m", "jordal.cli", "verify", *args,
-         "--threads", "1", "--mode", "exact", "--format", "json"],
+         "--threads", "1", "--format", "json"],
         capture_output=True, env=env, timeout=600)
     assert proc.returncode == 0, proc.stderr.decode()
     got = hashlib.sha256(proc.stdout).hexdigest()
@@ -55,4 +93,15 @@ def test_exact_report_matches_golden_hash(args, sha256, size):
     assert (got, len(proc.stdout)) == (sha256, size), (
         f"report for {' '.join(args)} changed: sha256 {got}, "
         f"{len(proc.stdout)} bytes; golden recorded under Python "
-        f"{RECORDED_UNDER}, running {running}")
+        f"{RECORDED_UNDER}, running {running}; its checks:\n"
+        + check_lines(proc.stdout))
+
+
+@pytest.mark.parametrize("key", in_mode("exact"))
+def test_exact_report_matches_golden_hash(key):
+    assert_golden(key)
+
+
+@pytest.mark.parametrize("key", in_mode("float"))
+def test_float_report_matches_golden_hash(key):
+    assert_golden(key)

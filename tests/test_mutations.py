@@ -6,7 +6,10 @@ A check that no plausible bug can turn to ``fail`` proves nothing, and the
 report cannot tell it from a strong one, so every check is pinned by some
 bug. Each bug here is monkeypatched into one in-process run of ``--suite all
 --trials 1 --seed 7`` at (k, delta) = (2, 8), or at the shape ``SHAPES``
-names, which must fail exactly the checks pinned to it. The cached frame,
+names, which must fail exactly the checks pinned to it. The whole JSON
+report of each run is pinned too, by a digest: a report whose failing set
+holds can still move, for instance in the ``max_abs_error`` of a failing
+check when a sides function gets its operands swapped. The cached frame,
 the norm table, the unit table and the kernels compiled from it are cleared
 before and after each run, so a bug in the Gram inverse or in either table
 neither misses the run nor outlives it.
@@ -16,6 +19,7 @@ across the two nullspaces of ``tangent_intersection``, so no check fails.
 """
 
 import copy
+import hashlib
 from operator import mul
 
 import pytest
@@ -24,7 +28,7 @@ from jordal import (composition, cubic, geometry, jordan, linalg, reconstruction
                     runner, symmetry)
 from jordal.jordan import norm_form, reduced
 from jordal.reconstruction import frame
-from jordal.report import FAIL
+from jordal.report import FAIL, render_json
 from jordal.runner import CHECKS, RunConfig, run_suite
 
 
@@ -196,6 +200,21 @@ BUGS = {
          "square-decomposition", "structural-norm-factor",
          "tangent-intersection", "tangent-rank", "tau-normalized-det",
          "terracini-dimension", "trace-lemma", "unit-reduction"}),
+    # the layout's lower blocks hold x in place of conj(x), so the product
+    # kernel and grid() build AB + BA with the transpose in place of the
+    # conjugate transpose
+    "layout-unconjugated": (
+        jordan, "cd_conj", lambda _original: lambda x: tuple(x),
+        {"adjoint-comatrix", "automorphism-trichotomy", "bracketing-words",
+         "cayley-hamilton", "commutativity", "composite-similarity",
+         "derivative-oracle", "double-adjoint", "double-point", "dual-point",
+         "fourth-power", "homogeneity", "jordan-identity", "lie-triple",
+         "mixed-adjoint", "mult-kernel", "norm-semisimilarity",
+         "pairing-product", "power-associativity", "product-reconstruction",
+         "projection-formula", "quadratic-structural", "rank-characterization",
+         "secant-membership", "square-decomposition", "structural-norm-factor",
+         "tangent-intersection", "tangent-rank", "tau-normalized-det",
+         "terracini-dimension", "trace-lemma", "unit-law", "unit-reduction"}),
 }
 # bugs run at another shape than (2, 8)
 SHAPES = {"coordinatewise-product": (3, 8)}
@@ -230,10 +249,43 @@ AT_3_4 = {
         "secant-membership", "sharp-identity", "structural-norm-factor",
         "tangent-intersection", "tangent-rank", "tau-normalized-det",
         "terracini-dimension", "trace-lemma"},
+    "layout-unconjugated": {
+        "automorphism-trichotomy", "commutativity", "composite-similarity",
+        "derivative-oracle", "double-point", "dual-point", "homogeneity",
+        "jordan-identity", "lie-triple", "mult-kernel", "norm-semisimilarity",
+        "pairing-product", "permutation-similarity", "power-associativity",
+        "product-reconstruction", "projection-formula", "quadratic-structural",
+        "secant-membership", "structural-norm-factor", "tangent-intersection",
+        "tangent-rank", "tau-normalized-det", "terracini-dimension",
+        "trace-lemma", "unit-law"},
 }
 for bug, checks in AT_3_4.items():
     BUGS[f"{bug}-at-3-4"] = BUGS[bug][:3] + (checks,)
     SHAPES[f"{bug}-at-3-4"] = (3, 4)
+
+# sha256 prefix of each bug's JSON report
+REPORT_PINNED = {
+    "combine-entry": "569d6cbb0d41d16d",
+    "coordinatewise-product": "1d2041ea753b9400",
+    "det-negated": "7e3238c17e80b3a0",
+    "inverse-entry": "1e54087d478da6f8",
+    "jordan-mul-doubled": "8869d12f084c7bd4",
+    "layout-unconjugated": "1aeb6f76344a5d1b",
+    "layout-unconjugated-at-3-4": "8dbc1a5c3f08c288",
+    "nullspace-entries": "87734dccc3fec637",
+    "pair-matrix-diagonal": "102bb21c3f20293f",
+    "pair-matrix-diagonal-at-3-4": "808bee1994889baf",
+    "projection-solve-entry": "3ee8f77c7edaa83b",
+    "q-ignores-last-coordinate": "8526e1a7a3de0697",
+    "q-table-coefficient": "2988fab650759d2f",
+    "q-table-coefficient-at-3-4": "ab5f9e04dfa0dfe0",
+    "rank-minus-one": "34268dc60073c66a",
+    "solve-entry": "c0756af590018149",
+    "trace-pairing-doubled": "c01c556b7f88269d",
+    "trace-pairing-doubled-at-3-4": "8ee2630039649043",
+    "unit-table-sign": "bb04128d5badec69",
+    "unit-table-sign-at-3-4": "ccbcba7607535b25",
+}
 
 
 def clear_caches():
@@ -242,9 +294,9 @@ def clear_caches():
         cached.cache_clear()
 
 
-def failed_checks(monkeypatch, bug=None, shape=(2, 8)):
-    """Ids of the checks the run at shape fails, with bug patched in if
-    given; a bug given for several modules is patched into each."""
+def run_report(monkeypatch, bug=None, shape=(2, 8)):
+    """The report of the run at shape, with bug patched in if given; a bug
+    given for several modules is patched into each."""
     clear_caches()
     try:
         if bug:
@@ -255,22 +307,29 @@ def failed_checks(monkeypatch, bug=None, shape=(2, 8)):
             for module in modules:
                 monkeypatch.setattr(module, name, buggy)
         k, delta = shape
-        report = run_suite(RunConfig(k=k, delta=delta, suite="all", trials=1, seed=7))
+        return run_suite(RunConfig(k=k, delta=delta, suite="all", trials=1, seed=7))
     finally:
         monkeypatch.undo()
         clear_caches()
+
+
+def failed_checks(report):
     return {c.id for c in report.checks if c.status == FAIL}
 
 
 def test_unmutated_run_fails_nothing(monkeypatch):
     for shape in sorted({(2, 8), *SHAPES.values()}):
-        assert failed_checks(monkeypatch, shape=shape) == set()
+        assert failed_checks(run_report(monkeypatch, shape=shape)) == set()
 
 
 @pytest.mark.parametrize("bug", sorted(BUGS))
 def test_seeded_bug_fails_its_pinned_checks(bug, monkeypatch):
-    got = failed_checks(monkeypatch, bug, SHAPES.get(bug, (2, 8)))
-    assert got == BUGS[bug][3]
+    report = run_report(monkeypatch, bug, SHAPES.get(bug, (2, 8)))
+    assert failed_checks(report) == BUGS[bug][3]
+    got = hashlib.sha256(render_json(report)).hexdigest()[:16]
+    assert got == REPORT_PINNED[bug], (
+        f"report under {bug} changed: digest {got}; its checks:\n"
+        + "\n".join(f"{c.id} {c.status} {c.max_abs_error}" for c in report.checks))
 
 
 def test_every_check_is_pinned_by_some_bug():
