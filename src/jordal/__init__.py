@@ -18,7 +18,7 @@ from .geometry import (RankOnePoint, dual_point, product_projection,
                        sample_rank_one, tangent_frame, tangent_intersection,
                        terracini_dim, terracini_expected)
 from .symmetry import (GroupElementSample, automorphism_trichotomy,
-                       lie_triple_residual, permutation_conjugation_sample,
+                       lie_triple_sides, permutation_conjugation_sample,
                        structural_sample)
 from .cubic import adjoint
 from .report import CheckResult, VerificationReport, emit_report, write_report
@@ -37,7 +37,7 @@ __all__ = [
     "RankOnePoint", "dual_point", "product_projection", "sample_rank_one",
     "tangent_frame", "tangent_intersection",
     "terracini_dim", "terracini_expected",
-    "GroupElementSample", "automorphism_trichotomy", "lie_triple_residual",
+    "GroupElementSample", "automorphism_trichotomy", "lie_triple_sides",
     "permutation_conjugation_sample", "structural_sample",
     "adjoint",
     "CheckResult", "VerificationReport", "emit_report", "write_report",

@@ -7,8 +7,12 @@ symmetric matrices it coincides with the classical adjugate, and the
 relations below are the coordinate-free versions of adj(adj A) = det(A) A
 and its derivatives.
 
-The power recursion is stated once, in ``power_words``, and every power
-identity is checked against it. ``bracketings`` takes no frame; every other
+Each single identity is a ``*_sides`` function that returns its two sides,
+elements (scalars for the scalar reduction) that must be equal; the runner
+compares them. The power recursion is stated once, in ``power_words``, and
+every power identity is checked against it; the two families of power words
+(``fourth_power_residuals``, ``bracketing_residual``) report their largest
+deviation instead. ``bracketings`` takes no frame; every other
 function takes the NormFrame of the shape. On a frame whose norm is not
 cubic the polarizations raise ArityError.
 """
@@ -38,21 +42,18 @@ def adjoint(fr: NormFrame, a: JordanElement) -> JordanElement:
     return _raise(fr, a, a)
 
 
-def comatrix_product_residual(fr: NormFrame, a: JordanElement):
-    """A * adj(A) - Q(A) I, which should vanish identically."""
-    lhs = jordan_mul(a, adjoint(fr, a))
-    return (lhs - fr.unit.scale(fr.norm(a))).max_abs()
+def comatrix_product_sides(fr: NormFrame, a: JordanElement):
+    """A * adj(A) and Q(A) I."""
+    return jordan_mul(a, adjoint(fr, a)), fr.unit.scale(fr.norm(a))
 
 
-def double_adjoint_residual(fr: NormFrame, a: JordanElement):
-    """adj(adj(A)) - Q(A) A: the degree-2 birational square of the norm map."""
+def double_adjoint_sides(fr: NormFrame, a: JordanElement):
+    """adj(adj(A)) and Q(A) A: the degree-2 birational square of the norm map."""
     adj = adjoint(fr, a)
-    lhs = _raise(fr, adj, adj)
-    return (lhs - a.scale(fr.norm(a))).max_abs()
+    return _raise(fr, adj, adj), a.scale(fr.norm(a))
 
 
-def mixed_adjoint_residual(fr: NormFrame, a: JordanElement,
-                           b: JordanElement):
+def mixed_adjoint_sides(fr: NormFrame, a: JordanElement, b: JordanElement):
     """First polarization of the double-adjoint identity.
 
     4 raise Q(adj A, raise Q(A, B, .), .)  ==  3 Q(A, A, B) A + Q(A) B.
@@ -61,10 +62,10 @@ def mixed_adjoint_residual(fr: NormFrame, a: JordanElement,
     w = _raise(fr, a, b)
     lhs = _raise(fr, adj, w).scale(4)
     rhs = a.scale(3 * _trilinear(fr, a, a, b)) + b.scale(fr.norm(a))
-    return (lhs - rhs).max_abs()
+    return lhs, rhs
 
 
-def unit_reduction_residual(fr: NormFrame, a: JordanElement):
+def unit_reduction_sides(fr: NormFrame, a: JordanElement):
     """Second polarization, with one argument specialized to the unit.
 
     2 raise Q(adj A, A, .)  ==  6 phi(A) raise Q(adj A, I, .)
@@ -75,10 +76,10 @@ def unit_reduction_residual(fr: NormFrame, a: JordanElement):
     rhs = (_raise(fr, adj, fr.unit).scale(6 * unit_pairing(fr, a))
            - fr.unit.scale(fr.norm(a))
            - a.scale(3 * _trilinear(fr, a, a, fr.unit)))
-    return (lhs - rhs).max_abs()
+    return lhs, rhs
 
 
-def scalar_reduction_residual(fr: NormFrame, a: JordanElement):
+def scalar_reduction_sides(fr: NormFrame, a: JordanElement):
     """Scalar shadow of the previous relation, evaluated on the unit.
 
     2 Q(adj A, A, I)  ==  3 phi(A) Q(A, A, I) - Q(A).
@@ -86,15 +87,14 @@ def scalar_reduction_residual(fr: NormFrame, a: JordanElement):
     adj = adjoint(fr, a)
     lhs = 2 * _trilinear(fr, adj, a, fr.unit)
     rhs = 3 * unit_pairing(fr, a) * _trilinear(fr, a, a, fr.unit) - fr.norm(a)
-    return abs(lhs - rhs)
+    return lhs, rhs
 
 
-def square_decomposition_residual(fr: NormFrame, a: JordanElement):
-    """A * A - adj(A) - 3 phi(A) A + 3 Q(I, A, A) I, identically zero."""
-    lhs = jordan_mul(a, a)
+def square_decomposition_sides(fr: NormFrame, a: JordanElement):
+    """A * A and adj(A) + 3 phi(A) A - 3 Q(I, A, A) I."""
     rhs = (adjoint(fr, a) + a.scale(3 * unit_pairing(fr, a))
            - fr.unit.scale(3 * _trilinear(fr, fr.unit, a, a)))
-    return (lhs - rhs).max_abs()
+    return jordan_mul(a, a), rhs
 
 
 def power_words(fr: NormFrame, a: JordanElement, upto: int):
@@ -116,10 +116,10 @@ def power_words(fr: NormFrame, a: JordanElement, upto: int):
     return words
 
 
-def cayley_hamilton_residual(fr: NormFrame, a: JordanElement):
-    """(A*A)*A - 3 Q(A,I,I) A*A + 3 Q(A,A,I) A - Q(A) I."""
+def cayley_hamilton_sides(fr: NormFrame, a: JordanElement):
+    """(A*A)*A and 3 Q(A,I,I) A*A - 3 Q(A,A,I) A + Q(A) I."""
     _, sq, cube = power_words(fr, a, 3)
-    return (jordan_mul(sq, a) - cube).max_abs()
+    return jordan_mul(sq, a), cube
 
 
 def fourth_power_residuals(fr: NormFrame, a: JordanElement):

@@ -13,9 +13,12 @@ place that draws again.
 Most claims are sampled identities, stated once in their ``CHECKS`` entry
 beside the anchor: ``_ck_identity(operands, sides)`` draws one operand per
 letter (see ``_OPERANDS``), all before either side, and compares the two
-elements or scalars that ``sides`` returns. Checks of ranks, dimensions and
-group actions, the scaled-residual checks and those with draws or verdicts
-of their own keep their own bodies.
+elements or scalars that ``sides`` returns; a sides function of the
+frame, like those of ``cubic``, enters through ``_on_frame``. Checks of
+ranks, dimensions and group actions, and those with draws or verdicts of
+their own, keep their own bodies; the two severi checks of power-word
+families compare a largest deviation against a cubic scale
+(``_ck_residual``).
 
 One backend object (backend.py) decides the arithmetic mode, and every body
 runs in both modes through it. Discrete constructions (rank-one vectors,
@@ -51,13 +54,13 @@ from .geometry import (DegenerateIntersection, SingularConfiguration,
                        tangent_frame, tangent_intersection_dim, terracini_dim,
                        terracini_expected)
 from .symmetry import (GroupElementSample, automorphism_trichotomy,
-                       lie_triple_residual, permutation_conjugation_sample,
+                       lie_triple_sides, permutation_conjugation_sample,
                        structural_sample)
-from .cubic import (adjoint, bracketing_residual, cayley_hamilton_residual,
-                    comatrix_product_residual, double_adjoint_residual,
-                    fourth_power_residuals, mixed_adjoint_residual,
-                    scalar_reduction_residual, square_decomposition_residual,
-                    unit_reduction_residual)
+from .cubic import (adjoint, bracketing_residual, cayley_hamilton_sides,
+                    comatrix_product_sides, double_adjoint_sides,
+                    fourth_power_residuals, mixed_adjoint_sides,
+                    scalar_reduction_sides, square_decomposition_sides,
+                    unit_reduction_sides)
 from .report import (FAIL, PASS, SKIP, CheckResult, VerificationReport,
                      write_report)
 from .rng import sample_coords, stream_rng
@@ -189,6 +192,11 @@ def _ck_identity(operands, sides):
         return env.backend.close_scalars(lhs, rhs)
 
     return run
+
+
+def _on_frame(sides):
+    """The sides function of a run for sides(frame, *operands)."""
+    return lambda env, *xs: sides(env.frame, *xs)
 
 
 # --------------------------------------------------------------------------
@@ -379,15 +387,6 @@ def _ck_composite_similarity(env, rng):
                                      g.norm_factor * Fraction(1, qa * qa))
 
 
-def _ck_lie_triple(env, rng):
-    a, b, x, y = _draw(env, rng, "ssss")
-    res = lie_triple_residual(a, b, x, y)
-    scale = 1.0
-    for e in (a, b, x, y):
-        scale *= 1 + float(e.max_abs())
-    return env.backend.small(res, scale)
-
-
 # --------------------------------------------------------------------------
 # severi suite (cubic norm)
 
@@ -402,7 +401,7 @@ def _cubic_scale(power, *elements):
 def _ck_adjoint_comatrix(env, rng):
     fr = env.frame
     a = env.sample(rng)
-    out = env.backend.small(comatrix_product_residual(fr, a), _cubic_scale(3, a))
+    out = env.backend.close_elements(*comatrix_product_sides(fr, a))
     # the adjoint normalization is pinned by evaluating at the unit; record
     # the outcome so reports document which convention is in force
     unit_fixed = adjoint(fr, env.unit) == env.unit
@@ -410,13 +409,13 @@ def _ck_adjoint_comatrix(env, rng):
     return TrialOutcome(out.ok and unit_fixed, out.err, witness)
 
 
-def _ck_residual(residual, power, operands="s"):
-    """The body of a severi check: residual(frame, *xs) on xs drawn as
-    ``operands`` lists them is small against their cubic scale of degree
-    ``power``."""
+def _ck_residual(residual, power):
+    """The body of a check of a family of power words: residual(frame, A),
+    their largest deviation from the recursion, is small against A's cubic
+    scale of degree ``power``."""
     def run(env, rng):
-        xs = _draw(env, rng, operands)
-        return env.backend.small(residual(env.frame, *xs), _cubic_scale(power, *xs))
+        (a,) = _draw(env, rng, "s")
+        return env.backend.small(residual(env.frame, a), _cubic_scale(power, a))
 
     return run
 
@@ -447,14 +446,11 @@ def _ck_rank_characterization(env, rng):
 
 def _ck_jordan_violation(env, rng):
     a, b = _draw(env, rng, "ss")
-    lhs, rhs = _jordan_sides(env, a, b)
-    diff = (lhs - rhs).max_abs()
-    scale = ((1 + float(a.max_abs())) ** 3) * (1 + float(b.max_abs()))
-    out = env.backend.small(diff, scale)
+    out = env.backend.close_elements(*_jordan_sides(env, a, b))
     witness = None
     if not out.ok:
         witness = {"a": list(a.coords()), "b": list(b.coords()),
-                   "residual": diff}
+                   "residual": out.err}
     return TrialOutcome(not out.ok, out.err, witness)
 
 
@@ -558,29 +554,29 @@ CHECKS = (
     CheckDef("composite-similarity", "symmetric",
              "similarity factors multiply under composition",
              _ck_composite_similarity, _is_jordan),
-    CheckDef("lie-triple", "symmetric",
-             "[M_A, M_B] is a derivation of *", _ck_lie_triple, _is_jordan),
+    CheckDef("lie-triple", "symmetric", "[M_A, M_B] is a derivation of *",
+             _ck_identity("ssss", lambda _env, *xs: lie_triple_sides(*xs)),
+             _is_jordan),
     CheckDef("adjoint-comatrix", "severi",
              "A * adj(A) = Q(A) I", _ck_adjoint_comatrix, _is_cubic,
              keep_witness=True),
-    CheckDef("double-adjoint", "severi",
-             "adj(adj(A)) = Q(A) A", _ck_residual(double_adjoint_residual, 5),
-             _is_cubic),
+    CheckDef("double-adjoint", "severi", "adj(adj(A)) = Q(A) A",
+             _ck_identity("s", _on_frame(double_adjoint_sides)), _is_cubic),
     CheckDef("mixed-adjoint", "severi",
              "4 Q(adj A, Q(A,B,.)#, .)# = 3 Q(A,A,B) A + Q(A) B",
-             _ck_residual(mixed_adjoint_residual, 5, "ss"), _is_cubic),
+             _ck_identity("ss", _on_frame(mixed_adjoint_sides)), _is_cubic),
     CheckDef("unit-reduction", "severi",
              "2 Q(adj A, A, .)# = 6 phi(A) Q(adj A, I, .)# - Q(A) I - 3 Q(A,A,I) A",
-             _ck_residual(unit_reduction_residual, 4), _is_cubic),
+             _ck_identity("s", _on_frame(unit_reduction_sides)), _is_cubic),
     CheckDef("scalar-reduction", "severi",
              "2 Q(adj A, A, I) = 3 phi(A) Q(A,A,I) - Q(A)",
-             _ck_residual(scalar_reduction_residual, 3), _is_cubic),
+             _ck_identity("s", _on_frame(scalar_reduction_sides)), _is_cubic),
     CheckDef("square-decomposition", "severi",
              "A*A = adj(A) + 3 phi(A) A - 3 Q(I,A,A) I",
-             _ck_residual(square_decomposition_residual, 2), _is_cubic),
+             _ck_identity("s", _on_frame(square_decomposition_sides)), _is_cubic),
     CheckDef("cayley-hamilton", "severi",
              "A^3 = 3 Q(A,I,I) A^2 - 3 Q(A,A,I) A + Q(A) I",
-             _ck_residual(cayley_hamilton_residual, 3), _is_cubic),
+             _ck_identity("s", _on_frame(cayley_hamilton_sides)), _is_cubic),
     CheckDef("fourth-power", "severi",
              "A^2*A^2 = A*A^3 = closed form in I, A, A^2",
              _ck_residual(lambda fr, a: max(fourth_power_residuals(fr, a)), 4),

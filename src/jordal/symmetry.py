@@ -2,7 +2,8 @@
 
 Nothing here represents a group; we sample finitely many constructible
 operators (signed permutation conjugations and structural maps) and verify
-the identities they are supposed to satisfy.
+the identities they are supposed to satisfy. The derivation law of
+[M_A, M_B] is stated as its two sides, which the runner compares.
 """
 
 from fractions import Fraction
@@ -134,12 +135,10 @@ def automorphism_trichotomy(g: GroupElementSample, rng):
     return cond1, cond2, cond3
 
 
-def lie_triple_residual(a: JordanElement, b: JordanElement,
-                        x: JordanElement, y: JordanElement):
-    """Residual of the derivation law for D = [M_A, M_B] on the pair (X, Y)."""
+def lie_triple_sides(a: JordanElement, b: JordanElement,
+                     x: JordanElement, y: JordanElement):
+    """D(X*Y) and D(X)*Y + X*D(Y), for the derivation D = [M_A, M_B]."""
     def d(z):
         return jordan_mul(a, jordan_mul(b, z)) - jordan_mul(b, jordan_mul(a, z))
 
-    lhs = d(jordan_mul(x, y))
-    rhs = jordan_mul(d(x), y) + jordan_mul(x, d(y))
-    return (lhs - rhs).max_abs()
+    return d(jordan_mul(x, y)), jordan_mul(d(x), y) + jordan_mul(x, d(y))

@@ -7,15 +7,15 @@ from jordal.cubic import (
     adjoint,
     bracketing_residual,
     bracketings,
-    cayley_hamilton_residual,
-    comatrix_product_residual,
-    double_adjoint_residual,
+    cayley_hamilton_sides,
+    comatrix_product_sides,
+    double_adjoint_sides,
     fourth_power_residuals,
-    mixed_adjoint_residual,
+    mixed_adjoint_sides,
     power_words,
-    scalar_reduction_residual,
-    square_decomposition_residual,
-    unit_reduction_residual,
+    scalar_reduction_sides,
+    square_decomposition_sides,
+    unit_reduction_sides,
 )
 from jordal.geometry import sample_rank_one
 from jordal.jordan import (
@@ -75,7 +75,8 @@ def test_comatrix_product():
         rng = stream_rng(81, "com", delta)
         for _ in range(4):
             a = random_element(fr.spec, rng)
-            assert comatrix_product_residual(fr, a) == 0
+            lhs, rhs = comatrix_product_sides(fr, a)
+            assert lhs == rhs
 
 
 def test_double_adjoint():
@@ -83,7 +84,8 @@ def test_double_adjoint():
         fr = cubic_frame(delta)
         rng = stream_rng(82, "dadj", delta)
         for _ in range(4):
-            assert double_adjoint_residual(fr, random_element(fr.spec, rng)) == 0
+            lhs, rhs = double_adjoint_sides(fr, random_element(fr.spec, rng))
+            assert lhs == rhs
 
 
 def test_mixed_adjoint():
@@ -93,7 +95,8 @@ def test_mixed_adjoint():
         for _ in range(3):
             a = random_element(fr.spec, rng)
             b = random_element(fr.spec, rng)
-            assert mixed_adjoint_residual(fr, a, b) == 0
+            lhs, rhs = mixed_adjoint_sides(fr, a, b)
+            assert lhs == rhs
 
 
 def test_reduction_identities():
@@ -102,8 +105,10 @@ def test_reduction_identities():
         rng = stream_rng(84, "red", delta)
         for _ in range(3):
             a = random_element(fr.spec, rng)
-            assert unit_reduction_residual(fr, a) == 0
-            assert scalar_reduction_residual(fr, a) == 0
+            lhs, rhs = unit_reduction_sides(fr, a)
+            assert lhs == rhs
+            lhs, rhs = scalar_reduction_sides(fr, a)
+            assert lhs == rhs
 
 
 def test_square_decomposition():
@@ -111,7 +116,8 @@ def test_square_decomposition():
         fr = cubic_frame(delta)
         rng = stream_rng(85, "sq", delta)
         a = random_element(fr.spec, rng)
-        assert square_decomposition_residual(fr, a) == 0
+        lhs, rhs = square_decomposition_sides(fr, a)
+        assert lhs == rhs
 
 
 def test_cayley_hamilton_and_fourth_power():
@@ -120,7 +126,8 @@ def test_cayley_hamilton_and_fourth_power():
         rng = stream_rng(86, "ch", delta)
         for _ in range(3):
             a = random_element(fr.spec, rng)
-            assert cayley_hamilton_residual(fr, a) == 0
+            lhs, rhs = cayley_hamilton_sides(fr, a)
+            assert lhs == rhs
             assert fourth_power_residuals(fr, a) == (0, 0)
 
 

@@ -17,7 +17,7 @@ from jordal.symmetry import (
     GroupElementSample,
     SimilarityViolation,
     automorphism_trichotomy,
-    lie_triple_residual,
+    lie_triple_sides,
     permutation_conjugation_sample,
     structural_sample,
 )
@@ -124,16 +124,17 @@ def test_lie_triple_residual_zero_on_jordan_specs():
         spec = JordanSpec(k, delta)
         rng = stream_rng(77, "lie", k, delta)
         a, b, x, y = (random_element(spec, rng) for _ in range(4))
-        assert lie_triple_residual(a, b, x, y) == 0
+        lhs, rhs = lie_triple_sides(a, b, x, y)
+        assert lhs == rhs
 
 
 def test_lie_triple_residual_nonzero_on_octonion_four_by_four():
     spec = JordanSpec(3, 8)
     rng = stream_rng(78, "lie38")
-    residuals = []
+    sides = []
     for _ in range(5):
         a, b, x, y = (JordanElement(
             spec, tuple(rng.randint(-4, 4) for _ in range(spec.dim)))
             for _ in range(4))
-        residuals.append(lie_triple_residual(a, b, x, y))
-    assert any(r != 0 for r in residuals)
+        sides.append(lie_triple_sides(a, b, x, y))
+    assert any(lhs != rhs for lhs, rhs in sides)
