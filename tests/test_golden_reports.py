@@ -3,12 +3,13 @@
 Exact mode promises byte-identical reports, so a refactor that changes a
 single byte of these reports changed a result or its rendering. Float
 reports are pinned too, for the suites whose comparison rule a refactor may
-move: their errors are IEEE doubles computed in a fixed order, so they are
-as reproducible as the exact ones on every supported Python. The hashes
-were recorded under Python 3.11.7; a mismatch on another Python version is
-a cross-version drift of the report, which the project treats as a failure
-too, and the message lists every check of the report that was produced, so
-the check that moved is named.
+move: their errors are IEEE doubles computed in a fixed order by pure
+Python (these suites never import numpy), so they are as reproducible as
+the exact ones on every supported Python. The hashes were recorded under
+Python 3.11.7; a mismatch on another Python version is a cross-version
+drift of the report, which the project treats as a failure too, and the
+message lists every check of the report that was produced, so the check
+that moved is named.
 """
 
 import hashlib
