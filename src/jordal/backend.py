@@ -13,17 +13,13 @@ numpy, which it imports on first use: exact runs never load it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from . import linalg
 
 
-@dataclass(frozen=True)
-class TrialOutcome:
-    ok: bool
-    err: object = None
-    witness: object = None
+TrialOutcome = namedtuple("TrialOutcome", "ok err witness", defaults=(None, None))
 
 
 class ExactBackend:
@@ -64,11 +60,10 @@ class ExactBackend:
 EXACT = ExactBackend()
 
 
-@dataclass(frozen=True)
-class FloatBackend:
+class FloatBackend(namedtuple("FloatBackend", "tol")):
     """Floats; zero means at most tol * (1 + scale)."""
 
-    tol: float
+    __slots__ = ()
 
     def lift(self, coords):
         return tuple(float(c) for c in coords)

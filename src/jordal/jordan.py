@@ -41,7 +41,7 @@ trace form T(X*Y) is associative (Faraut and Koranyi, 1994).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
@@ -59,18 +59,17 @@ class SpecMismatch(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class JordanSpec:
+class JordanSpec(namedtuple("JordanSpec", "k delta")):
     """Shape parameters: matrices of size k+1, entry algebra of dimension delta."""
 
-    k: int
-    delta: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.k < 2:
-            raise ValueError(f"k must be at least 2, got {self.k}")
-        if self.delta not in ALLOWED_DIMS:
-            raise DimensionMismatch(f"delta must be one of {ALLOWED_DIMS}, got {self.delta}")
+    def __new__(cls, k: int, delta: int):
+        if k < 2:
+            raise ValueError(f"k must be at least 2, got {k}")
+        if delta not in ALLOWED_DIMS:
+            raise DimensionMismatch(f"delta must be one of {ALLOWED_DIMS}, got {delta}")
+        return super().__new__(cls, k, delta)
 
     @property
     def size(self) -> int:

@@ -9,10 +9,9 @@ mode Fractions become JSON floats and counts stay integers.
 
 from __future__ import annotations
 
-import csv
 import io
 import json
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 
 PASS = "pass"
@@ -26,28 +25,24 @@ class ReportError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(namedtuple("CheckResult", "id paper_anchor status trials "
+                                              "max_abs_error witness")):
     """Outcome of one named check over its trials."""
 
-    id: str
-    paper_anchor: str
-    status: str
-    trials: int
-    max_abs_error: object = None
-    witness: object = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.status not in _STATUSES:
-            raise ReportError(f"bad status {self.status!r}")
+    def __new__(cls, id: str, paper_anchor: str, status: str, trials: int,
+                max_abs_error=None, witness=None):
+        if status not in _STATUSES:
+            raise ReportError(f"bad status {status!r}")
+        return super().__new__(cls, id, paper_anchor, status, trials,
+                               max_abs_error, witness)
 
 
-@dataclass
 class VerificationReport:
-    config: dict
-    checks: list = field(default_factory=list)
-
-    def __post_init__(self):
+    def __init__(self, config: dict, checks=None):
+        self.config = config
+        self.checks = [] if checks is None else checks
         ids = [c.id for c in self.checks]
         if len(ids) != len(set(ids)):
             raise ReportError("duplicate check ids")
@@ -102,6 +97,8 @@ def render_json(report: VerificationReport) -> bytes:
 
 
 def render_csv(report: VerificationReport) -> bytes:
+    # imported here, so JSON and text runs never load csv
+    import csv
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["id", "paper_anchor", "status", "trials", "max_abs_error"])

@@ -35,8 +35,9 @@ negative suite skips everywhere else.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
+from functools import cached_property
 
 from .backend import EXACT, FloatBackend, TrialOutcome
 from .composition import ALLOWED_DIMS, cd_mul, cd_norm
@@ -78,17 +79,10 @@ class InvalidConfig(ValueError):
     """Configuration rejected before any check runs."""
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    k: int
-    delta: int
-    suite: str = "all"
-    trials: int = 50
-    seed: int = 0
-    mode: str = "exact"
-    tol: float = 1e-8
-    report: str = None
-    format: str = "json"
+class RunConfig(namedtuple("RunConfig",
+                           "k delta suite trials seed mode tol report format",
+                           defaults=("all", 50, 0, "exact", 1e-8, None, "json"))):
+    __slots__ = ()
 
     def validate(self) -> "RunConfig":
         if not isinstance(self.k, int) or self.k < 2:
@@ -144,6 +138,11 @@ class RunEnv:
 
     def sample_invertible(self, rng) -> JordanElement:
         return self.frame.random_invertible(rng).lifted(self.backend)
+
+    @cached_property
+    def adjoint_fixes_unit(self) -> bool:
+        """Whether adj(I) = I, a constant of the frame, read once per run."""
+        return adjoint(self.frame, self.unit) == self.unit
 
 
 def _is_jordan(env: RunEnv) -> bool:
@@ -404,7 +403,7 @@ def _ck_adjoint_comatrix(env, rng):
     out = env.backend.close_elements(*comatrix_product_sides(fr, a))
     # the adjoint normalization is pinned by evaluating at the unit; record
     # the outcome so reports document which convention is in force
-    unit_fixed = adjoint(fr, env.unit) == env.unit
+    unit_fixed = env.adjoint_fixes_unit
     witness = {"normalization": "adj(I) = I" if unit_fixed else "adj(I) != I"}
     return TrialOutcome(out.ok and unit_fixed, out.err, witness)
 
@@ -458,15 +457,9 @@ def _ck_jordan_violation(env, rng):
 # registry
 
 
-@dataclass(frozen=True)
-class CheckDef:
-    id: str
-    suite: str
-    anchor: str
-    run: object
-    supported: object = _always
-    expect_violation: bool = False
-    keep_witness: bool = False
+CheckDef = namedtuple("CheckDef",
+                      "id suite anchor run supported expect_violation keep_witness",
+                      defaults=(_always, False, False))
 
 
 CHECKS = (

@@ -8,7 +8,10 @@ A function outside a class reads each of its parameters unless the name
 starts with ``_``, and every method or property a class defines is read by
 attribute name somewhere in library code.
 No module may import ``threading`` or ``concurrent.futures``: the trials
-hold the GIL, so worker threads bought no speed, only locks.
+hold the GIL, so worker threads bought no speed, only locks. No module may
+import ``dataclasses``: it loads ``inspect``, ``ast`` and ``dis`` into every
+run and generates its classes at start-up; value types are named tuples
+(``tests/test_startup.py`` pins what a run loads).
 
 Float mode lives behind one arithmetic backend: only ``backend.py`` may
 import numpy, and no check in ``runner.py`` may read an ``.exact`` attribute
@@ -119,6 +122,16 @@ def test_no_thread_machinery():
         found.extend(f"{path.name}:{line} {name}"
                      for line, name in imported_modules(tree)
                      if name.split(".")[0] in banned)
+    assert found == []
+
+
+def test_no_dataclasses():
+    found = []
+    for path in modules():
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found.extend(f"{path.name}:{line} {name}"
+                     for line, name in imported_modules(tree)
+                     if name.split(".")[0] == "dataclasses")
     assert found == []
 
 

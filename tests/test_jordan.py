@@ -25,6 +25,7 @@ from jordal.jordan import (
     random_element,
 )
 from jordal.polarization import _Poly
+from jordal.reconstruction import frame
 from jordal.rng import sample_coords, stream_rng
 from jordal.runner import _jordan_sides
 from oracles import (dense_symmetric_product, diagonal_element, gauss_det,
@@ -61,6 +62,27 @@ def test_spec_validation():
         JordanSpec(1, 1)
     with pytest.raises(DimensionMismatch):
         JordanSpec(2, 3)
+    # k is checked first, with a plain ValueError, whatever delta is
+    with pytest.raises(ValueError, match="^k must be at least 2, got 1$") as bad_k:
+        JordanSpec(1, 8)
+    assert type(bad_k.value) is ValueError
+    with pytest.raises(DimensionMismatch,
+                       match=r"^delta must be one of \(1, 2, 4, 8\), got 3$"):
+        JordanSpec(delta=3, k=2)
+
+
+def test_spec_is_an_immutable_value():
+    spec = JordanSpec(2, 8)
+    with pytest.raises(AttributeError):
+        spec.k = 3
+    with pytest.raises(AttributeError):
+        spec.extra = 1
+    assert repr(spec) == "JordanSpec(k=2, delta=8)"
+    twin = JordanSpec(k=2, delta=8)
+    assert twin == spec and twin is not spec and hash(twin) == hash(spec)
+    assert JordanSpec(2, 4) != spec
+    # caches keyed by a spec answer an equal spec with the same object
+    assert frame(twin) is frame(spec)
 
 
 def test_coords_round_trip():

@@ -4,7 +4,6 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -162,13 +161,17 @@ def test_report_destination_does_not_change_bytes():
     # the config echo carries only result-determining parameters, so runs
     # that differ in output path or format still compare byte for byte
     cfg = small_config(trials=2, seed=9)
-    other = replace(cfg, report="/tmp/elsewhere.json", format="text")
+    other = cfg._replace(report="/tmp/elsewhere.json", format="text")
     a = emit_report(run_suite(cfg), "json")
     b = emit_report(run_suite(other), "json")
     assert a == b
     echoed = json.loads(a)["config"]
     assert "report" not in echoed and "format" not in echoed
     assert echoed["seed"] == 9
+    assert type(other) is RunConfig
+    assert other.echo() == cfg.echo() == {"k": 2, "delta": 1, "suite": "all",
+                                          "trials": 2, "seed": 9,
+                                          "mode": "exact", "tol": 1e-8}
 
 
 def clear_shared_caches():
@@ -477,6 +480,8 @@ def sample_report():
 def test_report_validation():
     with pytest.raises(ReportError):
         CheckResult("x", "a", "maybe", 1)
+    with pytest.raises(ReportError, match="^bad status 'bogus'$"):
+        CheckResult(id="x", paper_anchor="a", status="bogus", trials=1)
     with pytest.raises(ReportError):
         VerificationReport({}, [CheckResult("dup", "a", PASS, 1),
                                 CheckResult("dup", "a", PASS, 1)])
