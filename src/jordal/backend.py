@@ -6,8 +6,8 @@ solve and determinant ratios. ``EXACT`` keeps ints and Fractions, compares
 with zero tolerance and calls the exact routines of ``linalg``.
 ``FloatBackend(tol)`` lifts coordinates to floats, so everything built from
 them is computed in floats; it reads a value as zero when it is at most
-tol * (1 + the size of what is compared), and does linear algebra with
-numpy, which it imports on first use: exact runs never load it.
+tol * (1 + the size of what is compared), and does linear algebra with the
+float routines of ``linalg``, whose zero pivot rule does not read tol.
 """
 
 from __future__ import annotations
@@ -82,16 +82,10 @@ class FloatBackend(namedtuple("FloatBackend", "tol")):
                           max(float(lhs.max_abs()), float(rhs.max_abs())))
 
     def rank(self, rows) -> int:
-        import numpy
-        if not rows:
-            return 0
-        return int(numpy.linalg.matrix_rank(numpy.array(rows, dtype=float)))
+        return linalg.float_rank(rows)
 
     def solve(self, rows, rhs):
-        import numpy
-        x = numpy.linalg.solve(numpy.array(rows, dtype=float),
-                               numpy.array(rhs, dtype=float))
-        return tuple(float(v) for v in x), 1
+        return linalg.float_solve(rows, rhs)
 
     def det_ratio(self, rows, den, base, power) -> TrialOutcome:
         """det(rows) / den against base ** power, compared in log space.
@@ -100,10 +94,7 @@ class FloatBackend(namedtuple("FloatBackend", "tol")):
         float range on larger shapes; their logarithms do not. The signs
         must match and the logarithms agree within 1e-6 per row.
         """
-        import numpy
-        sign, log_det = numpy.linalg.slogdet(numpy.array(rows, dtype=float))
-        want_sign = numpy.sign(float(den)) * numpy.sign(float(base)) ** power
-        err = float(abs(log_det - math.log(abs(den))
-                        - power * math.log(abs(float(base)))))
-        return TrialOutcome(bool(sign == want_sign) and err <= 1e-6 * len(rows),
-                            err)
+        sign, log_det = linalg.float_slogdet(rows)
+        want_sign = math.copysign(1, den) * math.copysign(1, base) ** power
+        err = abs(log_det - math.log(abs(den)) - power * math.log(abs(float(base))))
+        return TrialOutcome(sign == want_sign and err <= 1e-6 * len(rows), err)

@@ -23,6 +23,8 @@ from __future__ import annotations
 from functools import lru_cache
 from operator import neg
 
+from .linalg import total
+
 ALLOWED_DIMS = (1, 2, 4, 8)
 
 # most terms summed in one chain of the generated code; CPython's compiler
@@ -132,4 +134,4 @@ def cd_conj(x):
 
 def cd_norm(x):
     """N(x) = x conj(x): the Euclidean sum of squared coordinates."""
-    return sum(v * v for v in x)
+    return total(v * v for v in x)

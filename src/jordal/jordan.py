@@ -50,7 +50,7 @@ from operator import add, mul, sub
 from .backend import EXACT
 from .composition import (ALLOWED_DIMS, DimensionMismatch, cd_conj, compile_bilinear,
                           unit_table)
-from .linalg import LinearOperator, clear_row_denominators, over
+from .linalg import LinearOperator, clear_row_denominators, over, total
 from .polarization import PolarizedForm
 from .rng import sample_coords
 
@@ -70,6 +70,11 @@ class JordanSpec(namedtuple("JordanSpec", "k delta")):
         if delta not in ALLOWED_DIMS:
             raise DimensionMismatch(f"delta must be one of {ALLOWED_DIMS}, got {delta}")
         return super().__new__(cls, k, delta)
+
+    @classmethod
+    def _make(cls, fields):
+        # _replace builds through _make, whose default skips __new__'s checks
+        return cls(*fields)
 
     @property
     def size(self) -> int:
@@ -141,7 +146,7 @@ class JordanElement:
         """The covector nums / den (int numerators over an int denominator,
         as covector_slot and LinearOperator.apply give it) at this element:
         one dot of numerators, divided once."""
-        (v,), d = over((sum(map(mul, nums, self._nums)),), den * self._den)
+        (v,), d = over((total(map(mul, nums, self._nums)),), den * self._den)
         return v if d == 1 else Fraction(v, d)
 
     def is_zero(self) -> bool:
@@ -318,7 +323,7 @@ def _trace_pairing(spec: JordanSpec, x, y):
     coordinates once and the off-diagonal ones twice, since the (i, j) and
     (j, i) entries contribute <x_ij, y_ij> each."""
     s = spec.size
-    return sum(map(mul, x[:s], y[:s])) + 2 * sum(map(mul, x[s:], y[s:]))
+    return total(map(mul, x[:s], y[:s])) + 2 * total(map(mul, x[s:], y[s:]))
 
 
 def _power_traces(spec: JordanSpec, x, upto: int) -> list:
@@ -332,8 +337,8 @@ def _power_traces(spec: JordanSpec, x, upto: int) -> list:
     d = [None, x]  # d[m] = D_m
     for _ in range(2, (upto + 1) // 2 + 1):
         d.append(_sym_product(spec, x, d[-1]))
-    return [sum(x[:spec.size])] + [2 * _trace_pairing(spec, d[m // 2], d[m - m // 2])
-                                  for m in range(2, upto + 1)]
+    return [total(x[:spec.size])] + [2 * _trace_pairing(spec, d[m // 2], d[m - m // 2])
+                                    for m in range(2, upto + 1)]
 
 
 @lru_cache(maxsize=None)
@@ -405,7 +410,7 @@ def jordan_rank(a: JordanElement, backend=EXACT) -> int:
     sigma = char_coeffs(a)
     den = a._den
     floats = [float(v) for v in a._nums] if den == 1 else [v / den for v in a._nums]
-    norm = sum(x * x for x in floats) ** 0.5
+    norm = total(x * x for x in floats) ** 0.5
     return max((j + 1 for j, s in enumerate(sigma)
                 if not backend.is_zero(s, norm ** (j + 1))), default=0)
 

@@ -1,4 +1,4 @@
-"""Exact dense linear algebra over the rationals, and the number format.
+"""Dense linear algebra, exact or in floats, and the number format.
 
 This module decides the one number format of the package: int numerators
 over one positive int denominator in lowest terms, or, once a float is
@@ -13,17 +13,22 @@ gives rank, nullspace, determinant, solve and inverse, the last three
 finished by one back-substitution. A nullspace comes back as primitive int
 vectors. A LinearOperator holds int numerators over one denominator and
 applies to a vector given the same way, (numerators, denominator); Fractions
-appear only in the scalars that leave (determinants, traces).
+appear only in the scalars that leave (determinants, traces). Float rank,
+solve and sign and log|det| come from one Gaussian elimination with complete
+pivoting, and float sums run left to right (``total``).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm, prod
+from math import gcd, inf, lcm, log, prod, ulp
+from operator import mul
 
 
 # the number types of exact mode; anything else (floats) is left as given
 EXACT_TYPES = frozenset((int, Fraction))
+# a float pivot at most this many eps * max(m, n) * max|a| reads as zero
+ZERO_PIVOT_ULPS = 16
 
 
 class SingularMatrix(ValueError):
@@ -32,6 +37,14 @@ class SingularMatrix(ValueError):
 
 class TagMismatch(ValueError):
     pass
+
+
+def total(values):
+    """sum(values) left to right; builtin sum compensates floats from 3.12 on."""
+    s = 0
+    for v in values:
+        s += v
+    return s
 
 
 def common_denominator(values) -> int:
@@ -81,7 +94,7 @@ def combine(coeffs, vectors):
     common = lcm(*(d * den for _, den in vectors))
     terms = [[c * (common // (d * den)) * v for v in nums]
              for c, (nums, den) in zip(cs, vectors)]
-    return over(tuple(map(sum, zip(*terms))), common)
+    return over(tuple(map(total, zip(*terms))), common)
 
 
 def _echelon(rows, ncols):
@@ -193,15 +206,74 @@ def exact_inverse(rows):
     return tuple(zip(*cols)), den
 
 
+def _float_echelon(rows, ncols):
+    """Complete-pivoting elimination of float rows: (rows, pivots, sign).
+
+    Each step pivots on the largest entry, the first in row-major order, of
+    the unused rows and unused columns among the first ncols (later columns
+    are eliminated along). It stops once that entry is at most the cutoff
+    ZERO_PIVOT_ULPS * eps * max(m, n) * max|a|, so the pivot count is the
+    numerical rank. Row i is zero in pivots[:i]; sign is that of the row and
+    column swaps that bring the pivots to the diagonal.
+    """
+    rows = [[float(v) for v in row] for row in rows]
+    top = max((abs(v) for row in rows for v in row[:ncols]), default=0.0)
+    cutoff = ZERO_PIVOT_ULPS * ulp(1.0) * max(len(rows), ncols) * top
+    free, pivots, sign = list(range(ncols)), [], 1
+    for r in range(min(len(rows), ncols)):
+        best, p, t = max((abs(rows[i][c]), -i, -u) for i in range(r, len(rows))
+                         for u, c in enumerate(free))
+        if best <= cutoff:
+            break
+        p, t = -p, -t
+        rows[r], rows[p] = rows[p], rows[r]
+        c = free.pop(t)  # moving column c to the front passes t columns
+        sign *= (-1) ** (t + (p != r))
+        row_r, piv = rows[r], rows[r][c]
+        for i in range(r + 1, len(rows)):
+            f = rows[i][c] / piv
+            if f:
+                rows[i] = [x - f * y for x, y in zip(rows[i], row_r)]
+                rows[i][c] = 0.0
+        pivots.append(c)
+    return rows[:len(pivots)], pivots, sign
+
+
+def float_rank(rows) -> int:
+    return len(_float_echelon(rows, len(rows[0]) if rows else 0)[1])
+
+
+def float_solve(rows, rhs):
+    """x with R x = rhs as floats over 1; raises SingularMatrix below full rank."""
+    n = len(rows)
+    ech, pivots, _ = _float_echelon([list(r) + [b] for r, b in zip(rows, rhs)], n)
+    if len(pivots) != n:
+        raise SingularMatrix("matrix is numerically singular")
+    x = [0.0] * n  # the entries not yet set, x[c] among them, add nothing
+    for row, c in zip(ech[::-1], pivots[::-1]):
+        x[c] = (row[n] - total(map(mul, row[:n], x))) / row[c]
+    return tuple(x), 1
+
+
+def float_slogdet(rows):
+    """(sign, log|det|) of a square float matrix; (0, -inf) below full rank."""
+    ech, pivots, sign = _float_echelon(rows, len(rows))
+    if len(pivots) < len(rows):
+        return 0, -inf
+    diag = [row[c] for row, c in zip(ech, pivots)]
+    return (sign * prod(1 if v > 0 else -1 for v in diag),
+            total(log(abs(v)) for v in diag))
+
+
 def mat_vec(rows, vec):
     """rows @ vec, skipping the zero entries of rows."""
-    return tuple(sum(a * vec[j] for j, a in enumerate(row) if a) for row in rows)
+    return tuple(total(a * vec[j] for j, a in enumerate(row) if a) for row in rows)
 
 
 def mat_mul(a, b):
     """a @ b, skipping the zero entries of a."""
     cols = tuple(zip(*b))
-    return tuple(tuple(sum(x * col[k] for k, x in nonzero) for col in cols)
+    return tuple(tuple(total(x * col[k] for k, x in nonzero) for col in cols)
                  for nonzero in ([(k, x) for k, x in enumerate(row) if x] for row in a))
 
 
@@ -242,7 +314,7 @@ class LinearOperator:
                               other.domain, self.codomain)
 
     def trace(self):
-        t = sum(self.numerators[i][i] for i in range(self.dim))
+        t = total(self.numerators[i][i] for i in range(self.dim))
         return t if self.denominator == 1 else Fraction(t, self.denominator)
 
     def __repr__(self):

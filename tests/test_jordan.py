@@ -69,6 +69,12 @@ def test_spec_validation():
     with pytest.raises(DimensionMismatch,
                        match=r"^delta must be one of \(1, 2, 4, 8\), got 3$"):
         JordanSpec(delta=3, k=2)
+    # _replace goes through the constructor, so it cannot build a bad spec
+    assert JordanSpec(2, 8)._replace(delta=4) == JordanSpec(2, 4)
+    with pytest.raises(ValueError, match="^k must be at least 2, got 1$"):
+        JordanSpec(2, 8)._replace(k=1)
+    with pytest.raises(DimensionMismatch):
+        JordanSpec(2, 8)._replace(delta=3)
 
 
 def test_spec_is_an_immutable_value():

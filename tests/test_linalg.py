@@ -1,4 +1,5 @@
-"""Exact linear algebra audited against plain Fraction elimination."""
+"""Exact linear algebra audited against plain Fraction elimination, and
+float linear algebra against numpy as an independent oracle."""
 
 import random
 from fractions import Fraction
@@ -10,7 +11,7 @@ import pytest
 import jordal.linalg as linalg_module
 from jordal.geometry import (expected_mult_kernel_dim, expected_tangent_rank,
                              sample_rank_one, tangent_frame, tangent_intersection)
-from jordal.jordan import JordanSpec, mult_operator, quadratic_rep
+from jordal.jordan import JordanElement, JordanSpec, mult_operator, quadratic_rep
 from jordal.linalg import (
     LinearOperator,
     SingularMatrix,
@@ -22,9 +23,13 @@ from jordal.linalg import (
     exact_nullspace,
     exact_rank,
     exact_solve,
+    float_rank,
+    float_slogdet,
+    float_solve,
     mat_mul,
     mat_vec,
     over,
+    total,
 )
 from jordal.reconstruction import frame, structural_map, tau
 from jordal.rng import stream_rng
@@ -331,3 +336,61 @@ def test_linear_operator_numerators():
     image, den = a.apply((1.0, 3.0), 1)
     assert den == 1 and all(type(v) is float for v in image)
     assert image == (0.5, 0.75 + 3.0)
+
+
+def float_matrix(rng, nrows, ncols, scale=1.0):
+    """Random floats with rounding in them: no entry is a small integer."""
+    return [[rng.uniform(-scale, scale) for _ in range(ncols)] for _ in range(nrows)]
+
+
+def test_float_rank_of_low_rank_products():
+    # B C with B m x r and C r x n has rank r; its entries carry rounding
+    rng = random.Random(108)
+    for _ in range(120):
+        m, n = rng.randint(2, 30), rng.randint(2, 30)
+        r = rng.randint(0, min(m, n))
+        rows = (numpy.array(float_matrix(rng, m, r)).reshape(m, r)
+                @ numpy.array(float_matrix(rng, r, n)).reshape(r, n)).tolist()
+        assert float_rank(rows) == r == numpy.linalg.matrix_rank(rows), (m, n, r)
+    assert float_rank([]) == 0
+    assert float_rank([[0.0, 0.0]]) == 0
+
+
+def test_float_solve_against_numpy():
+    rng = random.Random(109)
+    for n in range(1, 13):
+        m = float_matrix(rng, n, n)
+        rhs = [rng.uniform(-9, 9) for _ in range(n)]
+        x, den = float_solve(m, rhs)
+        assert den == 1 and all(type(v) is float for v in x)
+        assert numpy.allclose(x, numpy.linalg.solve(m, rhs), rtol=1e-9, atol=1e-12)
+    with pytest.raises(SingularMatrix):
+        float_solve([[1.0, 2.0], [2.0, 4.0]], [1.0, 1.0])
+
+
+def test_float_slogdet_against_numpy():
+    rng = random.Random(110)
+    cases = [float_matrix(rng, n, n) for n in range(1, 13)]
+    # det about 1e385 leaves the float range; its logarithm does not
+    cases.append(float_matrix(rng, 60, 60, scale=1e6))
+    for m in cases:
+        sign, log_det = float_slogdet(m)
+        want_sign, want_log = numpy.linalg.slogdet(numpy.array(m))
+        assert sign == want_sign
+        assert abs(log_det - want_log) <= 1e-9 * (1 + abs(want_log))
+    assert float_slogdet(cases[-1])[1] > 800
+    assert float_slogdet([]) == (1, 0)
+    # the third row is the sum of the first two
+    assert float_slogdet([[0.5, 1.5, 2.0], [1.25, -0.75, 3.0],
+                          [1.75, 0.75, 5.0]]) == (0, -numpy.inf)
+
+
+def test_float_sums_run_left_to_right():
+    # builtin sum compensates float sums from Python 3.12 on and gives 1.0
+    cancel = (1e16, 1.0, -1e16)
+    assert total(cancel) == 0.0
+    assert total([1, 2, Fraction(1, 2)]) == Fraction(7, 2)
+    assert mat_vec(((1, 1, 1),), cancel) == (0.0,)
+    spec = JordanSpec(2, 1)
+    x = JordanElement(spec, cancel + (0.0,) * (spec.dim - 3))
+    assert x.dot((1,) * spec.dim, 1) == 0.0

@@ -482,6 +482,11 @@ def test_report_validation():
         CheckResult("x", "a", "maybe", 1)
     with pytest.raises(ReportError, match="^bad status 'bogus'$"):
         CheckResult(id="x", paper_anchor="a", status="bogus", trials=1)
+    # _replace goes through the constructor, so it cannot build a bad result
+    done = CheckResult("x", "a", PASS, 1)._replace(status=FAIL, max_abs_error=2)
+    assert done == CheckResult("x", "a", FAIL, 1, 2)
+    with pytest.raises(ReportError, match="^bad status 'bogus'$"):
+        CheckResult("x", "a", PASS, 1)._replace(status="bogus")
     with pytest.raises(ReportError):
         VerificationReport({}, [CheckResult("dup", "a", PASS, 1),
                                 CheckResult("dup", "a", PASS, 1)])

@@ -4,10 +4,13 @@ Interpreter start plus imports is most of a short verification, so the
 standard modules a run does not need stay out of it: importing the command
 line and building the (2,8) frame with its inverse Gram matrix must not
 load ``dataclasses`` (which pulls in ``inspect``, ``ast``, ``dis`` and
-``tokenize``), ``csv`` (imported by CSV output alone) or ``numpy`` (imported
-by float mode on first use). The child process compares against its own
-``sys.modules`` at its start, so a site hook that preloads one of them does
-not fail the test.
+``tokenize``), ``csv`` (imported by CSV output alone) or ``numpy``. The
+child process compares against its own ``sys.modules`` at its start, so a
+site hook that preloads one of them does not fail the test.
+
+Float mode needs no numpy either: its linear algebra is ``linalg``'s own, so
+float runs of the suites that take ranks, solves and determinants finish with
+numpy made unimportable.
 """
 
 import json
@@ -32,12 +35,25 @@ import json
 print(json.dumps(added))
 """
 
+# a None entry in sys.modules makes `import numpy` raise ImportError
+FLOAT_CHILD = """
+import sys
+sys.modules["numpy"] = None
+before = set(sys.modules)
+from jordal.runner import RunConfig, run_suite
+for suite in ("geometry", "mccrimmon"):
+    run_suite(RunConfig(k=2, delta=1, suite=suite, trials=1, seed=3, mode="float"))
+added = sorted(set(sys.modules) - before)
+import json
+print(json.dumps(added))
+"""
 
-def modules_added_by_a_run():
+
+def modules_added_by_a_run(child=CHILD):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    proc = subprocess.run([sys.executable, "-c", CHILD], capture_output=True,
+    proc = subprocess.run([sys.executable, "-c", child], capture_output=True,
                           text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout)
@@ -47,3 +63,9 @@ def test_start_up_loads_no_unneeded_module():
     added = modules_added_by_a_run()
     assert "jordal.cli" in added
     assert [m for m in added if m.split(".")[0] in UNNEEDED] == []
+
+
+def test_float_mode_runs_without_numpy():
+    added = modules_added_by_a_run(FLOAT_CHILD)
+    assert "jordal.linalg" in added
+    assert [m for m in added if m.split(".")[0] == "numpy"] == []
