@@ -136,6 +136,7 @@ def render_text(report: VerificationReport) -> bytes:
 
 
 _RENDERERS = {"json": render_json, "csv": render_csv, "text": render_text}
+FORMATS = tuple(_RENDERERS)
 
 
 def emit_report(report: VerificationReport, fmt: str = "json") -> bytes:

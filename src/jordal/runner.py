@@ -1,4 +1,5 @@
-"""Verification suite orchestration.
+"""Verification suite orchestration: ``run_suite(config)`` returns the
+report of the configured checks, and the caller decides where it goes.
 
 Every claim the package makes is wrapped as a named check. A check runs a
 number of independent randomized trials; trial i of check c under seed s
@@ -34,7 +35,6 @@ negative suite skips everywhere else.
 
 from __future__ import annotations
 
-import os
 from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
@@ -62,13 +62,11 @@ from .cubic import (adjoint, bracketing_residual, cayley_hamilton_sides,
                     fourth_power_residuals, mixed_adjoint_sides,
                     scalar_reduction_sides, square_decomposition_sides,
                     unit_reduction_sides)
-from .report import (FAIL, PASS, SKIP, CheckResult, VerificationReport,
-                     write_report)
+from .report import FAIL, PASS, SKIP, CheckResult, VerificationReport
 from .rng import sample_coords, stream_rng
 
 SUITES = ("algebra", "mccrimmon", "geometry", "symmetric", "severi", "negative")
 MODES = ("exact", "float")
-FORMATS = ("json", "csv", "text")
 
 # a degenerate draw, not a counterexample: the trial runs its body again
 _RESAMPLE = (SingularConfiguration, SingularPoint, DegenerateIntersection)
@@ -79,43 +77,34 @@ class InvalidConfig(ValueError):
     """Configuration rejected before any check runs."""
 
 
-class RunConfig(namedtuple("RunConfig",
-                           "k delta suite trials seed mode tol report format",
-                           defaults=("all", 50, 0, "exact", 1e-8, None, "json"))):
+class RunConfig(namedtuple("RunConfig", "k delta suite trials seed mode tol",
+                           defaults=("all", 50, 0, "exact", 1e-8))):
     __slots__ = ()
 
     def validate(self) -> "RunConfig":
-        if not isinstance(self.k, int) or self.k < 2:
+        # a bool is an int, but True and 1 must not echo as two spellings
+        if type(self.k) is not int or self.k < 2:
             raise InvalidConfig(f"k must be an integer >= 2, got {self.k!r}")
-        if self.delta not in ALLOWED_DIMS:
+        if type(self.delta) is not int or self.delta not in ALLOWED_DIMS:
             raise InvalidConfig(f"delta must be one of {ALLOWED_DIMS}, "
                                 f"got {self.delta!r}")
         if self.suite != "all" and self.suite not in SUITES:
             raise InvalidConfig(f"unknown suite {self.suite!r}; pick from "
                                 f"{('all',) + SUITES}")
-        if not isinstance(self.trials, int) or self.trials < 1:
+        if type(self.trials) is not int or self.trials < 1:
             raise InvalidConfig(f"trials must be a positive integer, got {self.trials!r}")
-        if not isinstance(self.seed, int) or not 0 <= self.seed < 2 ** 64:
+        if type(self.seed) is not int or not 0 <= self.seed < 2 ** 64:
             raise InvalidConfig(f"seed must fit in 64 unsigned bits, got {self.seed!r}")
         if self.mode not in MODES:
             raise InvalidConfig(f"mode must be one of {MODES}, got {self.mode!r}")
         # a tolerance of 1 or more accepts any error of unit size
         if not 0 < self.tol < 1:
             raise InvalidConfig(f"tol must be a number in (0, 1), got {self.tol!r}")
-        if self.format not in FORMATS:
-            raise InvalidConfig(f"format must be one of {FORMATS}, got {self.format!r}")
         if self.suite == "severi" and self.k != 2:
             raise InvalidConfig("the severi suite needs k = 2 (cubic norm)")
         if self.suite == "negative" and (self.k, self.delta) != (3, 8):
             raise InvalidConfig("the negative suite needs (k, delta) = (3, 8)")
         return self
-
-    def echo(self) -> dict:
-        # only the parameters that determine results; the output path and
-        # serialization format stay out so reports from identical runs
-        # compare byte for byte no matter where they were written
-        keep = ("k", "delta", "suite", "trials", "seed", "mode", "tol")
-        return {name: getattr(self, name) for name in keep}
 
 
 class RunEnv:
@@ -638,7 +627,7 @@ def _run_check(env: RunEnv, check: CheckDef, _threads: int) -> CheckResult:
 
 
 def run_suite(config: RunConfig) -> VerificationReport:
-    """Execute the configured checks and assemble (optionally write) a report."""
+    """Execute the configured checks and return their report; write nothing."""
     config.validate()
     env = RunEnv(config)
     results = []
@@ -647,10 +636,7 @@ def run_suite(config: RunConfig) -> VerificationReport:
             results.append(CheckResult(check.id, check.anchor, SKIP, 0))
             continue
         results.append(_run_check(env, check, 1))
-    rep = VerificationReport(config.echo(), results)
-    if config.report:
-        write_report(rep, config.report, config.format)
-    return rep
+    return VerificationReport(config._asdict(), results)
 
 
 def dimension_table(k: int, delta: int) -> dict:
@@ -664,17 +650,3 @@ def dimension_table(k: int, delta: int) -> dict:
         "secant_projective_dims": [terracini_expected(spec, l) - 1
                                    for l in range(spec.k + 1)],
     }
-
-
-def default_seed() -> int:
-    """Seed precedence: JORDAL_SEED env var if set, else 0."""
-    raw = os.environ.get("JORDAL_SEED")
-    if raw is None:
-        return 0
-    try:
-        value = int(raw)
-    except ValueError:
-        raise InvalidConfig(f"JORDAL_SEED must be an integer, got {raw!r}")
-    if not 0 <= value < 2 ** 64:
-        raise InvalidConfig(f"JORDAL_SEED out of 64-bit range: {value}")
-    return value

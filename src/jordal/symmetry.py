@@ -56,16 +56,18 @@ class GroupElementSample:
 
     def __init__(self, fr: NormFrame, operator: LinearOperator,
                  provenance: str, rng, backend=EXACT):
-        lam = None
-        for _ in range(_SIMILARITY_PROBES):
+        for i in range(_SIMILARITY_PROBES):
             m = fr.random_invertible(rng).lifted(backend).cleared
-            # Fraction keeps the exact ratio exact; floats divide as floats
-            ratio = Fraction(fr.form(operator.apply(*m))) / fr.form(m)
-            if lam is None:
-                lam = ratio
-            elif not backend.close_scalars(ratio, lam).ok:
+            qgm, qm = fr.form(operator.apply(*m)), fr.form(m)
+            if i == 0:
+                qg0, q0 = qgm, qm
+            # Q(g M) / Q(M) = Q(g M0) / Q(M0), cross-multiplied: no division
+            elif not backend.close_scalars(qgm * q0, qg0 * qm).ok:
                 raise SimilarityViolation(
-                    f"{provenance}: norm ratio not constant ({ratio} vs {lam})")
+                    f"{provenance}: norm ratio not constant "
+                    f"({Fraction(qgm) / qm} vs {Fraction(qg0) / q0})")
+        # Fraction keeps the exact ratio exact; floats divide as floats
+        lam = Fraction(qg0) / q0
         if lam == 0:
             raise SimilarityViolation(f"{provenance}: norm factor vanishes")
         object.__setattr__(self, "frame", fr)

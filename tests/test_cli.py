@@ -58,6 +58,28 @@ def test_verify_report_file(capsys, tmp_path):
     assert data["summary"]["passed"] == 5
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+def test_report_file_holds_the_stdout_bytes(capsys, tmp_path, fmt):
+    argv = ("verify", "--k", "2", "--delta", "2", "--suite", "all",
+            "--trials", "2", "--seed", "3", "--format", fmt)
+    code, out, _ = run_cli(capsys, *argv)
+    target = tmp_path / f"report.{fmt}"
+    code_file, note, _ = run_cli(capsys, *argv, "--report", str(target))
+    assert code == code_file == 0
+    assert target.read_bytes() == out.encode("utf-8")
+    assert note == (f"report written to {target} "
+                    "(passed=40 failed=0 skipped=1)\n")
+
+
+def test_unwritable_report_exits_two(capsys, tmp_path):
+    target = tmp_path / "missing" / "report.json"
+    code, out, err = run_cli(capsys, "verify", "--k", "2", "--delta", "1",
+                             "--suite", "algebra", "--trials", "1",
+                             "--report", str(target))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"invalid configuration: cannot write report to {target}: ")
+
+
 def test_seed_precedence(capsys, monkeypatch):
     monkeypatch.setenv("JORDAL_SEED", "123")
     _, out, _ = run_cli(capsys, "verify", "--k", "2", "--delta", "1",
@@ -107,6 +129,9 @@ def test_argparse_rejections_exit_two(capsys):
     assert exc.value.code == 2
     with pytest.raises(SystemExit) as exc:
         cli.main(["verify", "--delta", "1"])  # --k is required
+    assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "--k", "2", "--delta", "1", "--format", "xml"])
     assert exc.value.code == 2
 
 

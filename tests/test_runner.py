@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from jordal.backend import TrialOutcome
+from jordal.cli import default_seed
 from jordal.geometry import SingularConfiguration
 from jordal.jordan import norm_form
 from jordal.reconstruction import frame
@@ -24,6 +25,7 @@ from jordal.report import (
     render_csv,
     render_json,
     render_text,
+    write_report,
 )
 from jordal.runner import (
     CHECKS,
@@ -34,7 +36,6 @@ from jordal.runner import (
     RunEnv,
     _run_one_trial,
     checks_for,
-    default_seed,
     dimension_table,
     run_suite,
 )
@@ -94,7 +95,12 @@ def test_invalid_configs():
              tol=1e300),
         dict(k=2, delta=1, suite="all", trials=1, seed=0, tol=1.0),
         dict(k=2, delta=1, suite="all", trials=1, seed=0, tol=float("nan")),
-        dict(k=2, delta=1, suite="all", trials=1, seed=0, format="xml"),
+        # bools are ints, but would echo as true: one run, two report bytes
+        dict(k=True, delta=1, suite="all", trials=1, seed=0),
+        dict(k=2, delta=True, suite="algebra", trials=True, seed=True),
+        dict(k=2, delta=1, suite="all", trials=True, seed=0),
+        dict(k=2, delta=1, suite="all", trials=1, seed=True),
+        dict(k=2, delta=1, suite="all", trials=1, seed=False),
         dict(k=3, delta=1, suite="severi", trials=1, seed=0),
         dict(k=2, delta=1, suite="negative", trials=1, seed=0),
     ]
@@ -158,20 +164,16 @@ def test_terracini_witness_kept():
 
 
 def test_report_destination_does_not_change_bytes():
-    # the config echo carries only result-determining parameters, so runs
-    # that differ in output path or format still compare byte for byte
+    # RunConfig holds only result-determining parameters and the report
+    # echoes all of them, so where a report is written never enters its bytes
     cfg = small_config(trials=2, seed=9)
-    other = cfg._replace(report="/tmp/elsewhere.json", format="text")
-    a = emit_report(run_suite(cfg), "json")
-    b = emit_report(run_suite(other), "json")
-    assert a == b
-    echoed = json.loads(a)["config"]
-    assert "report" not in echoed and "format" not in echoed
-    assert echoed["seed"] == 9
+    echoed = json.loads(emit_report(run_suite(cfg), "json"))["config"]
+    assert tuple(echoed) == RunConfig._fields
+    assert echoed == {"k": 2, "delta": 1, "suite": "all", "trials": 2,
+                      "seed": 9, "mode": "exact", "tol": 1e-8}
+    other = cfg._replace(trials=3)
     assert type(other) is RunConfig
-    assert other.echo() == cfg.echo() == {"k": 2, "delta": 1, "suite": "all",
-                                          "trials": 2, "seed": 9,
-                                          "mode": "exact", "tol": 1e-8}
+    assert other.validate() is other
 
 
 def clear_shared_caches():
@@ -577,7 +579,6 @@ def test_empty_check_list():
 
 def test_report_written_to_disk(tmp_path):
     target = tmp_path / "out.json"
-    cfg = RunConfig(k=2, delta=1, suite="algebra", trials=1, seed=0,
-                    report=str(target))
-    rep = run_suite(cfg)
+    rep = run_suite(RunConfig(k=2, delta=1, suite="algebra", trials=1, seed=0))
+    write_report(rep, str(target), "json")
     assert target.read_bytes() == emit_report(rep, "json")
