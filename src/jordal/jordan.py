@@ -36,7 +36,8 @@ integer until the final trace normalization. Only D_1..D_ceil(q/2) are
 built, as T(D_m) = 2 T(D_floor(m/2) D_ceil(m/2)). This holds at every shape,
 (3,8) included: Re Tr is cyclic and ignores bracketing over every
 composition algebra (an octonion associator has zero real part), so the
-trace form T(X*Y) is associative (Faraut and Koranyi, 1994).
+trace form T(X*Y) is associative (Faraut and Koranyi, 1994). _newton runs
+the recursion as written, for char_coeffs and the norm form alike.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import factorial, lcm
 from operator import add, mul, sub
 
 from .backend import EXACT
@@ -65,10 +66,12 @@ class JordanSpec(namedtuple("JordanSpec", "k delta")):
     __slots__ = ()
 
     def __new__(cls, k: int, delta: int):
+        if type(k) is not int:
+            raise ValueError(f"k must be an integer, got {k!r}")
         if k < 2:
             raise ValueError(f"k must be at least 2, got {k}")
-        if delta not in ALLOWED_DIMS:
-            raise DimensionMismatch(f"delta must be one of {ALLOWED_DIMS}, got {delta}")
+        if type(delta) is not int or delta not in ALLOWED_DIMS:
+            raise DimensionMismatch(f"delta must be one of {ALLOWED_DIMS}, got {delta!r}")
         return super().__new__(cls, k, delta)
 
     @classmethod
@@ -341,39 +344,29 @@ def _power_traces(spec: JordanSpec, x, upto: int) -> list:
                                     for m in range(2, upto + 1)]
 
 
-@lru_cache(maxsize=None)
-def _newton_tables(degree: int):
-    """Integer-only Newton data: coefficients and final scale factors.
+def _newton(traces) -> list:
+    """[f_1, ..., f_q] from the traces [P_1, ..., P_q] of the doubled powers.
 
     With P_m = T(D_m) = 2^(m-1) p_m and f_j = sigma_j j! 2^j, Newton's
     identities become the integer recursion (f_0 = 1)
 
         f_j = 2 sum_{i=1..j} (-1)^(i-1) [(j-1)!/(j-i)!] f_{j-i} P_i,
 
-    and sigma_j = f_j / (j! 2^j).
+    and sigma_j = f_j * _newton_scale(j).
     """
-    from math import factorial
-    coeffs = []
-    for j in range(1, degree + 1):
-        row = []
-        for i in range(1, j + 1):
-            c = factorial(j - 1) // factorial(j - i)
-            row.append((j - i, c if i % 2 else -c))
-        coeffs.append(tuple(row))
-    scales = tuple(Fraction(1, factorial(j) * 2 ** j) for j in range(1, degree + 1))
-    return tuple(coeffs), scales
-
-
-def _newton_integers(doubled, degree: int):
-    """[f_0, ..., f_degree] of the integer recursion in _newton_tables."""
-    coeffs, _ = _newton_tables(degree)
     f = [1]
-    for row in coeffs:
-        acc = 0
-        for idx, c in row:
-            acc += c * f[idx] * doubled[len(f) - 1 - idx]
+    for j in range(1, len(traces) + 1):
+        acc, c = 0, 1  # c = (j-1)!/(j-i)!
+        for i in range(1, j + 1):
+            acc += (c if i % 2 else -c) * f[j - i] * traces[i - 1]
+            c *= j - i
         f.append(2 * acc)
-    return f
+    return f[1:]
+
+
+def _newton_scale(j: int) -> Fraction:
+    """1 / (j! 2^j), which takes f_j to sigma_j."""
+    return Fraction(1, factorial(j) * 2 ** j)
 
 
 # ---------------------------------------------------------------------------
@@ -396,13 +389,9 @@ def char_coeffs(a: JordanElement) -> tuple:
     sigma_j is homogeneous of degree j, so it is computed on the numerator
     grid and divided by den^j.
     """
-    spec = a.spec
-    q = spec.degree
-    doubled = _power_traces(spec, a._nums, q)
-    _, scales = _newton_tables(q)
+    f = _newton(_power_traces(a.spec, a._nums, a.spec.degree))
     den = a._den
-    return tuple(fj * s / den ** j for j, (fj, s) in
-                 enumerate(zip(_newton_integers(doubled, q)[1:], scales), start=1))
+    return tuple(fj * _newton_scale(j) / den ** j for j, fj in enumerate(f, start=1))
 
 
 def jordan_rank(a: JordanElement, backend=EXACT) -> int:
@@ -430,14 +419,10 @@ def mult_operator(a: JordanElement) -> LinearOperator:
 
 
 def quadratic_rep(a: JordanElement) -> LinearOperator:
-    """P(A) = 2 M(A)^2 - M(A^2)."""
-    m = mult_operator(a)
-    m2 = mult_operator(jordan_mul(a, a))
-    mm = m.compose(m)
-    d1, d2 = mm.denominator, m2.denominator
-    nums = tuple(tuple(2 * d2 * x - d1 * y for x, y in zip(r1, r2))
-                 for r1, r2 in zip(mm.numerators, m2.numerators))
-    return LinearOperator(nums, d1 * d2, "V", "V")
+    """P(A) = 2 M(A)^2 - M(A^2), from its action B -> 2 A*(A*B) - A^2*B."""
+    a2 = jordan_mul(a, a)
+    return operator_from_action(
+        a.spec, lambda b: jordan_mul(a, jordan_mul(a, b)).scale(2) - jordan_mul(a2, b))
 
 
 @lru_cache(maxsize=None)
@@ -448,10 +433,10 @@ def norm_form(spec: JordanSpec) -> PolarizedForm:
     keeps the monomial table it expands to.
     """
     q = spec.degree
-    scale = _newton_tables(q)[1][q - 1]
+    scale = _newton_scale(q)
 
     def evaluate(vec):
-        return _newton_integers(_power_traces(spec, vec, q), q)[q] * scale
+        return _newton(_power_traces(spec, vec, q))[-1] * scale
 
     return PolarizedForm(degree=q, dim=spec.dim, func=evaluate,
                          name=f"Q[k={spec.k},delta={spec.delta}]")

@@ -97,6 +97,9 @@ class RunConfig(namedtuple("RunConfig", "k delta suite trials seed mode tol",
             raise InvalidConfig(f"seed must fit in 64 unsigned bits, got {self.seed!r}")
         if self.mode not in MODES:
             raise InvalidConfig(f"mode must be one of {MODES}, got {self.mode!r}")
+        # a Fraction tolerance would run, then fail to render as JSON
+        if type(self.tol) is not float:
+            raise InvalidConfig(f"tol must be a float, got {self.tol!r}")
         # a tolerance of 1 or more accepts any error of unit size
         if not 0 < self.tol < 1:
             raise InvalidConfig(f"tol must be a number in (0, 1), got {self.tol!r}")

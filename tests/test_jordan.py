@@ -24,6 +24,7 @@ from jordal.jordan import (
     quadratic_rep,
     random_element,
 )
+from jordal.linalg import LinearOperator
 from jordal.polarization import _Poly
 from jordal.reconstruction import frame
 from jordal.rng import sample_coords, stream_rng
@@ -75,6 +76,19 @@ def test_spec_validation():
         JordanSpec(2, 8)._replace(k=1)
     with pytest.raises(DimensionMismatch):
         JordanSpec(2, 8)._replace(delta=3)
+    # non-integer shapes: a float k or delta passes the range tests but
+    # gives a float dim, and delta=True would read as a spec field
+    for k, delta in [(2.5, 8), (2.0, 8), (True, 8)]:
+        with pytest.raises(ValueError, match="^k must be an integer, got "):
+            JordanSpec(k, delta)
+        with pytest.raises(ValueError, match="^k must be an integer, got "):
+            JordanSpec(2, delta)._replace(k=k)
+    for delta in (8.0, True, 1.0):
+        with pytest.raises(DimensionMismatch,
+                           match=r"^delta must be one of \(1, 2, 4, 8\), got "):
+            JordanSpec(3, delta)
+        with pytest.raises(DimensionMismatch):
+            JordanSpec(3, 8)._replace(delta=delta)
 
 
 def test_spec_is_an_immutable_value():
@@ -427,6 +441,35 @@ def test_quadratic_rep_identity():
             for r2, r1 in zip(two_m2, msq))
         e2 = vector_values(p.apply(*identity(spec).cleared))
         assert JordanElement(spec, e2) == jordan_mul(a, a)
+
+
+def test_quadratic_rep_matches_operator_product():
+    # second route: P(A) = 2 M_A o M_A - M_{A^2} from the dense operators,
+    # combined over one denominator; the library builds P(A) from its action
+    # B -> 2 A*(A*B) - A^2*B, and both must give the same numerators over
+    # the same denominator
+    def product_route(a):
+        m, m2 = mult_operator(a), mult_operator(jordan_mul(a, a))
+        mm = m.compose(m)
+        d1, d2 = mm.denominator, m2.denominator
+        nums = tuple(tuple(2 * d2 * x - d1 * y for x, y in zip(r1, r2))
+                     for r1, r2 in zip(mm.numerators, m2.numerators))
+        return LinearOperator(nums, d1 * d2, "V", "V")
+
+    for (k, delta) in [(2, 1), (2, 8), (3, 4), (4, 2)]:
+        spec = JordanSpec(k, delta)
+        rng = stream_rng(9, "quadrep-route", k, delta)
+        ints = random_element(spec, rng)
+        mixed = JordanElement(spec, [Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+                                     for _ in range(spec.dim)])
+        floats = JordanElement(spec, [float(rng.randint(-9, 9)) for _ in range(spec.dim)])
+        assert mixed.cleared[1] > 1
+        assert all(type(v) is float for v in floats.cleared[0])
+        for a in (ints, mixed, floats):
+            p, q = quadratic_rep(a), product_route(a)
+            assert p.numerators == q.numerators
+            assert p.denominator == q.denominator
+            assert (p.domain, p.codomain) == ("V", "V")
 
 
 def test_jordan_identity_residual():

@@ -95,6 +95,10 @@ def test_invalid_configs():
              tol=1e300),
         dict(k=2, delta=1, suite="all", trials=1, seed=0, tol=1.0),
         dict(k=2, delta=1, suite="all", trials=1, seed=0, tol=float("nan")),
+        # a Fraction tolerance would run and then fail to render as JSON
+        dict(k=2, delta=1, suite="algebra", trials=1, seed=0, mode="float",
+             tol=Fraction(1, 100)),
+        dict(k=2, delta=1, suite="all", trials=1, seed=0, tol=Fraction(1, 100)),
         # bools are ints, but would echo as true: one run, two report bytes
         dict(k=True, delta=1, suite="all", trials=1, seed=0),
         dict(k=2, delta=True, suite="algebra", trials=True, seed=True),
