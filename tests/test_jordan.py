@@ -303,14 +303,21 @@ def test_kernel_at_long_coordinates(k, longest):
         assert jordan_mul(a, b) == dense_symmetric_product(a, b)
 
 
-# sha256 of repr(norm_form(spec).terms), recorded with the earlier
-# grid-matrix product, so the symbolic route through the kernel keeps Q
+# sha256 of repr(norm_form(spec).terms). The first five were recorded with
+# the earlier grid-matrix product, so the symbolic route through the kernel
+# keeps Q; the degree-5 to degree-7 ones with the full expansion, before
+# the table was expanded modulo its index weights
 Q_TABLE_SHA256 = {
     (2, 1): "c1d41a91b1b9795f8c3c71c40d4732f358a92b386ef2b82997ad4d5b884b3d70",
     (2, 8): "9082c53b72a837a62119f19b1a513f2a20bc8556da83e1488a8c3417e0ae2467",
     (3, 4): "9cafeb2802c6eab21d7ccf2dfa4a51933b26255ff5969e57aaf05142b34fa911",
     (3, 8): "ff2b1b8743726e2640db11248b2929e38d69f5aa8bb7f99a49ed9e474444f683",
     (4, 1): "c26eeae25a26624179ad2192cc1cc916fb022ad07f84dd5473340e5729f38342",
+    (4, 2): "8a7ed0c1f73e19afbb971f7c913a9ef27bea29c857adaaeda6209e561cf8f24b",
+    (4, 4): "123e8ce7e89646a3c6ba5a81a4080f230facb45b001884fe86721d12712a304a",
+    (5, 1): "26315410b4412a235347ccfac60d5c5b4c14f6a5a9368df5dbd5ac535fbf1144",
+    (5, 2): "7d622e7aea498aed1ff8a9114baa9f3a34ecd5bb6213bcbd90fc6a2c9e0e12a3",
+    (6, 1): "e9863ec6ae98ee19049f7df96e9fc90cf97a2ab67811ed874c8b06b4cb2404c6",
 }
 
 
