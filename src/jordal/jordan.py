@@ -430,7 +430,11 @@ def norm_form(spec: JordanSpec) -> PolarizedForm:
     """The generic norm as a polarizable degree-(k+1) form on coordinates.
 
     The trace evaluator runs once, on symbolic coordinates, and the form
-    keeps the monomial table it expands to.
+    keeps the monomial table it expands to. Each coordinate weighs, per
+    matrix index, 2 at i for the diagonal (i, i) and 1 at i and at j for
+    block (i, j); Q(P(D)A) = N(D)^2 Q(A) for diagonal D, so where the trace
+    route gives a torus semi-invariant every monomial weighs exactly 2 at
+    every index, and the table is expanded modulo the heavier ones.
     """
     q = spec.degree
     scale = _newton_scale(q)
@@ -438,5 +442,12 @@ def norm_form(spec: JordanSpec) -> PolarizedForm:
     def evaluate(vec):
         return _newton(_power_traces(spec, vec, q))[-1] * scale
 
+    def index_weights(i, j):
+        w = [0] * spec.size
+        w[i] += 1
+        w[j] += 1
+        return tuple(w) if i == j else (tuple(w),) * spec.delta
+
     return PolarizedForm(degree=q, dim=spec.dim, func=evaluate,
-                         name=f"Q[k={spec.k},delta={spec.delta}]")
+                         name=f"Q[k={spec.k},delta={spec.delta}]",
+                         weights=_layout(spec, index_weights), bound=2)

@@ -32,9 +32,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from math import factorial
+from math import factorial, prod
 
 from .linalg import clear_row_denominators, over
+from .rng import stream_rng
 
 
 class ArityError(ValueError):
@@ -42,17 +43,23 @@ class ArityError(ValueError):
 
 
 class _Poly:
-    """Sparse polynomial {sorted variable-index tuple: coefficient}.
+    """Sparse polynomial {sorted variable-index tuple: coefficient}, reduced
+    modulo the monomials that weigh more than a bound at some index.
 
     It has just the arithmetic a form's evaluator uses (+, -, *, ** and
     comparison with 0), so running the evaluator on _Poly coordinates
-    expands the form.
+    expands the form. ``grading`` is _grading's (weigh, bias, over): a
+    product of two monomials is dropped when its weight, biased, sets a bit
+    of ``over``. Weights are never negative, so the dropped monomials span
+    an ideal and each product is reduced modulo it; ungraded, every weight
+    is 0 and nothing is dropped.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("terms", "grading")
 
-    def __init__(self, terms):
+    def __init__(self, terms, grading=None):
         self.terms = terms
+        self.grading = grading or _UNGRADED
 
     @staticmethod
     def lift(x) -> dict:
@@ -66,12 +73,12 @@ class _Poly:
             s = out.pop(mono, 0) + c
             if s != 0:
                 out[mono] = s
-        return _Poly(out)
+        return _Poly(out, self.grading)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _Poly({mono: -c for mono, c in self.terms.items()})
+        return _Poly({mono: -c for mono, c in self.terms.items()}, self.grading)
 
     def __sub__(self, other):
         return self + -other
@@ -82,21 +89,27 @@ class _Poly:
     def __mul__(self, other):
         if not isinstance(other, _Poly):
             if other == 0:
-                return _Poly({})
-            return _Poly({mono: c * other for mono, c in self.terms.items()})
+                return _Poly({}, self.grading)
+            return _Poly({mono: c * other for mono, c in self.terms.items()},
+                         self.grading)
+        weigh, bias, over = self.grading
+        right = [(m2, c2, weigh(m2)) for m2, c2 in other.terms.items()]
         out = {}
         for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
+            w1 = weigh(m1) + bias
+            for m2, c2, w2 in right:
+                if (w1 + w2) & over:
+                    continue
                 mono = tuple(sorted(m1 + m2))
                 s = out.pop(mono, 0) + c1 * c2
                 if s != 0:
                     out[mono] = s
-        return _Poly(out)
+        return _Poly(out, self.grading)
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
-        out = _Poly({(): 1})
+        out = _Poly({(): 1}, self.grading)
         for _ in range(n):
             out = out * self
         return out
@@ -107,15 +120,73 @@ class _Poly:
     __hash__ = None
 
 
-class PolarizedForm:
-    """A homogeneous form of known degree, compiled to its monomial table."""
+_UNGRADED = (lambda _mono: 0, 0, 0)
 
-    def __init__(self, degree: int, dim: int, func, name: str = "form"):
+
+def _grading(weights, bound: int):
+    """(weigh, bias, over) for the per-index weights of each variable.
+
+    A monomial's weight is the sum of its variables', packed into one int
+    with a field of width bits per index. A product's field holds two
+    weights of at most bound plus bias = 2^(width-1) - 1 - bound, so its top
+    bit, the field's bit in over, is set exactly when the product weighs
+    more than bound there, and the field never carries into the next.
+    """
+    if any(not 0 <= w <= bound for ws in weights for w in ws):
+        raise ValueError(f"index weights must lie in 0..{bound}")
+    width = bound.bit_length() + 1
+    half = 1 << (width - 1)
+
+    def packed(ws):
+        return sum(w << (width * t) for t, w in enumerate(ws))
+
+    table = tuple(map(packed, weights))
+    indices = len(weights[0])
+    return (lambda mono: sum(map(table.__getitem__, mono)),
+            packed([half - 1 - bound] * indices), packed([half] * indices))
+
+
+def _semi_invariant(func, dim: int, weights, bound: int) -> bool:
+    """Whether func(d . x) = (prod_t d_t)^bound func(x), where d . x scales
+    coordinate c by prod_t d_t^weights[c][t], at one random point x and
+    torus element d with 32-bit entries.
+
+    A form for which this holds identically has every monomial weighing
+    exactly bound at every index. The point is drawn, not structured: a
+    structured point such as (1, 2, ..., dim) can hide a part of the
+    form that weighs otherwise.
+    """
+    bits = stream_rng(0, "index-weights").getrandbits
+    x = tuple(bits(32) for _ in range(dim))
+    d = tuple(bits(32) | 1 for _ in range(len(weights[0])))
+    image = tuple(v * prod(map(pow, d, ws)) for v, ws in zip(x, weights))
+    return func(image) == prod(d) ** bound * func(x)
+
+
+class PolarizedForm:
+    """A homogeneous form of known degree, compiled to its monomial table.
+
+    With weights (per coordinate, one weight per index) and a bound, the
+    table is expanded modulo the monomials that weigh more than the bound
+    at some index, when _semi_invariant finds that every monomial of func
+    weighs exactly the bound everywhere; otherwise, or without weights, it
+    is expanded in full.
+    """
+
+    def __init__(self, degree: int, dim: int, func, name: str = "form",
+                 weights=None, bound: int | None = None):
         self.degree = degree
         self.dim = dim
         self.func = func
         self.name = name
-        table = sorted(_Poly.lift(func(tuple(_Poly({(i,): 1})
+        grading = None
+        if weights is not None:
+            if len(weights) != dim or bound is None:
+                raise ArityError(f"{name}: expected {dim} index weights and "
+                                 f"a bound, got {len(weights)} and {bound}")
+            if _semi_invariant(func, dim, weights, bound):
+                grading = _grading(weights, bound)
+        table = sorted(_Poly.lift(func(tuple(_Poly({(i,): 1}, grading)
                                              for i in range(dim)))).items())
         if any(len(mono) != degree for mono, _ in table):
             raise ArityError(f"{name}: not homogeneous of degree {degree}")

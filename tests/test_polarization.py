@@ -12,12 +12,16 @@ from fractions import Fraction
 import numpy
 import pytest
 
-from jordal.jordan import JordanSpec, norm_form
+from jordal import polarization
+from jordal.jordan import JordanElement, JordanSpec, char_coeffs, norm_form
 from jordal.linalg import clear_row_denominators
 from jordal.polarization import (
     ArityError,
     PolarizedForm,
     _contract,
+    _grading,
+    _Poly,
+    _semi_invariant,
     covector_slot,
     full_polarize,
     partial_polarize,
@@ -377,3 +381,79 @@ def test_pair_matrix_reads_the_table_once(monkeypatch):
     m = sample_coords(stream_rng(25, "sweep"), fr.spec.dim)
     _pair_matrix(fr, pair(m))
     assert table.passes == 1
+
+
+# ---------------------------------------------------------------------------
+# the table expanded modulo its index weights
+
+TRUNCATED_SHAPES = [(2, 1), (2, 8), (3, 1), (3, 2), (3, 4), (3, 8), (4, 1), (4, 2)]
+
+
+def index_weights(spec):
+    """Per canonical coordinate, its weight at each matrix index: 2 at i for
+    the diagonal (i, i), 1 at i and 1 at j for each unit of block (i, j)."""
+    out = [tuple(2 * (t == i) for t in range(spec.size)) for i in range(spec.size)]
+    for i, j in spec.pairs:
+        out += [tuple((t == i) + (t == j) for t in range(spec.size))] * spec.delta
+    return out
+
+
+def trace_norm(spec):
+    """Q on a coordinate vector through char_coeffs, building no table."""
+    return lambda vec: char_coeffs(JordanElement(spec, vec))[-1]
+
+
+@pytest.mark.parametrize("k,delta", TRUNCATED_SHAPES)
+def test_truncated_table_equals_full_expansion(k, delta):
+    norm = norm_form(JordanSpec(k, delta))
+    full = PolarizedForm(norm.degree, norm.dim, norm.func)
+    assert norm.terms == full.terms and norm.denominator == full.denominator
+
+
+@pytest.mark.parametrize("k,delta", TRUNCATED_SHAPES + [(4, 4), (5, 2), (6, 1)])
+def test_every_monomial_weighs_two_at_every_index(k, delta):
+    spec = JordanSpec(k, delta)
+    weights = index_weights(spec)
+    for mono, _ in norm_form(spec).terms:
+        assert tuple(map(sum, zip(*(weights[i] for i in mono)))) == (2,) * spec.size
+
+
+def test_semi_invariance_holds_at_3_8_and_not_at_4_8(monkeypatch):
+    # norm_form passes index_weights and the bound 2, and the check lets it
+    # truncate at (3,8); at (4,8) the trace-defined Q has monomials of other
+    # weights, which the check sees without building the table
+    seen = []
+
+    def recording(func, dim, weights, bound):
+        seen.append((weights, bound, _semi_invariant(func, dim, weights, bound)))
+        return seen[-1][2]
+
+    monkeypatch.setattr(polarization, "_semi_invariant", recording)
+    spec = JordanSpec(3, 8)
+    assert norm_form.__wrapped__(spec).terms == norm_form(spec).terms
+    assert seen == [(index_weights(spec), 2, True)]
+    assert _semi_invariant(trace_norm(spec), spec.dim, index_weights(spec), 2)
+    spec = JordanSpec(4, 8)
+    assert not _semi_invariant(trace_norm(spec), spec.dim, index_weights(spec), 2)
+
+
+def test_weighted_forms_truncate_only_when_semi_invariant():
+    weights = [(1, 1), (2, 0)]
+    x0, x1 = (_Poly({(i,): 1}, _grading(weights, 2)) for i in range(2))
+    # x1^2 weighs (4, 0) and x0 x1 weighs (3, 1): both are dropped
+    assert (x0 * x0).terms == {(0, 0): 1}
+    assert (x1 * x1).terms == {} and (x0 * x1).terms == {}
+    assert (_Poly({(1,): 1}) * _Poly({(1,): 1})).terms == {(1, 1): 1}
+    # x0^2 + x0 x1 + x1^2 is not semi-invariant: its full table
+    f = PolarizedForm(2, 2, lambda v: v[0] * v[0] + v[0] * v[1] + v[1] * v[1],
+                      weights=weights, bound=2)
+    assert f.terms == (((0, 0), 1), ((0, 1), 1), ((1, 1), 1))
+    # (x0 + x1)(x0 - x1) + x1^2 = x0^2 is: its cross terms are dropped on
+    # the way and the table is still exact
+    g = PolarizedForm(2, 2, lambda v: (v[0] + v[1]) * (v[0] - v[1]) + v[1] * v[1],
+                      weights=weights, bound=2)
+    assert g.terms == (((0, 0), 1),)
+    with pytest.raises(ValueError):
+        _grading([(3, 0), (0, 1)], 2)
+    with pytest.raises(ArityError):
+        PolarizedForm(2, 2, lambda v: v[0] * v[1], weights=weights)
