@@ -6,9 +6,18 @@ small sparse polynomial type), which expands F into its monomial table
 
     F(x) = 1/denominator * sum_{(i_1 <= ... <= i_q, c)} c x_{i_1} ... x_{i_q},
 
-with integer coefficients c when F is rational. The symmetric multilinear
-polarization F~ with F~(x, ..., x) = F(x) is a sum over the table: for a
-base B repeated q - m times and slots r_1..r_m,
+with integer coefficients c when F is rational.
+
+Given a weight per index for each coordinate and a bound, as norm_form gives
+them, the expansion runs modulo the monomials that weigh more than the bound
+at some index: each product drops them as it forms. That is reduction modulo
+a monomial ideal, so it is exact when every monomial of F weighs exactly the
+bound at every index. PolarizedForm checks this first, comparing F at a
+random integer point with F at the point's image under the torus, and where
+they disagree it expands F in full.
+
+The symmetric multilinear polarization F~ with F~(x, ..., x) = F(x) is a sum
+over the table: for a base B repeated q - m times and slots r_1..r_m,
 
     F~(B^(q-m), r_1, ..., r_m) = (q-m)!/q! * 1/denominator
         * sum c [t_1 ... t_m] prod_p (B_{i_p} + sum_s t_s r_s[i_p]),
@@ -48,18 +57,19 @@ class _Poly:
 
     It has just the arithmetic a form's evaluator uses (+, -, *, ** and
     comparison with 0), so running the evaluator on _Poly coordinates
-    expands the form. ``grading`` is _grading's (weigh, bias, over): a
-    product of two monomials is dropped when its weight, biased, sets a bit
-    of ``over``. Weights are never negative, so the dropped monomials span
-    an ideal and each product is reduced modulo it; ungraded, every weight
-    is 0 and nothing is dropped.
+    expands the form. ``grading`` is _grading's (weight, bias, over),
+    shared by every polynomial of one expansion: a product of two monomials
+    is dropped when its weight, biased, sets a bit of ``over``. Weights are
+    never negative, so the dropped monomials span an ideal and each product
+    is reduced modulo it; with no indices, every weight is 0 and nothing is
+    dropped.
     """
 
     __slots__ = ("terms", "grading")
 
-    def __init__(self, terms, grading=None):
+    def __init__(self, terms, grading):
         self.terms = terms
-        self.grading = grading or _UNGRADED
+        self.grading = grading
 
     @staticmethod
     def lift(x) -> dict:
@@ -92,13 +102,12 @@ class _Poly:
                 return _Poly({}, self.grading)
             return _Poly({mono: c * other for mono, c in self.terms.items()},
                          self.grading)
-        weigh, bias, over = self.grading
-        right = [(m2, c2, weigh(m2)) for m2, c2 in other.terms.items()]
+        weight, bias, over = self.grading
         out = {}
         for m1, c1 in self.terms.items():
-            w1 = weigh(m1) + bias
-            for m2, c2, w2 in right:
-                if (w1 + w2) & over:
+            w1 = weight[m1] + bias
+            for m2, c2 in other.terms.items():
+                if (w1 + weight[m2]) & over:
                     continue
                 mono = tuple(sorted(m1 + m2))
                 s = out.pop(mono, 0) + c1 * c2
@@ -120,11 +129,22 @@ class _Poly:
     __hash__ = None
 
 
-_UNGRADED = (lambda _mono: 0, 0, 0)
+class _Weights(dict):
+    """{monomial: its packed weight}, each computed on first sight as the
+    sum of its variables' packed weights, variables[i]."""
+
+    __slots__ = ("variables",)
+
+    def __init__(self, variables):
+        self.variables = variables
+
+    def __missing__(self, mono):
+        w = self[mono] = sum(map(self.variables.__getitem__, mono))
+        return w
 
 
 def _grading(weights, bound: int):
-    """(weigh, bias, over) for the per-index weights of each variable.
+    """(weight, bias, over) for the per-index weights of each variable.
 
     A monomial's weight is the sum of its variables', packed into one int
     with a field of width bits per index. A product's field holds two
@@ -140,9 +160,8 @@ def _grading(weights, bound: int):
     def packed(ws):
         return sum(w << (width * t) for t, w in enumerate(ws))
 
-    table = tuple(map(packed, weights))
     indices = len(weights[0])
-    return (lambda mono: sum(map(table.__getitem__, mono)),
+    return (_Weights(tuple(map(packed, weights))),
             packed([half - 1 - bound] * indices), packed([half] * indices))
 
 
@@ -179,13 +198,12 @@ class PolarizedForm:
         self.dim = dim
         self.func = func
         self.name = name
-        grading = None
-        if weights is not None:
-            if len(weights) != dim or bound is None:
-                raise ArityError(f"{name}: expected {dim} index weights and "
-                                 f"a bound, got {len(weights)} and {bound}")
-            if _semi_invariant(func, dim, weights, bound):
-                grading = _grading(weights, bound)
+        if weights is not None and (len(weights) != dim or bound is None):
+            raise ArityError(f"{name}: expected {dim} index weights and a "
+                             f"bound, got {len(weights)} and {bound}")
+        if weights is None or not _semi_invariant(func, dim, weights, bound):
+            weights, bound = [()] * dim, 0
+        grading = _grading(weights, bound)
         table = sorted(_Poly.lift(func(tuple(_Poly({(i,): 1}, grading)
                                              for i in range(dim)))).items())
         if any(len(mono) != degree for mono, _ in table):

@@ -25,7 +25,7 @@ from jordal.jordan import (
     random_element,
 )
 from jordal.linalg import LinearOperator
-from jordal.polarization import _Poly
+from jordal.polarization import _grading, _Poly
 from jordal.reconstruction import frame
 from jordal.rng import sample_coords, stream_rng
 from jordal.runner import _jordan_sides
@@ -291,8 +291,9 @@ def test_kernel_at_long_coordinates(k, longest):
     # generated sums, and the kernel still matches the oracle
     spec = JordanSpec(k, 8)
     n = spec.dim
-    x = tuple(_Poly({(i,): 1}) for i in range(n))
-    y = tuple(_Poly({(n + i,): 1}) for i in range(n))
+    ungraded = _grading([()] * (2 * n), 0)
+    x = tuple(_Poly({(i,): 1}, ungraded) for i in range(n))
+    y = tuple(_Poly({(n + i,): 1}, ungraded) for i in range(n))
     sym = jordan_module._sym_product(spec, x, y)
     assert max(len(p.terms) for p in sym) == longest
     assert (longest > _GROUP) == (k == 5)

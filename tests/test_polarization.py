@@ -443,7 +443,8 @@ def test_weighted_forms_truncate_only_when_semi_invariant():
     # x1^2 weighs (4, 0) and x0 x1 weighs (3, 1): both are dropped
     assert (x0 * x0).terms == {(0, 0): 1}
     assert (x1 * x1).terms == {} and (x0 * x1).terms == {}
-    assert (_Poly({(1,): 1}) * _Poly({(1,): 1})).terms == {(1, 1): 1}
+    x1 = _Poly({(1,): 1}, _grading([(), ()], 0))
+    assert (x1 * x1).terms == {(1, 1): 1}
     # x0^2 + x0 x1 + x1^2 is not semi-invariant: its full table
     f = PolarizedForm(2, 2, lambda v: v[0] * v[0] + v[0] * v[1] + v[1] * v[1],
                       weights=weights, bound=2)
