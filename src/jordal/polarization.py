@@ -39,6 +39,7 @@ matrices leave as numerators over one denominator; only a scalar becomes a value
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 from math import factorial, prod
@@ -103,11 +104,12 @@ class _Poly:
             return _Poly({mono: c * other for mono, c in self.terms.items()},
                          self.grading)
         weight, bias, over = self.grading
+        right = [(m2, c2, weight[m2]) for m2, c2 in other.terms.items()]
         out = {}
         for m1, c1 in self.terms.items():
             w1 = weight[m1] + bias
-            for m2, c2 in other.terms.items():
-                if (w1 + weight[m2]) & over:
+            for m2, c2, w2 in right:
+                if (w1 + w2) & over:
                     continue
                 mono = tuple(sorted(m1 + m2))
                 s = out.pop(mono, 0) + c1 * c2
@@ -146,12 +148,17 @@ class _Weights(dict):
 def _grading(weights, bound: int):
     """(weight, bias, over) for the per-index weights of each variable.
 
-    A monomial's weight is the sum of its variables', packed into one int
-    with a field of width bits per index. A product's field holds two
-    weights of at most bound plus bias = 2^(width-1) - 1 - bound, so its top
-    bit, the field's bit in over, is set exactly when the product weighs
-    more than bound there, and the field never carries into the next.
+    weight maps a monomial to the sum of its variables' weights, packed into
+    one int with a field of width bits per index. A product's field holds
+    two weights of at most bound plus bias = 2^(width-1) - 1 - bound, so its
+    top bit, the field's bit in over, is set exactly when the product weighs
+    more than bound there, and the field never carries into the next. With
+    no indices nothing is dropped, and an empty Counter reads 0 for every
+    monomial without keeping it, so a full expansion holds no cache.
     """
+    indices = len(weights[0])
+    if not indices:
+        return Counter(), 0, 0
     if any(not 0 <= w <= bound for ws in weights for w in ws):
         raise ValueError(f"index weights must lie in 0..{bound}")
     width = bound.bit_length() + 1
@@ -160,7 +167,6 @@ def _grading(weights, bound: int):
     def packed(ws):
         return sum(w << (width * t) for t, w in enumerate(ws))
 
-    indices = len(weights[0])
     return (_Weights(tuple(map(packed, weights))),
             packed([half - 1 - bound] * indices), packed([half] * indices))
 
