@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from fractions import Fraction
 
 from . import linalg
 
@@ -54,7 +53,7 @@ class ExactBackend:
     def det_ratio(self, rows, den, base, power) -> TrialOutcome:
         """Whether det(rows) / den = base ** power."""
         return self.close_scalars(linalg.exact_det(rows) / den,
-                                  Fraction(base) ** power)
+                                  linalg.ratio(base, 1) ** power)
 
 
 EXACT = ExactBackend()

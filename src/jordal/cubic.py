@@ -145,7 +145,7 @@ def bracketings(a: JordanElement, upto: int):
     return table
 
 
-def bracketing_residual(fr: NormFrame, a: JordanElement, upto: int = 6):
+def bracketing_residual(fr: NormFrame, a: JordanElement, upto: int):
     """Largest deviation of any bracketed power word from the recursion value.
 
     Checks every one of the 1 + 1 + 2 + 5 + 14 + 42 bracketings of lengths

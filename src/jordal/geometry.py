@@ -6,13 +6,11 @@ integer statements computed over the rationals by default; the functions
 that take a ``backend`` compute in its arithmetic instead (see backend.py).
 """
 
-from fractions import Fraction
-
 from .backend import EXACT
 from .composition import cd_conj, cd_mul, cd_norm
 from .jordan import (JordanElement, JordanSpec, SpecMismatch, char_coeffs,
                      from_entries, mult_operator, reduced)
-from .linalg import SingularMatrix, combine, exact_nullspace, exact_solve, mat_vec
+from .linalg import SingularMatrix, combine, exact_nullspace, exact_solve, mat_vec, ratio
 from .polarization import PolarizedForm, covector_slot, full_polarize, partial_polarize
 from .reconstruction import NormFrame, tau, tau_covector, unit_pairing
 from .rng import COORD_HI, COORD_LO, sample_coords
@@ -184,8 +182,7 @@ def dual_point(fr: NormFrame, x: RankOnePoint, a: JordanElement, backend=EXACT):
     pairing = partial_polarize(fr.form, a.cleared, q - 1, [xe.cleared])
     if backend.is_zero(pairing, 0):
         raise SingularConfiguration("Q(x, A, ..., A) = 0")
-    # Fraction(qa) keeps exact division exact; a float quotient stays float
-    xp = a - xe.scale(Fraction(qa) / (q * pairing))
+    xp = a - xe.scale(ratio(qa, q * pairing))
     if not backend.is_zero(fr.norm(xp), (1 + xp.max_abs()) ** q):
         raise DualityViolation("Q(x') != 0")
     hyper_grad, _ = covector_slot(fr.form, [xp.cleared] * (q - 1))
@@ -249,14 +246,15 @@ def product_projection(fr: NormFrame, xa: RankOnePoint,
     pb = unit_pairing(fr, b)
     cross = partial_polarize(fr.form, fr.unit.cleared, q - 2,
                              [a.cleared, b.cleared])
-    scal = (k + 1) * (k + 1) * pa * pb - Fraction(k * (k + 1), 2) * cross
+    scal = (k + 1) * (k + 1) * pa * pb - ratio(k * (k + 1), 2) * cross
     # <w_i, w_j> = w_i^T G w_j with G = N / d; the int system N' c = d * rhs,
     # N'[i][j] = w_i^T N w_j, has the same solution as the Gram system
     g = fr.gram
     images = [mat_vec(g.numerators, w) for w in basis]
-    gram = [[sum(x * y for x, y in zip(wi, gj)) for gj in images] for wi in basis]
+    ws = [JordanElement(spec, w) for w in basis]
+    gram = [[wi.dot(gj, 1) for gj in images] for wi in ws]
     # <scal*I, w> = scal * Q(I,...,I,w) because tau_I fixes I
-    rhs = [g.denominator * scal * unit_pairing(fr, fr.element(w)) for w in basis]
+    rhs = [g.denominator * scal * unit_pairing(fr, w) for w in ws]
     try:
         coeffs, d = exact_solve(gram, rhs)
     except SingularMatrix:

@@ -23,9 +23,9 @@ and the characteristic coefficients run on the numerators, so exact
 arithmetic builds no Fraction. ``cleared`` reads an element as the pair
 (numerators, denominator) that reduced and every polarization take, and
 ``lifted`` carries it into a backend; coords() builds values on each call,
-for display and comparison. Only this module knows the layout: _layout writes it
-(for from_entries and the product kernel) and _grid_from_coords reads it (for
-grid() and, once per shape, the product kernel).
+through linalg.value, for display and comparison. Only this module knows the
+layout: _layout writes it (for from_entries and the product kernel) and
+_grid_from_coords reads it (for grid() and, once per shape, the product kernel).
 
 The generic characteristic coefficients sigma_1..sigma_{k+1} come from
 Newton's identities over the power traces p_m = T(A^m), T = Re Tr; the
@@ -43,7 +43,6 @@ the recursion as written, for char_coeffs and the norm form alike.
 from __future__ import annotations
 
 from collections import namedtuple
-from fractions import Fraction
 from functools import lru_cache
 from math import factorial, lcm
 from operator import add, mul, sub
@@ -51,7 +50,7 @@ from operator import add, mul, sub
 from .backend import EXACT
 from .composition import (ALLOWED_DIMS, DimensionMismatch, cd_conj, compile_bilinear,
                           unit_table)
-from .linalg import LinearOperator, clear_row_denominators, over, total
+from .linalg import LinearOperator, clear_row_denominators, over, ratio, total, value
 from .polarization import PolarizedForm
 from .rng import sample_coords
 
@@ -130,7 +129,7 @@ class JordanElement:
     def coords(self) -> tuple:
         """The canonical coordinates as values (ints and Fractions, or floats)."""
         den = self._den
-        return self._nums if den == 1 else tuple(Fraction(v, den) for v in self._nums)
+        return self._nums if den == 1 else tuple(value(v, den) for v in self._nums)
 
     def grid(self):
         """Full matrix as nested lists of coordinate tuples (conjugated lower)."""
@@ -149,15 +148,13 @@ class JordanElement:
         """The covector nums / den (int numerators over an int denominator,
         as covector_slot and LinearOperator.apply give it) at this element:
         one dot of numerators, divided once."""
-        (v,), d = over((total(map(mul, nums, self._nums)),), den * self._den)
-        return v if d == 1 else Fraction(v, d)
+        return value(total(map(mul, nums, self._nums)), den * self._den)
 
     def is_zero(self) -> bool:
         return not any(self._nums)
 
     def max_abs(self):
-        m = max(map(abs, self._nums))
-        return m if self._den == 1 else Fraction(m, self._den)
+        return value(max(map(abs, self._nums)), self._den)
 
     def _check(self, other):
         if not isinstance(other, JordanElement):
@@ -364,9 +361,9 @@ def _newton(traces) -> list:
     return f[1:]
 
 
-def _newton_scale(j: int) -> Fraction:
-    """1 / (j! 2^j), which takes f_j to sigma_j."""
-    return Fraction(1, factorial(j) * 2 ** j)
+def _newton_scale(j: int):
+    """1 / (j! 2^j) as a Fraction, which takes f_j to sigma_j."""
+    return ratio(1, factorial(j) * 2 ** j)
 
 
 # ---------------------------------------------------------------------------

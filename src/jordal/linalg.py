@@ -5,7 +5,10 @@ over one positive int denominator in lowest terms, or, once a float is
 involved, floats over 1. ``over`` brings numerators over a denominator to
 that format, ``clear_row_denominators`` takes values to it and ``combine``
 forms linear combinations in it; no other module tests number types to
-choose between exact and float arithmetic.
+choose between exact and float arithmetic. Every scalar value is built
+here too: ``value`` turns a numerator over a denominator into an int, a
+Fraction or a float, and ``ratio`` divides exactly; no other module builds
+a Fraction.
 
 Matrices are sequences of rows of ints / Fractions. Each row is cleared to
 int numerators, and one fraction-free (Bareiss) echelon of the int rows
@@ -13,9 +16,10 @@ gives rank, nullspace, determinant, solve and inverse, the last three
 finished by one back-substitution. A nullspace comes back as primitive int
 vectors. A LinearOperator holds int numerators over one denominator and
 applies to a vector given the same way, (numerators, denominator); Fractions
-appear only in the scalars that leave (determinants, traces). Float rank,
-solve and sign and log|det| come from one Gaussian elimination with complete
-pivoting, and float sums run left to right (``total``).
+appear only in the scalars that leave (determinants, traces, and ``value``
+and ``ratio``). Float rank, solve and sign and log|det| come from one
+Gaussian elimination with complete pivoting, and float sums run left to
+right (``total``).
 """
 
 from __future__ import annotations
@@ -83,6 +87,19 @@ def over(nums, den):
     except TypeError:  # math.gcd takes only ints
         return tuple([v / den for v in nums]), 1
     return (nums, den) if g == 1 else (tuple([v // g for v in nums]), den // g)
+
+
+def value(num, den):
+    """num / den as one value, through over: an int, a Fraction in lowest
+    terms, or a float where a float is involved."""
+    (v,), d = over((num,), den)
+    return v if d == 1 else Fraction(v, d)
+
+
+def ratio(a, b):
+    """Fraction(a) / b: a Fraction for ints and Fractions, a float once the
+    divisor b is a float."""
+    return Fraction(a) / b
 
 
 def combine(coeffs, vectors):
@@ -314,8 +331,8 @@ class LinearOperator:
                               other.domain, self.codomain)
 
     def trace(self):
-        t = total(self.numerators[i][i] for i in range(self.dim))
-        return t if self.denominator == 1 else Fraction(t, self.denominator)
+        return value(total(self.numerators[i][i] for i in range(self.dim)),
+                     self.denominator)
 
     def __repr__(self):
         return f"LinearOperator({self.domain}->{self.codomain}, dim={self.dim})"

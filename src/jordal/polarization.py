@@ -40,11 +40,10 @@ matrices leave as numerators over one denominator; only a scalar becomes a value
 from __future__ import annotations
 
 from collections import Counter
-from fractions import Fraction
 from itertools import combinations
 from math import factorial, prod
 
-from .linalg import clear_row_denominators, over
+from .linalg import clear_row_denominators, over, value
 from .rng import stream_rng
 
 
@@ -275,10 +274,6 @@ def _contract(form: PolarizedForm, base, rest, gradient: bool = False):
     num = factorial(free)
     den *= factorial(q)
 
-    def value(total):
-        (v,), d = over((total * num,), den)
-        return v if d == 1 else Fraction(v, d)
-
     if not (m or gradient):
         # F(B) itself: with no slots the coefficient is the product of the base
         total = 0
@@ -286,7 +281,7 @@ def _contract(form: PolarizedForm, base, rest, gradient: bool = False):
             for i in mono:
                 c *= base[i]
             total += c
-        return value(total)
+        return value(total * num, den)
     factors = tuple(zip(*columns))  # factors[i] = (B_i, r_1[i], ..., r_m[i])
     steps = _subset_steps(m)
     # the slots fill m + gradient positions, so a monomial with more
@@ -299,7 +294,7 @@ def _contract(form: PolarizedForm, base, rest, gradient: bool = False):
         for mono, c in form.terms:
             if zeros is None or sum(map(zeros, mono)) <= m:
                 total += c * _multilinear(factors, mono, steps)
-        return value(total)
+        return value(total * num, den)
     out = [0] * form.dim
     for mono, c in form.terms:
         n = 0 if zeros is None else sum(map(zeros, mono))

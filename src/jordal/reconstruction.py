@@ -28,12 +28,11 @@ JordanElement.dot and linalg.combine to jordan.reduced.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 
 from .jordan import JordanSpec, JordanElement, identity, norm_form, reduced
 from .linalg import (LinearOperator, clear_row_denominators, combine, exact_det,
-                     exact_inverse)
+                     exact_inverse, ratio)
 from .polarization import PolarizedForm, covector_slot, pair_matrix, partial_polarize
 from .rng import sample_coords
 
@@ -87,16 +86,13 @@ class NormFrame:
     def norm(self, a: JordanElement):
         return self.form(a.cleared)
 
-    def element(self, coords) -> JordanElement:
-        return JordanElement(self.spec, coords)
-
     def random_invertible(self, rng) -> JordanElement:
         """Random integer element with Q != 0 (rejection sampling); running out
         of draws raises a plain ValueError, which fails the trial."""
         for _ in range(200):
             coords = sample_coords(rng, self.spec.dim)
             if self.form((coords, 1)) != 0:
-                return self.element(coords)
+                return JordanElement(self.spec, coords)
         raise ValueError("no element with Q != 0 in 200 draws")
 
 
@@ -166,8 +162,8 @@ def reconstructed_product(fr: NormFrame, a: JordanElement,
     sharped = sharp(fr, covector_slot(fr.form,
                                       [unit] * (q - 3) + [a.cleared, b.cleared]))
     return reduced(fr.spec, *combine(
-        (k * (k - 1) // 2, Fraction(k + 1, 2) * unit_pairing(fr, a),
-         Fraction(k + 1, 2) * unit_pairing(fr, b), -(k * (k + 1) // 2) * cross),
+        (k * (k - 1) // 2, ratio(k + 1, 2) * unit_pairing(fr, a),
+         ratio(k + 1, 2) * unit_pairing(fr, b), -(k * (k + 1) // 2) * cross),
         (sharped.cleared, b.cleared, a.cleared, fr.unit.cleared)))
 
 
@@ -202,7 +198,7 @@ def _structural_line_derivative(fr: NormFrame, a: JordanElement,
 def derivative_product_oracle(fr: NormFrame, a: JordanElement,
                               b: JordanElement) -> JordanElement:
     """A*B = -1/2 d/dt H_{I+tA}(B) at t = 0 (independent derivative route)."""
-    return _structural_line_derivative(fr, a, b).scale(Fraction(-1, 2))
+    return _structural_line_derivative(fr, a, b).scale(ratio(-1, 2))
 
 
 def orbit_map_derivative(fr: NormFrame, a: JordanElement) -> JordanElement:

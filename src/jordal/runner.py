@@ -36,13 +36,13 @@ negative suite skips everywhere else.
 from __future__ import annotations
 
 from collections import namedtuple
-from fractions import Fraction
 from functools import cached_property
 
 from .backend import EXACT, FloatBackend, TrialOutcome
 from .composition import ALLOWED_DIMS, cd_mul, cd_norm
 from .jordan import (JordanElement, JordanSpec, identity, jordan_mul,
                      jordan_rank, mult_operator, quadratic_rep, reduced)
+from .linalg import ratio, value
 from .polarization import covector_slot, partial_polarize
 from .reconstruction import (NormFrame, SingularPoint, derivative_product_oracle,
                              frame, inner, orbit_map_derivative,
@@ -212,7 +212,7 @@ def _sharp_sides(env, a):
     fr, k = env.frame, env.spec.k
     cov = covector_slot(fr.form, [fr.unit.cleared] * (fr.q - 2) + [a.cleared])
     return (sharp(fr, cov),
-            (env.unit.scale((k + 1) * unit_pairing(fr, a)) - a).scale(Fraction(1, k)))
+            (env.unit.scale((k + 1) * unit_pairing(fr, a)) - a).scale(ratio(1, k)))
 
 
 def _semisimilarity_sides(env, a, b):
@@ -230,7 +230,7 @@ def _ck_quadratic_structural(env, rng):
     dev = max(abs(nums[i][j] - (den if i == j else 0))
               for i in range(n) for j in range(n))
     scale = max(abs(v) for row in nums for v in row) / den
-    return env.backend.small(dev if den == 1 else Fraction(dev, den), scale)
+    return env.backend.small(value(dev, den), scale)
 
 
 def _tau_symmetry_sides(env, m, b, c):
@@ -364,7 +364,7 @@ def _ck_structural_norm_factor(env, rng):
     a = fr.random_invertible(rng)
     g = GroupElementSample(fr, structural_map(fr, a), "structural", rng)
     qa = fr.norm(a)
-    return env.backend.close_scalars(g.norm_factor, Fraction(1, qa * qa))
+    return env.backend.close_scalars(g.norm_factor, ratio(1, qa * qa))
 
 
 def _ck_composite_similarity(env, rng):
@@ -375,7 +375,7 @@ def _ck_composite_similarity(env, rng):
                               "composite", rng)
     qa = fr.norm(a)
     return env.backend.close_scalars(comp.norm_factor,
-                                     g.norm_factor * Fraction(1, qa * qa))
+                                     g.norm_factor * ratio(1, qa * qa))
 
 
 # --------------------------------------------------------------------------

@@ -6,12 +6,10 @@ the identities they are supposed to satisfy. The derivation law of
 [M_A, M_B] is stated as its two sides, which the runner compares.
 """
 
-from fractions import Fraction
-
 from .backend import EXACT
 from .jordan import (JordanElement, from_entries, identity, jordan_mul,
                      operator_from_action, random_element, reduced)
-from .linalg import LinearOperator
+from .linalg import LinearOperator, ratio
 from .reconstruction import NormFrame, inner, structural_map
 
 # random invertible M a similarity is probed on, and probe pairs (A, B) of
@@ -65,9 +63,8 @@ class GroupElementSample:
             elif not backend.close_scalars(qgm * q0, qg0 * qm).ok:
                 raise SimilarityViolation(
                     f"{provenance}: norm ratio not constant "
-                    f"({Fraction(qgm) / qm} vs {Fraction(qg0) / q0})")
-        # Fraction keeps the exact ratio exact; floats divide as floats
-        lam = Fraction(qg0) / q0
+                    f"({ratio(qgm, qm)} vs {ratio(qg0, q0)})")
+        lam = ratio(qg0, q0)
         if lam == 0:
             raise SimilarityViolation(f"{provenance}: norm factor vanishes")
         object.__setattr__(self, "frame", fr)

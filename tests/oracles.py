@@ -439,7 +439,8 @@ def interpolated_line_derivative(fr, a: JordanElement, b: JordanElement):
         -(q - 1) * (c1_d[c] - c1[0][c] * c4_d)
         + q * (c2_d * c3[0][c] + c2[0] * c3_d[c] - 2 * c2[0] * c3[0][c] * c4_d)
         for c in range(dim))
-    return fr.element(vector_values(fr.gram_inv.apply(*clear_row_denominators(phi_d))))
+    return JordanElement(fr.spec, vector_values(
+        fr.gram_inv.apply(*clear_row_denominators(phi_d))))
 
 
 def randint_coords(rng, n: int) -> tuple:

@@ -39,6 +39,7 @@ from jordal.geometry import (
     terracini_expected,
 )
 from jordal.jordan import (
+    JordanElement,
     JordanSpec,
     identity,
     jordan_mul,
@@ -132,7 +133,8 @@ def test_criterion_2_norm_identity_suite(capsys):
                 == spec.dim * unit_pairing(fr, m),
                 "pairing": inner(fr, a, b) == unit_pairing(fr, jordan_mul(a, b)),
                 "semisimilarity": fr.norm(
-                    fr.element(vector_values(structural_map(fr, m).apply(*b.cleared))))
+                    JordanElement(spec, vector_values(
+                        structural_map(fr, m).apply(*b.cleared))))
                 * fr.norm(m) ** 2 == fr.norm(b),
                 "tau-det": exact_det(values(tau(fr, m))) / fr.det_gram
                 == Fraction(1, fr.norm(m) ** power),

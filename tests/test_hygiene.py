@@ -29,7 +29,9 @@ math.gcd raises on a float), read ``EXACT_TYPES``, or ask
 ``isinstance(x, float)`` to pick between exact and float arithmetic, nor
 ``isinstance(x, Fraction)`` (alone or in a tuple of types) to pick between
 numerators and values; ``report.py`` may, since it only formats values for
-output.
+output. ``linalg.py`` also builds every exact scalar, through ``value`` and
+``ratio``: no other module imports ``fractions`` or reads the name
+``Fraction``, ``report.py`` again aside.
 
 A name with a leading underscore is private to its module: no library
 module may import one from another (``from .x import _name``), since that
@@ -317,6 +319,12 @@ def test_number_format_decided_in_linalg():
                     found.append(f"{name}:{n.lineno} isinstance(..., float)")
                 elif "Fraction" in kinds and name != "report.py":
                     found.append(f"{name}:{n.lineno} isinstance(..., Fraction)")
+            if name != "report.py" and (
+                    isinstance(n, ast.Name) and n.id == "Fraction"
+                    or isinstance(n, ast.Attribute) and n.attr == "Fraction"
+                    or isinstance(n, ast.alias) and n.name.split(".")[0] == "fractions"
+                    or isinstance(n, ast.ImportFrom) and n.module == "fractions"):
+                found.append(f"{name}:{n.lineno} Fraction")
     assert found == []
 
 

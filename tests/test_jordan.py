@@ -7,6 +7,7 @@ from math import gcd
 import pytest
 
 import jordal.jordan as jordan_module
+import jordal.linalg as linalg_module
 from jordal.backend import FloatBackend
 from jordal.composition import _GROUP, DimensionMismatch
 from jordal.jordan import (
@@ -233,7 +234,7 @@ def test_exact_arithmetic_builds_no_fraction(k, delta, monkeypatch):
     def no_fraction(*args, **kwargs):
         raise AssertionError("built a Fraction")
 
-    monkeypatch.setattr(jordan_module, "Fraction", no_fraction)
+    monkeypatch.setattr(linalg_module, "Fraction", no_fraction)
     ab, ba = jordan_mul(a, b), jordan_mul(b, a)
     aba = jordan_mul(ab, a)
     assert ab == ba and (ab - ba).is_zero()

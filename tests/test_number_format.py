@@ -4,7 +4,8 @@ covector_slot, LinearOperator.apply, tau_covector, linalg.combine and both
 backends' solve return a vector as (numerators, denominator): for exact
 inputs, int numerators over a positive int denominator in lowest terms; once
 a float is involved, floats over 1. A float among Fraction coefficients gives
-floats, never Fractions.
+floats, never Fractions. A scalar leaves through linalg.value (int, Fraction
+in lowest terms, or float) or linalg.ratio (Fraction(a) / b).
 """
 
 from fractions import Fraction
@@ -14,7 +15,7 @@ import pytest
 
 from jordal.backend import EXACT, FloatBackend
 from jordal.jordan import JordanElement, JordanSpec, random_element
-from jordal.linalg import combine
+from jordal.linalg import combine, ratio, value
 from jordal.polarization import covector_slot
 from jordal.reconstruction import frame, tau, tau_covector
 from jordal.rng import stream_rng
@@ -100,3 +101,39 @@ def test_both_backends_solve_to_pairs():
     floated = FloatBackend(1e-8).solve(rows, rhs)
     assert_float(floated)
     assert list(vector_values(floated)) == pytest.approx([0.2, 0.6])
+
+
+def typed(x):
+    return type(x), x
+
+
+def test_value_builds_each_scalar():
+    # int over int: an int when integral, else a Fraction in lowest terms
+    assert typed(value(6, 3)) == (int, 2)
+    assert typed(value(-5, 1)) == (int, -5)
+    assert typed(value(6, 4)) == (Fraction, Fraction(3, 2))
+    # a float numerator over a denominator > 1 divides through to a float
+    assert typed(value(1.5, 2)) == (float, 0.75)
+    assert typed(value(3.0, 1)) == (float, 3.0)
+
+
+def test_float_element_at_exact_covector_gives_float():
+    # the frame's unit covector is exact, over a denominator > 1 here
+    fr = frame(JordanSpec(3, 1))
+    nums, den = fr.unit_covector
+    assert den > 1
+    a = random_element(fr.spec, stream_rng(73, "format"))
+    got = floats(a).dot(nums, den)
+    assert type(got) is float
+    assert got == pytest.approx(float(a.dot(nums, den)))
+
+
+def test_ratio_is_fraction_division():
+    assert typed(ratio(1, 4)) == (Fraction, Fraction(1, 4))
+    assert typed(ratio(4, 2)) == (Fraction, Fraction(2))
+    assert typed(ratio(Fraction(2, 3), 4)) == (Fraction, Fraction(1, 6))
+    assert typed(ratio(3, Fraction(3, 2))) == (Fraction, Fraction(2))
+    # a float divisor gives a float; a float dividend is read exactly
+    assert typed(ratio(1.5, 0.5)) == (float, 3.0)
+    assert typed(ratio(3, 0.5)) == (float, 6.0)
+    assert typed(ratio(1.5, 2)) == (Fraction, Fraction(3, 4))

@@ -207,7 +207,7 @@ def test_structural_map_norm_factor():
         rng = stream_rng(41, "hmap", k, delta)
         a = fr.random_invertible(rng)
         b = random_element(spec, rng)
-        hb = fr.element(vector_values(structural_map(fr, a).apply(*b.cleared)))
+        hb = JordanElement(spec, vector_values(structural_map(fr, a).apply(*b.cleared)))
         assert fr.norm(hb) * fr.norm(a) ** 2 == fr.norm(b)
 
 
@@ -255,8 +255,8 @@ def test_operators_match_the_fraction_route():
     # applies to floats, in floats
     spec = JordanSpec(2, 2)
     fr = frame(spec)
-    a = fr.element(tuple(float(c) for c in
-                         fr.random_invertible(stream_rng(45, "float")).coords()))
+    a = JordanElement(spec, tuple(float(c) for c in
+                                  fr.random_invertible(stream_rng(45, "float")).coords()))
     h = structural_map(fr, a)
     assert h.denominator == 1
     assert all(type(v) is float for row in h.numerators for v in row)
@@ -264,7 +264,7 @@ def test_operators_match_the_fraction_route():
     for image, den in (h.apply(b, 1), fr.gram_inv.apply(b, 1)):
         assert den == 1
         assert all(type(v) is float for v in image)
-    exact = structural_map(fr, fr.element(tuple(int(c) for c in a.coords())))
+    exact = structural_map(fr, JordanElement(spec, tuple(int(c) for c in a.coords())))
     assert max(abs(x - float(y)) for r1, r2 in zip(values(h), values(exact))
                for x, y in zip(r1, r2)) < 1e-12
 
