@@ -7,8 +7,8 @@ that format, ``clear_row_denominators`` takes values to it and ``combine``
 forms linear combinations in it; no other module tests number types to
 choose between exact and float arithmetic. Every scalar value is built
 here too: ``value`` turns a numerator over a denominator into an int, a
-Fraction or a float, and ``ratio`` divides exactly; no other module builds
-a Fraction.
+Fraction or a float, and ``ratio`` is Fraction division; no other module
+builds a Fraction.
 
 Matrices are sequences of rows of ints / Fractions. Each row is cleared to
 int numerators, and one fraction-free (Bareiss) echelon of the int rows
@@ -16,8 +16,8 @@ gives rank, nullspace, determinant, solve and inverse, the last three
 finished by one back-substitution. A nullspace comes back as primitive int
 vectors. A LinearOperator holds int numerators over one denominator and
 applies to a vector given the same way, (numerators, denominator); Fractions
-appear only in the scalars that leave (determinants, traces, and ``value``
-and ``ratio``). Float rank, solve and sign and log|det| come from one
+appear only in the scalars that leave (determinants, and what ``value``
+and ``ratio`` return). Float rank, solve and sign and log|det| come from one
 Gaussian elimination with complete pivoting, and float sums run left to
 right (``total``).
 """
