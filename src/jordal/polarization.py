@@ -318,16 +318,22 @@ def pair_matrix(form: PolarizedForm, base):
     """(rows, den) with rows[i][j] / den = F~(B^(q-2), e_i, e_j).
 
     One pass over the table: each pair of positions of a monomial takes e_i
-    and e_j in both orders, times the base at the other positions. The rows
-    come in the number format linalg.over decides: an int base gives int
-    rows over one denominator in lowest terms, a float base floats over 1.
+    and e_j in both orders, times the base at the other positions, so a
+    monomial with more than two positions where B is 0 contributes nothing
+    (at the unit, most of them). The rows come in the number format
+    linalg.over decides: an int base gives int rows over one denominator in
+    lowest terms, a float base floats over 1.
     """
     q, dim = form.degree, form.dim
     base, d = _cleared(form, base)
     rows = [[0] * dim for _ in range(dim)]
     pairs = [(p, p2, [o for o in range(q) if o != p and o != p2])
              for p, p2 in combinations(range(q), 2)]
+    base_zero = [b == 0 for b in base]
+    zeros = base_zero.__getitem__ if any(base_zero) else None
     for mono, c in form.terms:
+        if zeros is not None and sum(map(zeros, mono)) > 2:
+            continue
         vals = [base[i] for i in mono]
         for p, p2, others in pairs:
             v = c

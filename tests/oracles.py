@@ -3,15 +3,16 @@
 Everything here recomputes a quantity by a route different from the library:
 pair-indexed recursion for the doubled products, the Cayley-Dickson basis
 multiplication table (the rule the library's unrolled kernel encodes),
-Leibniz determinants, Fraction-based Gaussian elimination, classical
-cofactor adjugates, Newton's identities over Fractions on the traces of
-iterated Jordan products, polarization by inclusion-exclusion over black-box
-evaluations of a form, t-derivatives by exact Lagrange interpolation,
-the closed polarized formulas of the pairing and of tau_M(x) that the
-library reads from the one operator tau instead, and the standard library's
-randint for the coordinate draws the library reads from getrandbits words.
-It also holds the small matrix, vector and element helpers that only tests
-use. None of it is imported by the package itself.
+Leibniz determinants, Freudenthal's closed cubic norm, Fraction-based
+Gaussian elimination, classical cofactor adjugates, Newton's identities over
+Fractions on the traces of iterated Jordan products, polarization by
+inclusion-exclusion over black-box evaluations of a form, t-derivatives by
+exact Lagrange interpolation, the closed polarized formulas of the pairing
+and of tau_M(x) that the library reads from the one operator tau instead,
+and the standard library's randint for the coordinate draws the library
+reads from getrandbits words. It also holds the small matrix, vector and
+element helpers that only tests use. None of it is imported by the package
+itself.
 """
 
 from fractions import Fraction
@@ -100,6 +101,27 @@ def leibniz_det(entries, size: int, delta: int):
             term = doubled_mul(term, entries[i][perm[i]])
         total += sign(perm) * term[0]
     return total
+
+
+def freudenthal_norm(a: JordanElement):
+    """Freudenthal's cubic norm of a 3 x 3 Hermitian matrix,
+
+        N = alpha beta gamma - alpha n(x) - beta n(y) - gamma n(z) + 2 Re((z x) y),
+
+    with diagonal alpha, beta, gamma, z = A_01, x = A_12 and y = A_20, n the
+    sum of squares and the products by doubled_mul: a closed formula, with no
+    trace, no Newton recursion and no table. It holds for every delta, the
+    octonions too, since Re((z x) y) = Re(z (x y))."""
+    g = a.grid()
+    if len(g) != 3:
+        raise ValueError("Freudenthal's norm is defined on 3 x 3 matrices")
+    alpha, beta, gamma = (g[i][i][0] for i in range(3))
+    z, x, y = g[0][1], g[1][2], g[2][0]
+
+    def n(v):
+        return sum(c * c for c in v)
+    return (alpha * beta * gamma - alpha * n(x) - beta * n(y) - gamma * n(z)
+            + 2 * doubled_mul(doubled_mul(z, x), y)[0])
 
 
 def gauss_rank(rows) -> int:

@@ -30,9 +30,9 @@ from jordal.polarization import _grading, _Poly
 from jordal.reconstruction import frame
 from jordal.rng import sample_coords, stream_rng
 from jordal.runner import _jordan_sides
-from oracles import (dense_symmetric_product, diagonal_element, gauss_det,
-                     jordan_power, leibniz_det, newton_coeffs, power_traces,
-                     values, vector_values)
+from oracles import (dense_symmetric_product, diagonal_element, freudenthal_norm,
+                     gauss_det, jordan_power, leibniz_det, newton_coeffs,
+                     power_traces, values, vector_values)
 
 ALL_SPECS = [(2, 1), (2, 2), (2, 4), (2, 8), (3, 1), (3, 2), (3, 4),
              (4, 1), (4, 2), (5, 1)]
@@ -370,6 +370,23 @@ def test_norm_against_leibniz_determinant():
         for _ in range(4):
             a = random_element(spec, rng)
             assert char_coeffs(a)[-1] == leibniz_det(a.grid(), spec.size, delta)
+
+
+@pytest.mark.parametrize("delta", [1, 2, 4, 8])
+def test_norm_against_freudenthal_cubic(delta):
+    # Q at k = 2 by Freudenthal's closed formula, against the element route
+    # (char_coeffs) and the frame's form (Q's table), on integer and on
+    # Fraction coordinates
+    spec = JordanSpec(2, delta)
+    form = frame(spec).form
+    rng = stream_rng(8, "freudenthal", delta)
+    for t in range(8):
+        a = random_element(spec, rng)
+        if t % 2:
+            a = JordanElement(spec, [Fraction(v, 1 + (i + t) % 5)
+                                     for i, v in enumerate(a.coords())])
+        assert char_coeffs(a)[-1] == freudenthal_norm(a)
+        assert form(a.cleared) == freudenthal_norm(a)
 
 
 def test_norm_against_gauss_determinant():

@@ -13,7 +13,7 @@ import numpy
 import pytest
 
 from jordal import polarization
-from jordal.jordan import JordanElement, JordanSpec, char_coeffs, norm_form
+from jordal.jordan import JordanElement, JordanSpec, char_coeffs, identity, norm_form
 from jordal.linalg import clear_row_denominators
 from jordal.polarization import (
     ArityError,
@@ -343,23 +343,26 @@ def test_pair_matrix_matches_inclusion_exclusion(k, delta, kind):
     spec = JordanSpec(k, delta)
     fr = frame(spec)
     m, x, y = oracle_args(spec, kind, 3, "pairs")
-    w = pair_values(fr, m)
-    assert all(w[i][j] == w[j][i] for i in range(spec.dim) for j in range(i))
-    assert_agrees(pairing([pairing(row, y) for row in w], x),
-                  inclusion_exclusion_polarize(fr.form, exact(m), fr.q - 2,
-                                               [exact(x), exact(y)]), kind)
-    # one diagonal and one off-diagonal entry on their own
+    # the unit too, the base of the Gram: most monomials vanish there
+    unit = tuple(float(v) if kind == "float" else v for v in identity(spec).coords())
     e = [tuple(int(i == c) for i in range(spec.dim)) for c in (0, spec.dim - 1)]
-    for i, j in ((0, 0), (0, 1)):
-        assert_agrees(w[i * (spec.dim - 1)][j * (spec.dim - 1)],
-                      inclusion_exclusion_polarize(fr.form, exact(m), fr.q - 2,
-                                                   [e[i], e[j]]), kind)
-    # row by row, the covector slots Q(M,..,M,e_i,.)
-    for i, row in enumerate(w):
-        e_i = tuple(int(c == i) for c in range(spec.dim))
-        for got, want in zip(row, vector_values(
-                covector_slot(fr.form, pairs([m] * (fr.q - 2) + [e_i])))):
-            assert_agrees(got, want, kind)
+    for base in (m, unit):
+        w = pair_values(fr, base)
+        assert all(w[i][j] == w[j][i] for i in range(spec.dim) for j in range(i))
+        assert_agrees(pairing([pairing(row, y) for row in w], x),
+                      inclusion_exclusion_polarize(fr.form, exact(base), fr.q - 2,
+                                                   [exact(x), exact(y)]), kind)
+        # one diagonal and one off-diagonal entry on their own
+        for i, j in ((0, 0), (0, 1)):
+            assert_agrees(w[i * (spec.dim - 1)][j * (spec.dim - 1)],
+                          inclusion_exclusion_polarize(fr.form, exact(base), fr.q - 2,
+                                                       [e[i], e[j]]), kind)
+        # row by row, the covector slots Q(B,..,B,e_i,.)
+        for i, row in enumerate(w):
+            e_i = tuple(int(c == i) for c in range(spec.dim))
+            for got, want in zip(row, vector_values(
+                    covector_slot(fr.form, pairs([base] * (fr.q - 2) + [e_i])))):
+                assert_agrees(got, want, kind)
 
 
 class CountingTable:

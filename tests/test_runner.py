@@ -468,6 +468,13 @@ def test_default_seed_env(monkeypatch):
     assert default_seed() == 0
     monkeypatch.setenv("JORDAL_SEED", "77")
     assert default_seed() == 77
+    # the 64-bit range, both ends
+    monkeypatch.setenv("JORDAL_SEED", str(2 ** 64 - 1))
+    assert default_seed() == 18446744073709551615
+    for raw in (str(2 ** 64), "-1"):
+        monkeypatch.setenv("JORDAL_SEED", raw)
+        with pytest.raises(InvalidConfig, match="64-bit range"):
+            default_seed()
 
 
 # --------------------------------------------------------------------------
