@@ -29,6 +29,15 @@ time, at that position's index, scaled by (q-1-m)!/q!; the pair matrix
 F~(B^(q-2), e_i, e_j) collects the base product over the other positions
 for every pair of positions. Each contraction reads the table once.
 
+The passes are generated code, one function per pass shape: the degree q,
+the slot count m and the positions left open (0 for the value, 1 for the
+covector, 2 for the pair matrix). Its loop body is the work of one
+monomial written out, with each position's entries bound to locals and the
+recurrence unrolled over the subsets of the slots, in the order the
+formulas above give, so floats round the same on every route. The table
+stays data: each function takes it as an argument, so one compile serves
+every table of that shape and a table edited after it is read as it stands.
+
 Every vector argument is a pair (numerators, denominator), ``a.cleared`` for
 an element and (coords, 1) for an integer draw; a bare tuple of values
 raises ArityError. The contraction runs on the numerators and the result is
@@ -40,6 +49,7 @@ matrices leave as numerators over one denominator; only a scalar becomes a value
 from __future__ import annotations
 
 from collections import Counter
+from functools import lru_cache
 from itertools import combinations
 from math import factorial, prod
 
@@ -232,30 +242,89 @@ def _cleared(form: PolarizedForm, vec):
     return vec
 
 
-def _subset_steps(m: int):
-    """The recurrence of _multilinear for m slots: for each nonempty subset
-    S of slots, largest first, the pairs (slot column, S without the slot)."""
-    return tuple((S, tuple((s + 1, S ^ (1 << s)) for s in range(m) if S >> s & 1))
-                 for S in range((1 << m) - 1, 0, -1))
+def _recurrence(positions, m: int) -> list:
+    """The lines that take [t_1 ... t_m] prod_p (b_p + sum_s t_s r_s_p) over
+    positions into p{2^m - 1}.
 
-
-def _multilinear(factors, mono, steps):
-    """[t_1 ... t_m] prod_{i in mono} (f_i[0] + sum_s t_s f_i[s]), f_i = factors[i].
-
-    poly[S] holds the coefficient of prod_{s in S} t_s in the product so far;
-    each position updates the subsets in place, largest first.
+    p{S} holds the coefficient of prod_{s in S} t_s in the product so far;
+    each position updates the subsets in place, largest first, and p0 last.
     """
-    poly = [1] + [0] * len(steps)
-    for i in mono:
-        f = factors[i]
-        b = f[0]
-        for S, moves in steps:
-            v = poly[S] * b
-            for s, T in moves:
-                v += poly[T] * f[s]
-            poly[S] = v
-        poly[0] *= b
-    return poly[-1]
+    full = (1 << m) - 1
+    lines = ["p0 = 1", " = ".join(f"p{S}" for S in range(1, full + 1)) + " = 0"]
+    for p in positions:
+        lines += [f"p{S} = p{S} * b{p}" + "".join(
+                      f" + p{S ^ 1 << s} * r{s}_{p}" for s in range(m) if S >> s & 1)
+                  for S in range(full, 0, -1)]
+        lines.append(f"p0 *= b{p}")
+    return lines
+
+
+def _product(positions, entry: str = "b{}") -> str:
+    """c times the base at positions, left to right; entry names the base
+    at a position."""
+    return "c" + "".join(" * " + entry.format(p) for p in positions)
+
+
+@lru_cache(maxsize=None)
+def _pass(q: int, m: int, free: int):
+    """One pass over a table of degree-q monomials with m slots and free
+    positions left open, compiled once per shape: the function
+    (terms, base, slots, holes, out) -> F's sum with free = 0, or the
+    covector (free = 1) or pair rows (free = 2) added into out.
+
+    Per monomial the code binds each position's index, base entry and slot
+    entries to locals and writes out the recurrence of _recurrence. The slots
+    fill m + free positions, so where the base has zeros (holes), a monomial
+    with more positions where it is 0 contributes nothing and is skipped;
+    a covector then also skips each dropped position whose base is not 0
+    when the others hold more than m zeros. The table is an argument, so a
+    table edited after compiling is read as it stands.
+    """
+    pos = range(q)
+    limit = m + free
+    body = ["".join(f"i{p}, " for p in pos) + "= mono"]
+    if not (m or free):
+        # each base entry is read once: F(B) itself
+        return _compiled(m, body + [f"total += {_product(pos, 'base[i{}]')}"])
+    body += [f"b{p} = base[i{p}]" for p in pos]
+    count = " + ".join(f"(not b{p})" for p in pos)
+    if free == 1:
+        body += ["n = 0", "if holes:", f"    n = {count}",
+                 f"    if n > {limit}:", "        continue"]
+    elif limit < q:
+        body += [f"if holes and {count} > {limit}:", "    continue"]
+    body += [f"r{s}_{p} = s{s}[i{p}]" for s in range(m) for p in pos]
+    if free == 0:
+        body += _recurrence(pos, m) + [f"total += c * p{(1 << m) - 1}"]
+    elif free == 1:
+        for p in pos:
+            others = [o for o in pos if o != p]
+            if m:
+                drop = _recurrence(others, m) + [f"out[i{p}] += c * p{(1 << m) - 1}"]
+            else:
+                drop = [f"out[i{p}] += {_product(others)}"]
+            body += [f"if n <= {m} or not b{p}:"] + ["    " + line for line in drop]
+    else:
+        body += [f"row{p} = out[i{p}]" for p in pos]
+        for p, p2 in combinations(pos, 2):
+            body += [f"v = {_product(o for o in pos if o not in (p, p2))}",
+                     "if v:", f"    row{p}[i{p2}] += v", f"    row{p2}[i{p}] += v"]
+    return _compiled(m, body)
+
+
+def _compiled(m: int, body):
+    """The function (terms, base, slots, holes, out) that runs body on each
+    (mono, c) of terms, with the m slots bound to s0, s1, ..., and returns
+    total."""
+    lines = ["def contract(terms, base, slots, holes, out):"]
+    if m:
+        lines.append("    " + "".join(f"s{s}, " for s in range(m)) + "= slots")
+    lines += ["    total = 0", "    for mono, c in terms:"]
+    lines += ["        " + line for line in body]
+    lines.append("    return total")
+    namespace = {}
+    exec("\n".join(lines), namespace)
+    return namespace["contract"]
 
 
 def _contract(form: PolarizedForm, base, rest, gradient: bool = False):
@@ -266,51 +335,17 @@ def _contract(form: PolarizedForm, base, rest, gradient: bool = False):
     free = q - m - gradient  # how often the base fills a slot
     base, den = _cleared(form, base)
     den = form.denominator * den ** free
-    columns = [base]
+    slots = []
     for r in rest:
         r, d = _cleared(form, r)
         den *= d
-        columns.append(r)
+        slots.append(r)
     num = factorial(free)
     den *= factorial(q)
-
-    if not (m or gradient):
-        # F(B) itself: with no slots the coefficient is the product of the base
-        total = 0
-        for mono, c in form.terms:
-            for i in mono:
-                c *= base[i]
-            total += c
-        return value(total * num, den)
-    factors = tuple(zip(*columns))  # factors[i] = (B_i, r_1[i], ..., r_m[i])
-    steps = _subset_steps(m)
-    # the slots fill m + gradient positions, so a monomial with more
-    # positions where B is 0 contributes nothing; the count is taken only
-    # when B has a zero coordinate
-    base_zero = [b == 0 for b in base]
-    zeros = base_zero.__getitem__ if any(base_zero) else None
-    if not gradient:
-        total = 0
-        for mono, c in form.terms:
-            if zeros is None or sum(map(zeros, mono)) <= m:
-                total += c * _multilinear(factors, mono, steps)
-        return value(total * num, den)
     out = [0] * form.dim
-    for mono, c in form.terms:
-        n = 0 if zeros is None else sum(map(zeros, mono))
-        if n > m + 1:
-            continue
-        for p, i in enumerate(mono):
-            if n > m and n - base_zero[i] > m:
-                continue
-            others = mono[:p] + mono[p + 1:]
-            if m:
-                out[i] += c * _multilinear(factors, others, steps)
-            else:
-                v = c
-                for j in others:
-                    v *= base[j]
-                out[i] += v
+    total = _pass(q, m, int(gradient))(form.terms, base, slots, 0 in base, out)
+    if not gradient:
+        return value(total * num, den)
     return over(tuple([t * num for t in out]), den)
 
 
@@ -325,24 +360,11 @@ def pair_matrix(form: PolarizedForm, base):
     lowest terms, a float base floats over 1.
     """
     q, dim = form.degree, form.dim
+    if q < 2:
+        raise ArityError(f"the pair matrix of a degree-{q} form needs degree 2 or more")
     base, d = _cleared(form, base)
     rows = [[0] * dim for _ in range(dim)]
-    pairs = [(p, p2, [o for o in range(q) if o != p and o != p2])
-             for p, p2 in combinations(range(q), 2)]
-    base_zero = [b == 0 for b in base]
-    zeros = base_zero.__getitem__ if any(base_zero) else None
-    for mono, c in form.terms:
-        if zeros is not None and sum(map(zeros, mono)) > 2:
-            continue
-        vals = [base[i] for i in mono]
-        for p, p2, others in pairs:
-            v = c
-            for o in others:
-                v *= vals[o]
-            if v:
-                i, j = mono[p], mono[p2]
-                rows[i][j] += v
-                rows[j][i] += v
+    _pass(q, 0, 2)(form.terms, base, (), 0 in base, rows)
     flat, den = over(tuple([v for row in rows for v in row]),
                      form.denominator * d ** (q - 2) * q * (q - 1))
     return [flat[i:i + dim] for i in range(0, dim * dim, dim)], den
@@ -374,5 +396,6 @@ def covector_slot(form: PolarizedForm, fixed):
     if len(fixed) != q - 1:
         raise ArityError(f"covector slot of a degree-{q} form needs {q - 1} "
                          f"fixed arguments, got {len(fixed)}")
-    base = fixed[0]
+    # a linear form takes no fixed argument: its covector is its coefficients
+    base = fixed[0] if fixed else ((0,) * form.dim, 1)
     return _contract(form, base, [f for f in fixed if f != base], gradient=True)

@@ -3,25 +3,27 @@
 Everything here recomputes a quantity by a route different from the library:
 pair-indexed recursion for the doubled products, the Cayley-Dickson basis
 multiplication table (the rule the library's unrolled kernel encodes),
-Leibniz determinants, Freudenthal's closed cubic norm, Fraction-based
-Gaussian elimination, classical cofactor adjugates, Newton's identities over
-Fractions on the traces of iterated Jordan products, polarization by
-inclusion-exclusion over black-box evaluations of a form, t-derivatives by
-exact Lagrange interpolation, the closed polarized formulas of the pairing
-and of tau_M(x) that the library reads from the one operator tau instead,
-and the standard library's randint for the coordinate draws the library
-reads from getrandbits words. It also holds the small matrix, vector and
-element helpers that only tests use. None of it is imported by the package
-itself.
+Leibniz determinants, Freudenthal's closed cubic norm and adjoint,
+Fraction-based Gaussian elimination, classical cofactor adjugates, Newton's
+identities over Fractions on the traces of iterated Jordan products,
+polarization by inclusion-exclusion over black-box evaluations of a form,
+the interpreted loop over a form's monomial table that the library's
+generated passes replaced, t-derivatives by exact Lagrange interpolation,
+the closed polarized formulas of the pairing and of tau_M(x) that the
+library reads from the one operator tau instead, and the standard library's
+randint for the coordinate draws the library reads from getrandbits words.
+It also holds the small matrix, vector and element helpers that only tests
+use. None of it is imported by the package itself.
 """
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations
+from itertools import combinations, permutations
 from math import factorial, gcd
 
 from jordal.jordan import JordanElement, from_entries, identity, jordan_mul
-from jordal.linalg import LinearOperator, clear_row_denominators, common_denominator
+from jordal.linalg import (LinearOperator, clear_row_denominators, common_denominator,
+                           over, value)
 from jordal.polarization import covector_slot, partial_polarize
 from jordal.rng import COORD_HI, COORD_LO
 
@@ -122,6 +124,34 @@ def freudenthal_norm(a: JordanElement):
         return sum(c * c for c in v)
     return (alpha * beta * gamma - alpha * n(x) - beta * n(y) - gamma * n(z)
             + 2 * doubled_mul(doubled_mul(z, x), y)[0])
+
+
+def freudenthal_adjoint(a: JordanElement) -> JordanElement:
+    """Freudenthal's adjoint (cross product) of a 3 x 3 Hermitian matrix:
+    diagonal beta gamma - n(x), gamma alpha - n(y) and alpha beta - n(z),
+    and conj(x y) - gamma z at (0, 1), conj(y z) - alpha x at (1, 2) and
+    conj(z x) - beta y at (2, 0), with z = A_01, x = A_12, y = A_20 and the
+    products by doubled_mul: a closed formula, with no polarization, no
+    table and no Gram matrix."""
+    g = a.grid()
+    if len(g) != 3:
+        raise ValueError("Freudenthal's adjoint is defined on 3 x 3 matrices")
+    alpha, beta, gamma = (g[i][i][0] for i in range(3))
+    z, x, y = g[0][1], g[1][2], g[2][0]
+
+    def n(v):
+        return sum(c * c for c in v)
+
+    def minus(u, t, v):
+        """u - t v."""
+        return tuple(p - t * w for p, w in zip(u, v))
+    adj = {(0, 0): beta * gamma - n(x), (1, 1): gamma * alpha - n(y),
+           (2, 2): alpha * beta - n(z),
+           (0, 1): minus(conj_half(doubled_mul(x, y)), gamma, z),
+           (1, 2): minus(conj_half(doubled_mul(y, z)), alpha, x),
+           # the conjugate of the (2, 0) entry
+           (0, 2): minus(doubled_mul(z, x), beta, conj_half(y))}
+    return from_entries(a.spec, lambda i, j: adj[i, j])
 
 
 def gauss_rank(rows) -> int:
@@ -428,6 +458,110 @@ def inclusion_exclusion_polarize(form, base, mult: int, rest):
             h = h - value if (m - mask.bit_count()) % 2 else h + value
         acc = acc + w * h / u ** m
     return acc * Fraction(factorial(q - m), factorial(q))
+
+
+def _subset_steps(m: int):
+    """The recurrence of _multilinear for m slots: for each nonempty subset
+    S of slots, largest first, the pairs (slot column, S without the slot)."""
+    return tuple((S, tuple((s + 1, S ^ (1 << s)) for s in range(m) if S >> s & 1))
+                 for S in range((1 << m) - 1, 0, -1))
+
+
+def _multilinear(factors, mono, steps):
+    """[t_1 ... t_m] prod_{i in mono} (f_i[0] + sum_s t_s f_i[s]), f_i = factors[i].
+
+    poly[S] holds the coefficient of prod_{s in S} t_s in the product so far;
+    each position updates the subsets in place, largest first.
+    """
+    poly = [1] + [0] * len(steps)
+    for i in mono:
+        f = factors[i]
+        b = f[0]
+        for S, moves in steps:
+            v = poly[S] * b
+            for s, T in moves:
+                v += poly[T] * f[s]
+            poly[S] = v
+        poly[0] *= b
+    return poly[-1]
+
+
+def interpreted_contract(form, base, rest, gradient: bool = False):
+    """polarization._contract as a loop over the table that interprets each
+    monomial: the same operations in the same order as the compiled passes,
+    so exact results agree and floats agree bit for bit."""
+    q = form.degree
+    m = len(rest)
+    free = q - m - gradient
+    base, den = base
+    den = form.denominator * den ** free
+    columns = [base]
+    for r, d in rest:
+        den *= d
+        columns.append(r)
+    num = factorial(free)
+    den *= factorial(q)
+    if not (m or gradient):
+        total = 0
+        for mono, c in form.terms:
+            for i in mono:
+                c *= base[i]
+            total += c
+        return value(total * num, den)
+    factors = tuple(zip(*columns))
+    steps = _subset_steps(m)
+    base_zero = [b == 0 for b in base]
+    zeros = base_zero.__getitem__ if any(base_zero) else None
+    if not gradient:
+        total = 0
+        for mono, c in form.terms:
+            if zeros is None or sum(map(zeros, mono)) <= m:
+                total += c * _multilinear(factors, mono, steps)
+        return value(total * num, den)
+    out = [0] * form.dim
+    for mono, c in form.terms:
+        n = 0 if zeros is None else sum(map(zeros, mono))
+        if n > m + 1:
+            continue
+        for p, i in enumerate(mono):
+            if n > m and n - base_zero[i] > m:
+                continue
+            others = mono[:p] + mono[p + 1:]
+            if m:
+                out[i] += c * _multilinear(factors, others, steps)
+            else:
+                v = c
+                for j in others:
+                    v *= base[j]
+                out[i] += v
+    return over(tuple([t * num for t in out]), den)
+
+
+def interpreted_pair_matrix(form, base):
+    """polarization.pair_matrix as a loop over the table that interprets each
+    monomial, with the same operations in the same order."""
+    q, dim = form.degree, form.dim
+    base, d = base
+    rows = [[0] * dim for _ in range(dim)]
+    pairs = [(p, p2, [o for o in range(q) if o != p and o != p2])
+             for p, p2 in combinations(range(q), 2)]
+    base_zero = [b == 0 for b in base]
+    zeros = base_zero.__getitem__ if any(base_zero) else None
+    for mono, c in form.terms:
+        if zeros is not None and sum(map(zeros, mono)) > 2:
+            continue
+        vals = [base[i] for i in mono]
+        for p, p2, others in pairs:
+            v = c
+            for o in others:
+                v *= vals[o]
+            if v:
+                i, j = mono[p], mono[p2]
+                rows[i][j] += v
+                rows[j][i] += v
+    flat, den = over(tuple([v for row in rows for v in row]),
+                     form.denominator * d ** (q - 2) * q * (q - 1))
+    return [flat[i:i + dim] for i in range(0, dim * dim, dim)], den
 
 
 def interpolated_line_derivative(fr, a: JordanElement, b: JordanElement):

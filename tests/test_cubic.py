@@ -1,5 +1,7 @@
 """Degree-3 special identities: adjoints, reductions, power words."""
 
+from fractions import Fraction
+
 import pytest
 
 import jordal.cubic as cubic
@@ -19,6 +21,7 @@ from jordal.cubic import (
 )
 from jordal.geometry import sample_rank_one
 from jordal.jordan import (
+    JordanElement,
     JordanSpec,
     identity,
     jordan_mul,
@@ -28,7 +31,8 @@ from jordal.jordan import (
 from jordal.polarization import ArityError
 from jordal.reconstruction import frame
 from jordal.rng import stream_rng
-from oracles import classical_adjugate, diagonal_element, jordan_power
+from oracles import (classical_adjugate, diagonal_element, freudenthal_adjoint,
+                     jordan_power)
 
 DELTAS = (1, 2, 4, 8)
 
@@ -59,6 +63,21 @@ def test_adjoint_matches_classical_adjugate():
     for _ in range(8):
         a = random_element(spec, rng)
         assert adjoint(fr, a) == classical_adjugate(spec, a)
+
+
+@pytest.mark.parametrize("delta", DELTAS)
+def test_adjoint_matches_freudenthal(delta):
+    # Freudenthal's closed cross product, with no polarization, against the
+    # covector pass raised through the Gram matrix, on integer and Fraction
+    # coordinates
+    fr = cubic_frame(delta)
+    rng = stream_rng(82, "freudenthal-adjoint", delta)
+    for t in range(8):
+        a = random_element(fr.spec, rng)
+        if t % 2:
+            a = JordanElement(fr.spec, [Fraction(v, 1 + (i + t) % 5)
+                                        for i, v in enumerate(a.coords())])
+        assert adjoint(fr, a) == freudenthal_adjoint(a)
 
 
 def test_adjoint_on_diagonal():

@@ -24,12 +24,13 @@ from jordal.polarization import (
     _semi_invariant,
     covector_slot,
     full_polarize,
+    pair_matrix,
     partial_polarize,
 )
 from jordal.reconstruction import _pair_matrix, frame
 from jordal.rng import sample_coords, stream_rng
 from oracles import (derivative_at_zero_weights, inclusion_exclusion_polarize,
-                     vector_values)
+                     interpreted_contract, interpreted_pair_matrix, vector_values)
 
 
 def pair(vec):
@@ -212,6 +213,21 @@ def test_arity_errors():
         partial_polarize(f, pair((1, 0)), 2, [(0, 1)])
     with pytest.raises(ArityError):
         covector_slot(f, [(1, 0), (0, 1)])
+
+
+def test_linear_form_covector_is_its_coefficients():
+    # a degree-1 form takes no fixed argument: its covector is the
+    # coefficient covector, over the table's denominator
+    f = PolarizedForm(1, 2, lambda v: 3 * v[0] + v[1])
+    assert covector_slot(f, []) == ((3, 1), 1)
+    g = PolarizedForm(1, 3, lambda v: v[0] * Fraction(1, 2) - v[2])
+    assert vector_values(covector_slot(g, [])) == (Fraction(1, 2), 0, -1)
+
+
+def test_linear_form_has_no_pair_matrix():
+    f = PolarizedForm(1, 2, lambda v: 3 * v[0] + v[1])
+    with pytest.raises(ArityError):
+        pair_matrix(f, pair((1, 2)))
 
 
 ORACLE_SHAPES = [(2, 1), (2, 8), (3, 4), (4, 1)]
@@ -461,3 +477,73 @@ def test_weighted_forms_truncate_only_when_semi_invariant():
         _grading([(3, 0), (0, 1)], 2)
     with pytest.raises(ArityError):
         PolarizedForm(2, 2, lambda v: v[0] * v[1], weights=weights)
+
+
+# ---------------------------------------------------------------------------
+# the compiled passes against the interpreter they replaced
+
+def hand_built_form(q, n, tag):
+    """A degree-q form over n variables: a dozen random monomials with
+    coefficients over 1, 2 and 3, so the table has a denominator."""
+    rng = stream_rng(26, "hand-built", q, n, tag)
+    monos = [sorted(rng.randrange(n) for _ in range(q)) for _ in range(12)]
+    coeffs = [Fraction(rng.randint(-9, 9), rng.randint(1, 3)) for _ in monos]
+
+    def func(v):
+        total = 0
+        for c, mono in zip(coeffs, monos):
+            term = c
+            for i in mono:
+                term = term * v[i]
+            total = total + term
+        return total
+    return PolarizedForm(q, n, func, name=f"hand-built-{q}-{n}")
+
+
+def pass_args(n, kind, rng):
+    """A base with no zero coordinate, one with some, one that is 0 but at one
+    coordinate, and slots with zeros and a repeat, as pairs: int numerators
+    over a denominator, or floats over 1 that are not binary fractions, so a
+    sum taken in another order rounds otherwise."""
+    def draw(zero_every):
+        return tuple(0 if zero_every and i % zero_every == 0 else
+                     rng.choice((-1, 1)) * rng.randint(1, 7) for i in range(n))
+    dense, holed = draw(0), draw(2)
+    sparse = tuple(v if i == n - 1 else 0 for i, v in enumerate(dense))
+    slots = [draw(3), draw(0), draw(2)]
+    slots += [slots[0]] + [draw(0) for _ in range(4)]
+    if kind == "float":
+        def as_pair(vec):
+            return tuple(v / 7 for v in vec), 1
+    else:
+        def as_pair(vec):
+            return vec, rng.randint(1, 5)
+    return [as_pair(b) for b in (dense, holed, sparse)], [as_pair(s) for s in slots]
+
+
+def same(got, want, kind):
+    """Equal exact values, or floats with the same bits."""
+    if kind == "float":
+        assert repr(got) == repr(want)
+    else:
+        assert got == want
+
+
+@pytest.mark.parametrize("kind", ["int", "float"])
+@pytest.mark.parametrize("q", range(1, 9))
+def test_compiled_passes_match_the_interpreter(q, kind):
+    # every value, covector and pair pass of degree q against the table
+    # interpreter, on the same operands, over 3 to 5 variables
+    for n in (3, 4, 5):
+        form = hand_built_form(q, n, kind)
+        bases, slots = pass_args(n, kind, stream_rng(26, "operands", q, n, kind))
+        for base in bases:
+            for m in range(q + 1):
+                same(_contract(form, base, slots[:m]),
+                     interpreted_contract(form, base, slots[:m]), kind)
+                if m < q:
+                    same(_contract(form, base, slots[:m], gradient=True),
+                         interpreted_contract(form, base, slots[:m], gradient=True),
+                         kind)
+            if q > 1:
+                same(pair_matrix(form, base), interpreted_pair_matrix(form, base), kind)
