@@ -4,12 +4,13 @@ The projectivized rank-one elements form the variety whose secant behavior
 drives everything else in this package. All dimension counts here are exact
 integer statements computed over the rationals by default; the functions
 that take a ``backend`` compute in its arithmetic instead (see backend.py).
+A point v v^H and a tangent row w v^H + v w^H both come from
+jordan.outer_kernel: this module multiplies no entries and places none.
 """
 
 from .backend import EXACT
-from .composition import cd_conj, cd_mul, cd_norm
 from .jordan import (JordanElement, JordanSpec, SpecMismatch, char_coeffs,
-                     from_entries, mult_operator, reduced)
+                     mult_operator, outer_kernel, reduced)
 from .linalg import SingularMatrix, combine, exact_nullspace, exact_solve, mat_vec, ratio
 from .polarization import PolarizedForm, covector_slot, full_polarize, partial_polarize
 from .reconstruction import NormFrame, tau, tau_covector, unit_pairing
@@ -35,17 +36,6 @@ class DualityViolation(ValueError):
     """
 
 
-def _outer_sym(spec: JordanSpec, u, v) -> JordanElement:
-    """The Hermitian element u v^H + v u^H from two coordinate vectors."""
-    def outer(i, j):
-        a = cd_mul(u[i], cd_conj(v[j]), spec.delta)
-        if i == j:  # a + conj(a)
-            return 2 * a[0]
-        b = cd_mul(v[i], cd_conj(u[j]), spec.delta)
-        return tuple(x + y for x, y in zip(a, b))
-    return from_entries(spec, outer)
-
-
 class RankOnePoint:
     """A column vector v over the coordinate algebra and x = v v^H.
 
@@ -60,6 +50,8 @@ class RankOnePoint:
         v = tuple(tuple(c) for c in v)
         if len(v) != spec.size:
             raise ValueError(f"need {spec.size} coordinates, got {len(v)}")
+        if any(len(c) != spec.delta for c in v):
+            raise ValueError(f"each coordinate needs delta = {spec.delta} entries")
         object.__setattr__(self, "spec", spec)
         object.__setattr__(self, "v", v)
         scalar = [i for i, vi in enumerate(v) if all(c == 0 for c in vi[1:])]
@@ -67,8 +59,8 @@ class RankOnePoint:
         slot = next((i for i in scalar if v[i][0] != 0),
                     scalar[0] if scalar else None)
         object.__setattr__(self, "scalar_slot", slot)
-        x = from_entries(spec, lambda i, j: cd_norm(v[i]) if i == j
-                         else cd_mul(v[i], cd_conj(v[j]), spec.delta))
+        flat = sum(v, ())
+        x = JordanElement(spec, outer_kernel(spec)(flat, flat)).scale(ratio(1, 2))
         if x.is_zero():
             raise ValueError("zero vector does not define a point")
         sigma = char_coeffs(x)
@@ -125,19 +117,13 @@ def tangent_frame(x: RankOnePoint):
     the rank-one cone. That chart has exactly k*delta + 1 directions; outside
     it (nonassociative deltas) the naive derivative leaves the cone.
     """
-    spec = x.spec
-    size, delta = spec.size, spec.delta
     if x.scalar_slot is None:
         raise DegenerateFrame("point has no scalar chart coordinate")
-    rows = []
-    for p in range(size):
-        for s in range(delta):
-            if p == x.scalar_slot and s > 0:
-                continue
-            w = [(0,) * delta] * size
-            w[p] = tuple(int(t == s) for t in range(delta))
-            rows.append(list(_outer_sym(spec, w, x.v).cleared[0]))
-    return rows
+    outer, v, delta = outer_kernel(x.spec), sum(x.v, ()), x.spec.delta
+    # w = e_s at coordinate p is unit vector r = p * delta + s; s = 0 at the slot
+    units = [(0,) * r + (1,) + (0,) * (len(v) - 1 - r) for r in range(len(v))
+             if r // delta != x.scalar_slot or r % delta == 0]
+    return [list(JordanElement(x.spec, outer(w, v)).cleared[0]) for w in units]
 
 
 def terracini_expected(spec: JordanSpec, l: int) -> int:

@@ -2,13 +2,13 @@
 
 Elements are (k+1)x(k+1) matrices with scalar diagonal and entries in the
 dimension-delta composition algebra above the diagonal, the conjugates
-below. The product is the symmetrized one, A*B = (AB + BA)/2, with
-AB + BA = AB + (AB)^H. Once per shape, _product_kernel expands that sum
-into its bilinear terms c x_a y_b in canonical coordinates, from
-composition.unit_table and the block layout, and compiles them into one
-straight-line function (composition.compile_bilinear). It uses only +, -
-and *, so int numerators, floats and the symbolic coordinates that build
-Q's table all run through it.
+below. One derivation, _hermitian_sum, expands M + M^H for M = XY into its
+bilinear terms c x_a y_b in canonical coordinates, from composition.unit_table
+and the block layout, and compiles them (composition.compile_bilinear) for
+the product, A*B = (AB + BA)/2 with AB + BA = M + M^H for M = AB, and for
+outer_kernel's u v^H + v u^H (M = u v^H): geometry's rank-one points and
+tangent rows. The code uses only +, - and *, so int numerators, floats and
+the symbolic coordinates that build Q's table all run through it.
 
 Canonical coordinates: the k+1 diagonal units first, then for each pair
 i < j (lexicographic) and each algebra basis unit e_s the matrix E_ij(e_s)
@@ -24,7 +24,7 @@ arithmetic builds no Fraction. ``cleared`` reads an element as the pair
 (numerators, denominator) that reduced and every polarization take, and
 ``lifted`` carries it into a backend; coords() builds values on each call,
 through linalg.value, for display and comparison. Only this module knows the
-layout: _layout writes it (for from_entries and the product kernel) and
+layout: _layout writes it (for from_entries and both kernels) and
 _grid_from_coords reads it (for grid() and, once per shape, the product kernel).
 
 The generic characteristic coefficients sigma_1..sigma_{k+1} come from
@@ -266,31 +266,27 @@ def _grid_from_coords(spec: JordanSpec, vec):
     return grid
 
 
-@lru_cache(maxsize=None)
-def _product_kernel(spec: JordanSpec):
-    """The function (x, y) -> canonical coordinates of AB + BA, for A and B
-    given by theirs, compiled once per shape.
+def _hermitian_sum(spec: JordanSpec, xs, ys, n: int):
+    """The function (x, y) -> canonical coordinates of M + M^H, M = XY, for
+    x and y of n coordinates each, compiled from unit_table and the layout.
 
-    The grid of the coordinates 1..dim names, at each entry and unit, the
-    coordinate found there and its sign (negative where conjugated, 0 for
-    none). (AB)[i][j] then expands through unit_table into terms
-    c x_a y_b, and AB + BA = AB + (AB)^H, since (AB)^H = BA for Hermitian
-    A and B: twice the real part of (AB)[i][i] on the diagonal, and
-    (AB)[i][j] + conj((AB)[j][i]) above it.
-    """
-    s, d = spec.size, spec.delta
+    The grids xs and ys of X and Y name, at each entry and unit, the
+    coordinate of x (or y) there, counted from 1, signed (negative where
+    conjugated, 0 for none). M[i][j] expands through unit_table into terms
+    c x_a y_b; M + M^H is 2 Re M[i][i] on the diagonal and
+    M[i][j] + conj(M[j][i]) above it."""
+    d = spec.delta
     table = unit_table(d)
-    # held[i][j]: (unit, coordinate, sign) of each coordinate entry (i, j) holds
-    held = [[[(u, abs(v) - 1, 1 if v > 0 else -1) for u, v in enumerate(e) if v]
-             for e in row]
-            for row in _grid_from_coords(spec, tuple(range(1, spec.dim + 1)))]
+    # the (unit, coordinate, sign) of each coordinate each entry holds
+    xs, ys = ([[[(u, abs(v) - 1, 1 if v > 0 else -1) for u, v in enumerate(e) if v]
+                for e in row] for row in grid] for grid in (xs, ys))
 
-    def ab(i, j):
-        """(AB)[i][j] as, per unit e_u, {(a, b): c} for the terms c x_a y_b."""
+    def m(i, j):
+        """M[i][j] as, per unit e_u, {(a, b): c} for the terms c x_a y_b."""
         out = [{} for _ in range(d)]
-        for l in range(s):
-            for ua, a, sa in held[i][l]:
-                for ub, b, sb in held[l][j]:
+        for l in range(len(ys)):
+            for ua, a, sa in xs[i][l]:
+                for ub, b, sb in ys[l][j]:
                     u, sign = table[ua][ub]
                     out[u][a, b] = out[u].get((a, b), 0) + sa * sb * sign
         return out
@@ -303,19 +299,35 @@ def _product_kernel(spec: JordanSpec):
         return [(c, a, b) for (a, b), c in sorted(total.items()) if c]
 
     def entry(i, j):
-        p = ab(i, j)
+        p = m(i, j)
         if i == j:
             return combined(p[0], p[0], 1)
-        q = ab(j, i)
+        q = m(j, i)
         return [combined(p[0], q[0], 1)] + [combined(p[u], q[u], -1)
                                             for u in range(1, d)]
 
-    return compile_bilinear(spec.dim, spec.dim, _layout(spec, entry))
+    return compile_bilinear(n, n, _layout(spec, entry))
 
 
-def _sym_product(spec: JordanSpec, x, y) -> tuple:
-    """The canonical coordinates of AB + BA, for A and B given by theirs."""
-    return _product_kernel(spec)(x, y)
+@lru_cache(maxsize=None)
+def _product_kernel(spec: JordanSpec):
+    """The function (x, y) -> canonical coordinates of AB + BA, for A and B
+    given by theirs, compiled once per shape: M + M^H for M = AB, since
+    (AB)^H = BA for Hermitian A and B."""
+    grid = _grid_from_coords(spec, tuple(range(1, spec.dim + 1)))
+    return _hermitian_sum(spec, grid, grid, spec.dim)
+
+
+@lru_cache(maxsize=None)
+def outer_kernel(spec: JordanSpec):
+    """The function (u, v) -> canonical coordinates of u v^H + v u^H, for
+    columns u and v given by their size * delta coordinates (entry i's at
+    i delta, ..., i delta + delta - 1), compiled once per shape: M + M^H for
+    M = u v^H, the column u times the row v^H."""
+    d = spec.delta
+    column = [tuple(range(i * d + 1, i * d + d + 1)) for i in range(spec.size)]
+    return _hermitian_sum(spec, [[e] for e in column], [list(map(cd_conj, column))],
+                          spec.size * d)
 
 
 def _trace_pairing(spec: JordanSpec, x, y):
@@ -336,7 +348,7 @@ def _power_traces(spec: JordanSpec, x, upto: int) -> list:
     """
     d = [None, x]  # d[m] = D_m
     for _ in range(2, (upto + 1) // 2 + 1):
-        d.append(_sym_product(spec, x, d[-1]))
+        d.append(_product_kernel(spec)(x, d[-1]))
     return [total(x[:spec.size])] + [2 * _trace_pairing(spec, d[m // 2], d[m - m // 2])
                                     for m in range(2, upto + 1)]
 
@@ -376,7 +388,7 @@ def jordan_mul(a: JordanElement, b: JordanElement) -> JordanElement:
     reduced once, by the gcd of its numerators and denominator.
     """
     a._check(b)
-    return reduced(a.spec, _sym_product(a.spec, a._nums, b._nums),
+    return reduced(a.spec, _product_kernel(a.spec)(a._nums, b._nums),
                    2 * a._den * b._den)
 
 

@@ -216,6 +216,9 @@ class PolarizedForm:
         if weights is not None and (len(weights) != dim or bound is None):
             raise ArityError(f"{name}: expected {dim} index weights and a "
                              f"bound, got {len(weights)} and {bound}")
+        if weights is not None and len(set(map(len, weights))) > 1:
+            raise ArityError(f"{name}: index weights of unequal lengths "
+                             f"{sorted(set(map(len, weights)))}")
         if weights is None or not _semi_invariant(func, dim, weights, bound):
             weights, bound = [()] * dim, 0
         grading = _grading(weights, bound)

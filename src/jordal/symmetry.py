@@ -120,11 +120,10 @@ def automorphism_trichotomy(g: GroupElementSample, rng):
     for _ in range(_TRICHOTOMY_PROBES):
         a = random_element(spec, rng)
         b = random_element(spec, rng)
-        lhs = jordan_mul(g.apply(a), g.apply(b))
-        rhs = g.apply(jordan_mul(a, b))
-        if lhs != rhs:
+        ga, gb = g.apply(a), g.apply(b)
+        if jordan_mul(ga, gb) != g.apply(jordan_mul(a, b)):
             cond1 = False
-        if inner(fr, g.apply(a), g.apply(b)) != inner(fr, a, b):
+        if inner(fr, ga, gb) != inner(fr, a, b):
             cond3 = False
     cond2 = g.apply(identity(spec)) == identity(spec)
     if cond1 != cond2:

@@ -10,8 +10,11 @@ polarization by inclusion-exclusion over black-box evaluations of a form,
 the interpreted loop over a form's monomial table that the library's
 generated passes replaced, t-derivatives by exact Lagrange interpolation,
 the closed polarized formulas of the pairing and of tau_M(x) that the
-library reads from the one operator tau instead, and the standard library's
-randint for the coordinate draws the library reads from getrandbits words.
+library reads from the one operator tau instead, the rank-one points v v^H
+and the tangent-frame rows w v^H + v w^H assembled entry by entry, which the
+library reads from jordan's generated outer kernel instead, and the standard
+library's randint for the coordinate draws the library reads from
+getrandbits words.
 It also holds the small matrix, vector and element helpers that only tests
 use. None of it is imported by the package itself.
 """
@@ -152,6 +155,41 @@ def freudenthal_adjoint(a: JordanElement) -> JordanElement:
            # the conjugate of the (2, 0) entry
            (0, 2): minus(doubled_mul(z, x), beta, conj_half(y))}
     return from_entries(a.spec, lambda i, j: adj[i, j])
+
+
+def _outer_sym(spec, u, v) -> JordanElement:
+    """The Hermitian element u v^H + v u^H from two columns of coordinate
+    tuples, one doubled_mul per entry."""
+    def outer(i, j):
+        a = doubled_mul(u[i], conj_half(v[j]))
+        if i == j:  # a + conj(a)
+            return 2 * a[0]
+        b = doubled_mul(v[i], conj_half(u[j]))
+        return tuple(x + y for x, y in zip(a, b))
+    return from_entries(spec, outer)
+
+
+def rank_one_element(spec, v) -> JordanElement:
+    """v v^H entry by entry: N(v_i) on the diagonal, v_i conj(v_j) above it."""
+    return from_entries(spec, lambda i, j: sum(c * c for c in v[i]) if i == j
+                        else doubled_mul(v[i], conj_half(v[j])))
+
+
+def tangent_rows(x):
+    """The numerator rows of w v^H + v w^H at the rank-one point x, by
+    _outer_sym, for w = e_s at coordinate p over the chart directions: every
+    (p, s) but s > 0 at the scalar slot, p-major."""
+    spec = x.spec
+    size, delta = spec.size, spec.delta
+    rows = []
+    for p in range(size):
+        for s in range(delta):
+            if p == x.scalar_slot and s > 0:
+                continue
+            w = [(0,) * delta] * size
+            w[p] = tuple(int(t == s) for t in range(delta))
+            rows.append(list(_outer_sym(spec, w, x.v).cleared[0]))
+    return rows
 
 
 def gauss_rank(rows) -> int:

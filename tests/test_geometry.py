@@ -32,13 +32,15 @@ from jordal.jordan import (
     identity,
     jordan_mul,
     jordan_rank,
+    outer_kernel,
     random_element,
 )
 from jordal.linalg import exact_rank
 from jordal.polarization import PolarizedForm
 from jordal.reconstruction import frame
-from jordal.rng import stream_rng
-from oracles import diagonal_element, vector_values
+from jordal.rng import sample_coords, stream_rng
+from oracles import (_outer_sym, diagonal_element, rank_one_element, tangent_rows,
+                     vector_values)
 
 JORDAN_SPECS = [(2, 1), (2, 2), (2, 4), (2, 8), (3, 1), (3, 2), (3, 4),
                 (4, 1), (4, 2), (5, 1)]
@@ -66,6 +68,52 @@ def test_rank_one_point_validation():
             tuple(1 if i == 2 else 0 for i in range(8)),
             tuple(1 if i == 4 else 0 for i in range(8)),
             (1, 0, 0, 0, 0, 0, 0, 0)])
+
+
+def test_rank_one_point_rejects_entries_of_another_length():
+    # flattened, a short entry would shift every later coordinate
+    spec = JordanSpec(2, 8)
+    with pytest.raises(ValueError, match="delta = 8"):
+        RankOnePoint(spec, [(1,) + (0,) * 8, (2,) + (0,) * 6, (3,) + (0,) * 7])
+
+
+# the Jordan shapes whose points and frames are checked against the
+# entry-by-entry oracle: (5,1) aside, every shape of JORDAN_SPECS
+ORACLE_SPECS = [(2, 1), (2, 2), (2, 4), (2, 8), (3, 1), (3, 2), (3, 4),
+                (4, 1), (4, 2)]
+
+
+@pytest.mark.parametrize("k,delta", ORACLE_SPECS)
+def test_points_and_frames_match_entry_by_entry_oracle(k, delta):
+    spec = JordanSpec(k, delta)
+    rng = stream_rng(53, "outer", k, delta)
+    for _ in range(5):
+        x = sample_rank_one(spec, rng)
+        assert x.element == rank_one_element(spec, x.v)
+        assert tangent_frame(x) == tangent_rows(x)
+
+
+def test_points_and_frames_with_fraction_coordinates_match_oracle():
+    # each row is cleared to int numerators, as the tangent rank reads them
+    spec = JordanSpec(2, 2)
+    x = RankOnePoint(spec, [(Fraction(1, 2), 0), (1, 1), (0, Fraction(2, 3))])
+    assert x.element == rank_one_element(spec, x.v)
+    assert tangent_frame(x) == tangent_rows(x)
+    assert tangent_frame(x)[0] == [3, 0, 0, 3, -3, 0, -2, 0, 0]
+
+
+@pytest.mark.parametrize("k,delta", ORACLE_SPECS)
+def test_outer_kernel_matches_oracle_off_the_cone(k, delta):
+    # general u and v, off the rank-one cone: no coordinate is kept scalar
+    # and u differs from v
+    spec = JordanSpec(k, delta)
+    rng = stream_rng(54, "outer", k, delta)
+    n = spec.size * delta
+    for _ in range(5):
+        u, v = sample_coords(rng, n), sample_coords(rng, n)
+        want = _outer_sym(spec, *([w[i:i + delta] for i in range(0, n, delta)]
+                                  for w in (u, v)))
+        assert JordanElement(spec, outer_kernel(spec)(u, v)) == want
 
 
 def test_sample_rank_one():

@@ -295,7 +295,7 @@ def test_kernel_at_long_coordinates(k, longest):
     ungraded = _grading([()] * (2 * n), 0)
     x = tuple(_Poly({(i,): 1}, ungraded) for i in range(n))
     y = tuple(_Poly({(n + i,): 1}, ungraded) for i in range(n))
-    sym = jordan_module._sym_product(spec, x, y)
+    sym = jordan_module._product_kernel(spec)(x, y)
     assert max(len(p.terms) for p in sym) == longest
     assert (longest > _GROUP) == (k == 5)
     rng = stream_rng(9, "long", k)

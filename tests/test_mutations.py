@@ -290,7 +290,8 @@ REPORT_PINNED = {
 
 def clear_caches():
     for cached in (frame, norm_form, composition.unit_table,
-                   composition._mul_kernel, jordan._product_kernel):
+                   composition._mul_kernel, jordan._product_kernel,
+                   jordan.outer_kernel):
         cached.cache_clear()
 
 

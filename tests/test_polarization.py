@@ -479,6 +479,13 @@ def test_weighted_forms_truncate_only_when_semi_invariant():
         PolarizedForm(2, 2, lambda v: v[0] * v[1], weights=weights)
 
 
+def test_ragged_index_weights_are_rejected():
+    # x0 x1 weighs 2 at the one index both rows share, so the form looks
+    # semi-invariant, and the second row's extra index would be dropped
+    with pytest.raises(ArityError, match="unequal lengths"):
+        PolarizedForm(2, 2, lambda v: v[0] * v[1], weights=[(1,), (1, 1)], bound=2)
+
+
 # ---------------------------------------------------------------------------
 # the compiled passes against the interpreter they replaced
 

@@ -12,7 +12,7 @@ import pytest
 from jordal.backend import TrialOutcome
 from jordal.cli import default_seed
 from jordal.geometry import SingularConfiguration
-from jordal.jordan import norm_form
+from jordal.jordan import JordanSpec, norm_form
 from jordal.reconstruction import frame
 from jordal.report import (
     FAIL,
@@ -235,6 +235,49 @@ def test_float_mode():
     assert all(isinstance(e, (int, float)) for e in errs)
     assert any(e > 0 for e in errs)
     assert all(e < 1e-6 for e in errs)
+
+
+def test_float_power_checks_scale_by_their_degree(monkeypatch):
+    # in float mode a value of degree d in A is read against
+    # (1 + max|A|)^d: 4 for fourth-power, 6 for bracketing-words, and 2 and 3
+    # for rank-characterization's adjoint and Q tests. The (value, scale)
+    # pairs that reach the backend are recorded, beside the drawn elements
+    import jordal.runner as runner
+    from jordal.backend import FloatBackend
+    from jordal.cubic import adjoint, bracketing_residual, fourth_power_residuals
+
+    seen = []
+    honest_is_zero = FloatBackend.is_zero
+    monkeypatch.setattr(FloatBackend, "is_zero", lambda self, value, scale: (
+        seen.append((value, scale)) or honest_is_zero(self, value, scale)))
+    drawn = {"fourth": [], "words": [], "rank": []}
+
+    def recording(key, honest, at):
+        """honest, recording its element, the argument at position at."""
+        return lambda *args, **kw: drawn[key].append(args[at]) or honest(*args, **kw)
+
+    monkeypatch.setattr(runner, "fourth_power_residuals",
+                        recording("fourth", fourth_power_residuals, 1))
+    monkeypatch.setattr(runner, "bracketing_residual",
+                        recording("words", bracketing_residual, 1))
+    monkeypatch.setattr(runner, "jordan_rank", recording("rank", runner.jordan_rank, 0))
+    rep = run_suite(RunConfig(k=2, delta=2, suite="severi", trials=2, seed=0,
+                              mode="float", tol=1e-8))
+    assert rep.ok
+    fr = frame(JordanSpec(2, 2))
+
+    def scale(a, power):
+        return (1 + float(a.max_abs())) ** power
+
+    assert len(drawn["fourth"]) == len(drawn["words"]) == 2
+    assert len(drawn["rank"]) == 6
+    for a in drawn["fourth"]:
+        assert (max(fourth_power_residuals(fr, a)), scale(a, 4)) in seen
+    for a in drawn["words"]:
+        assert (bracketing_residual(fr, a, upto=6), scale(a, 6)) in seen
+    for p in drawn["rank"]:
+        assert (adjoint(fr, p).max_abs(), scale(p, 2)) in seen
+        assert (fr.norm(p), scale(p, 3)) in seen
 
 
 CORRUPTED_DUAL_POINT = """
