@@ -18,14 +18,19 @@ cubic the polarizations raise ArityError.
 """
 
 from .jordan import JordanElement, jordan_mul
-from .polarization import covector_slot, partial_polarize
+from .polarization import ArityError, covector_slot, partial_polarize
 from .reconstruction import NormFrame, sharp, unit_pairing
 
 
 def _trilinear(fr: NormFrame, x: JordanElement, y: JordanElement,
                z: JordanElement):
-    """Fully polarized norm Q(x, y, z); Q(a, a, a) = Q(a)."""
-    return partial_polarize(fr.form, x.cleared, 1, [y.cleared, z.cleared])
+    """Fully polarized norm Q(x, y, z); Q(a, a, a) = Q(a).
+
+    partial_polarize would fill the positions beyond three with x, so a
+    norm of another degree is rejected here."""
+    if fr.q != 3:
+        raise ArityError(f"Q(x, y, z) needs a cubic norm, got degree {fr.q}")
+    return partial_polarize(fr.form, x.cleared, [y.cleared, z.cleared])
 
 
 def _raise(fr: NormFrame, x: JordanElement, y: JordanElement) -> JordanElement:

@@ -14,18 +14,18 @@ from .jordan import (JordanElement, JordanSpec, SpecMismatch, char_coeffs,
 from .linalg import SingularMatrix, combine, exact_nullspace, exact_solve, mat_vec, ratio
 from .polarization import PolarizedForm, covector_slot, full_polarize, partial_polarize
 from .reconstruction import NormFrame, tau, tau_covector, unit_pairing
-from .rng import COORD_HI, COORD_LO, sample_coords
+from .rng import COORD_HI, COORD_LO, DegenerateDraw, sample_coords
 
 
 class DegenerateFrame(ValueError):
     """A point without the scalar chart coordinate a tangent frame needs."""
 
 
-class SingularConfiguration(ValueError):
+class SingularConfiguration(DegenerateDraw):
     """A sampled configuration hit the norm hypersurface; resample."""
 
 
-class DegenerateIntersection(ValueError):
+class DegenerateIntersection(DegenerateDraw):
     """Tangent intersection with the wrong dimension or degenerate pairing."""
 
 
@@ -165,7 +165,7 @@ def dual_point(fr: NormFrame, x: RankOnePoint, a: JordanElement, backend=EXACT):
     qa = fr.norm(a)
     if backend.is_zero(qa, 0):
         raise SingularConfiguration("Q(A) = 0")
-    pairing = partial_polarize(fr.form, a.cleared, q - 1, [xe.cleared])
+    pairing = partial_polarize(fr.form, a.cleared, [xe.cleared])
     if backend.is_zero(pairing, 0):
         raise SingularConfiguration("Q(x, A, ..., A) = 0")
     xp = a - xe.scale(ratio(qa, q * pairing))
@@ -222,7 +222,7 @@ def product_projection(fr: NormFrame, xa: RankOnePoint,
     pairs this reproduces the bilinear product of the two points.
     """
     spec = fr.spec
-    k, q = spec.k, fr.q
+    k = spec.k
     basis = tangent_intersection(xa, xb)
     if len(basis) != spec.delta:
         raise DegenerateIntersection(
@@ -230,8 +230,7 @@ def product_projection(fr: NormFrame, xa: RankOnePoint,
     a, b = xa.element, xb.element
     pa = unit_pairing(fr, a)
     pb = unit_pairing(fr, b)
-    cross = partial_polarize(fr.form, fr.unit.cleared, q - 2,
-                             [a.cleared, b.cleared])
+    cross = partial_polarize(fr.form, fr.unit.cleared, [a.cleared, b.cleared])
     scal = (k + 1) * (k + 1) * pa * pb - ratio(k * (k + 1), 2) * cross
     # <w_i, w_j> = w_i^T G w_j with G = N / d; the int system N' c = d * rhs,
     # N'[i][j] = w_i^T N w_j, has the same solution as the Gram system

@@ -459,4 +459,4 @@ def norm_form(spec: JordanSpec) -> PolarizedForm:
 
     return PolarizedForm(degree=q, dim=spec.dim, func=evaluate,
                          name=f"Q[k={spec.k},delta={spec.delta}]",
-                         weights=_layout(spec, index_weights), bound=2)
+                         weights=_layout(spec, index_weights))

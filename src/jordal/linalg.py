@@ -77,14 +77,19 @@ def over(nums, den):
     number format.
 
     Int numerators over a positive int denominator come back in lowest
-    terms. Any other numerators, or a float denominator, are divided through
-    and come back as floats over 1. No Fraction is built.
+    terms. Float numerators, or a float denominator, are divided through
+    and come back as floats over 1. No Fraction is built, and any other
+    type (a Fraction among them) raises TypeError.
     """
     if den == 1 and type(den) is int:
         return nums, 1
     try:
         g = gcd(den, *nums)
     except TypeError:  # math.gcd takes only ints
+        for v in (den, *nums):
+            if not isinstance(v, (int, float)):
+                raise TypeError(f"expected int or float numerators and "
+                                f"denominator, got {type(v).__name__}") from None
         return tuple([v / den for v in nums]), 1
     return (nums, den) if g == 1 else (tuple([v // g for v in nums]), den // g)
 

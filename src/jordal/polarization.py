@@ -8,16 +8,17 @@ small sparse polynomial type), which expands F into its monomial table
 
 with integer coefficients c when F is rational.
 
-Given a weight per index for each coordinate and a bound, as norm_form gives
-them, the expansion runs modulo the monomials that weigh more than the bound
-at some index: each product drops them as it forms. That is reduction modulo
-a monomial ideal, so it is exact when every monomial of F weighs exactly the
-bound at every index. PolarizedForm checks this first, comparing F at a
-random integer point with F at the point's image under the torus, and where
-they disagree it expands F in full.
+Given a weight per index for each coordinate, as norm_form gives them, the
+expansion runs modulo the monomials that weigh more than the bound the
+weights imply (_bound) at some index: each product drops them as it forms.
+That is exact when every monomial of F weighs exactly the bound at every
+index. PolarizedForm checks this first, comparing F at a random integer
+point with F at the point's image under the torus, and where they disagree
+it expands F in full.
 
 The symmetric multilinear polarization F~ with F~(x, ..., x) = F(x) is a sum
-over the table: for a base B repeated q - m times and slots r_1..r_m,
+over the table: for slots r_1..r_m and a base B in the q - m positions
+they leave open,
 
     F~(B^(q-m), r_1, ..., r_m) = (q-m)!/q! * 1/denominator
         * sum c [t_1 ... t_m] prod_p (B_{i_p} + sum_s t_s r_s[i_p]),
@@ -65,14 +66,13 @@ class _Poly:
     """Sparse polynomial {sorted variable-index tuple: coefficient}, reduced
     modulo the monomials that weigh more than a bound at some index.
 
-    It has just the arithmetic a form's evaluator uses (+, -, *, ** and
-    comparison with 0), so running the evaluator on _Poly coordinates
-    expands the form. ``grading`` is _grading's (weight, bias, over),
-    shared by every polynomial of one expansion: a product of two monomials
-    is dropped when its weight, biased, sets a bit of ``over``. Weights are
-    never negative, so the dropped monomials span an ideal and each product
-    is reduced modulo it; with no indices, every weight is 0 and nothing is
-    dropped.
+    It has just the arithmetic a form's evaluator uses (+, -, * and **), so
+    running the evaluator on _Poly coordinates expands the form. ``grading``
+    is _grading's (weight, bias, over), shared by every polynomial of one
+    expansion: a product of two monomials is dropped when its weight,
+    biased, sets a bit of ``over``. Weights are never negative, so the
+    dropped monomials span an ideal and each product is reduced modulo it;
+    with no indices, every weight is 0 and nothing is dropped.
     """
 
     __slots__ = ("terms", "grading")
@@ -103,9 +103,6 @@ class _Poly:
     def __sub__(self, other):
         return self + -other
 
-    def __rsub__(self, other):
-        return -self + other
-
     def __mul__(self, other):
         if not isinstance(other, _Poly):
             if other == 0:
@@ -133,11 +130,6 @@ class _Poly:
         for _ in range(n):
             out = out * self
         return out
-
-    def __eq__(self, other):
-        return self.terms == _Poly.lift(other)
-
-    __hash__ = None
 
 
 class _Weights(dict):
@@ -197,29 +189,38 @@ def _semi_invariant(func, dim: int, weights, bound: int) -> bool:
     return func(image) == prod(d) ** bound * func(x)
 
 
-class PolarizedForm:
-    """A homogeneous form of known degree, compiled to its monomial table.
+def _bound(form, weights) -> int:
+    """q s / n: the weight a degree-q monomial carries at each of n indices
+    when it carries the same at all, s being the weight total every
+    coordinate shares. Raises ArityError when the weights do not fit."""
+    lengths, totals = {len(ws) for ws in weights}, {sum(ws) for ws in weights}
+    if len(weights) != form.dim or len(lengths) != 1 or len(totals) != 1:
+        raise ArityError(f"{form.name}: expected {form.dim} index weights of one "
+                         f"length and one total, got {len(weights)} of lengths "
+                         f"{sorted(lengths)} and totals {sorted(totals)}")
+    (n,), (s,) = lengths, totals
+    bound, rest = divmod(form.degree * s, n or 1)
+    if rest:
+        raise ArityError(f"{form.name}: degree {form.degree} times the weight "
+                         f"total {s} is not a multiple of {n} indices")
+    return bound
 
-    With weights (per coordinate, one weight per index) and a bound, the
-    table is expanded modulo the monomials that weigh more than the bound
-    at some index, when _semi_invariant finds that every monomial of func
-    weighs exactly the bound everywhere; otherwise, or without weights, it
-    is expanded in full.
-    """
+
+class PolarizedForm:
+    """A homogeneous form of known degree, compiled to its monomial table:
+    with weights (per coordinate, one weight per index), modulo the
+    monomials that weigh more than _bound at some index where
+    _semi_invariant allows it, and in full otherwise."""
 
     def __init__(self, degree: int, dim: int, func, name: str = "form",
-                 weights=None, bound: int | None = None):
+                 weights=None):
         self.degree = degree
         self.dim = dim
         self.func = func
         self.name = name
-        if weights is not None and (len(weights) != dim or bound is None):
-            raise ArityError(f"{name}: expected {dim} index weights and a "
-                             f"bound, got {len(weights)} and {bound}")
-        if weights is not None and len(set(map(len, weights))) > 1:
-            raise ArityError(f"{name}: index weights of unequal lengths "
-                             f"{sorted(set(map(len, weights)))}")
-        if weights is None or not _semi_invariant(func, dim, weights, bound):
+        bound = 0 if weights is None else _bound(self, weights)
+        # a bound of 0 drops no monomial: the table is expanded in full
+        if not bound or not _semi_invariant(func, dim, weights, bound):
             weights, bound = [()] * dim, 0
         grading = _grading(weights, bound)
         table = sorted(_Poly.lift(func(tuple(_Poly({(i,): 1}, grading)
@@ -334,19 +335,14 @@ def _contract(form: PolarizedForm, base, rest, gradient: bool = False):
     """F~(B^(q-m), r_1..r_m), or with gradient=True the covector slot (nums,
     den) of x -> F~(B^(q-1-m), r_1..r_m, x), in one pass over the table."""
     q = form.degree
-    m = len(rest)
-    free = q - m - gradient  # how often the base fills a slot
+    free = q - len(rest) - gradient  # how often the base fills a slot
     base, den = _cleared(form, base)
-    den = form.denominator * den ** free
-    slots = []
-    for r in rest:
-        r, d = _cleared(form, r)
-        den *= d
-        slots.append(r)
+    rest = [_cleared(form, r) for r in rest]
+    den = form.denominator * den ** free * prod(d for _, d in rest) * factorial(q)
     num = factorial(free)
-    den *= factorial(q)
     out = [0] * form.dim
-    total = _pass(q, m, int(gradient))(form.terms, base, slots, 0 in base, out)
+    total = _pass(q, len(rest), int(gradient))(
+        form.terms, base, [r for r, _ in rest], 0 in base, out)
     if not gradient:
         return value(total * num, den)
     return over(tuple([t * num for t in out]), den)
@@ -358,9 +354,8 @@ def pair_matrix(form: PolarizedForm, base):
     One pass over the table: each pair of positions of a monomial takes e_i
     and e_j in both orders, times the base at the other positions, so a
     monomial with more than two positions where B is 0 contributes nothing
-    (at the unit, most of them). The rows come in the number format
-    linalg.over decides: an int base gives int rows over one denominator in
-    lowest terms, a float base floats over 1.
+    (at the unit, most of them). The rows come in linalg.over's number
+    format: int rows over one denominator, or floats over 1.
     """
     q, dim = form.degree, form.dim
     if q < 2:
@@ -374,16 +369,20 @@ def pair_matrix(form: PolarizedForm, base):
 
 
 def full_polarize(form: PolarizedForm, args):
-    """F~(args_1, ..., args_q): the partial polarization with no base."""
-    return partial_polarize(form, ((0,) * form.dim, 1), 0, args)
+    """F~(args_1, ..., args_q): the slots fill every position, so the zero
+    base fills none."""
+    args = list(args)
+    if len(args) != form.degree:
+        raise ArityError(f"{len(args)} arguments for degree {form.degree}")
+    return partial_polarize(form, ((0,) * form.dim, 1), args)
 
 
-def partial_polarize(form: PolarizedForm, base, mult: int, rest):
-    """F~(base repeated mult times, rest_1, ..., rest_m)."""
+def partial_polarize(form: PolarizedForm, base, rest):
+    """F~(base, ..., base, rest_1, ..., rest_m), the base filling the
+    degree - m positions that rest leaves open."""
     rest = list(rest)
-    if mult < 0 or mult + len(rest) != form.degree:
-        raise ArityError(f"multiplicity {mult} plus {len(rest)} slots must "
-                         f"equal degree {form.degree}")
+    if len(rest) > form.degree:
+        raise ArityError(f"{len(rest)} slots exceed degree {form.degree}")
     return _contract(form, base, rest)
 
 

@@ -34,10 +34,10 @@ from .jordan import JordanSpec, JordanElement, identity, norm_form, reduced
 from .linalg import (LinearOperator, clear_row_denominators, combine, exact_det,
                      exact_inverse, ratio)
 from .polarization import PolarizedForm, covector_slot, pair_matrix, partial_polarize
-from .rng import sample_coords
+from .rng import DegenerateDraw, sample_coords
 
 
-class SingularPoint(ValueError):
+class SingularPoint(DegenerateDraw):
     """Raised when an operation needs Q(M) != 0 but Q(M) = 0."""
 
 
@@ -158,7 +158,7 @@ def reconstructed_product(fr: NormFrame, a: JordanElement,
     """A*B rebuilt from polarizations of Q (no matrix multiplication), as
     one combination of the closed formula's four terms."""
     k, q, unit = fr.q - 1, fr.q, fr.unit.cleared
-    cross = partial_polarize(fr.form, unit, q - 2, [a.cleared, b.cleared])
+    cross = partial_polarize(fr.form, unit, [a.cleared, b.cleared])
     sharped = sharp(fr, covector_slot(fr.form,
                                       [unit] * (q - 3) + [a.cleared, b.cleared]))
     return reduced(fr.spec, *combine(
@@ -183,7 +183,7 @@ def _structural_line_derivative(fr: NormFrame, a: JordanElement,
     q, unit = fr.q, fr.unit.cleared
     a_pair, b_pair = a.cleared, b.cleared
     c2_0 = unit_pairing(fr, b)
-    c2_d = (q - 1) * partial_polarize(fr.form, unit, q - 2, [a_pair, b_pair])
+    c2_d = (q - 1) * partial_polarize(fr.form, unit, [a_pair, b_pair])
     c4_d = q * unit_pairing(fr, a)
     phi_d = combine(
         ((q - 1) * c4_d, -(q - 1) * (q - 2),

@@ -25,6 +25,12 @@ from functools import lru_cache
 
 _MASK = (1 << 64) - 1
 
+
+class DegenerateDraw(ValueError):
+    """A draw that landed on a degenerate configuration: not a
+    counterexample, so the trial draws again."""
+
+
 COORD_LO = -9
 COORD_HI = 9
 # randint(lo, hi) reads words of span.bit_length() bits (not of

@@ -7,9 +7,9 @@ draws from a ``random.Random`` seeded by the 64-bit mix of
 (s, suite-of-c, id-of-c, i) (see rng.py), so results are reproducible and
 no trial depends on which trials ran before it. Aggregation is a pure
 max/all reduction over the trial list indexed by trial number. A trial whose
-draw is degenerate (a ``_RESAMPLE`` exception) runs its check body again on
-the rest of the same stream, up to 64 runs; ``_run_one_trial`` is the only
-place that draws again.
+draw is degenerate (an ``rng.DegenerateDraw``, the one ``_RESAMPLE`` type)
+runs its check body again on the rest of the same stream, up to 64 runs;
+``_run_one_trial`` is the only place that draws again.
 
 Most claims are sampled identities, stated once in their ``CHECKS`` entry
 beside the anchor: ``_ck_identity(operands, sides)`` draws one operand per
@@ -44,12 +44,10 @@ from .jordan import (JordanElement, JordanSpec, identity, jordan_mul,
                      jordan_rank, mult_operator, quadratic_rep, reduced)
 from .linalg import ratio, value
 from .polarization import covector_slot, partial_polarize
-from .reconstruction import (NormFrame, SingularPoint, derivative_product_oracle,
-                             frame, inner, orbit_map_derivative,
-                             reconstructed_product, sharp, structural_map, tau,
-                             tau_covector, unit_pairing)
-from .geometry import (DegenerateIntersection, SingularConfiguration,
-                       cone_vertex_stack, dual_point, expected_mult_kernel_dim,
+from .reconstruction import (NormFrame, derivative_product_oracle, frame, inner,
+                             orbit_map_derivative, reconstructed_product, sharp,
+                             structural_map, tau, tau_covector, unit_pairing)
+from .geometry import (cone_vertex_stack, dual_point, expected_mult_kernel_dim,
                        expected_tangent_rank, homogeneity_witness, mult_kernel_dim,
                        product_projection, rank_one_double_slot, sample_rank_one,
                        tangent_frame, tangent_intersection_dim, terracini_dim,
@@ -63,13 +61,13 @@ from .cubic import (adjoint, bracketing_residual, cayley_hamilton_sides,
                     scalar_reduction_sides, square_decomposition_sides,
                     unit_reduction_sides)
 from .report import FAIL, PASS, SKIP, CheckResult, VerificationReport
-from .rng import sample_coords, stream_rng
+from .rng import DegenerateDraw, sample_coords, stream_rng
 
 SUITES = ("algebra", "mccrimmon", "geometry", "symmetric", "severi", "negative")
 MODES = ("exact", "float")
 
 # a degenerate draw, not a counterexample: the trial runs its body again
-_RESAMPLE = (SingularConfiguration, SingularPoint, DegenerateIntersection)
+_RESAMPLE = (DegenerateDraw,)
 _RUNS = 64
 
 
@@ -240,9 +238,9 @@ def _tau_symmetry_sides(env, m, b, c):
     q, qm = fr.q, fr.norm(m)
     mc, bc, cc = m.cleared, b.cleared, c.cleared
     read = b.dot(*tau_covector(fr, m, c)) * qm * qm
-    closed = (q * partial_polarize(fr.form, mc, q - 1, [bc])
-              * partial_polarize(fr.form, mc, q - 1, [cc])
-              - (q - 1) * qm * partial_polarize(fr.form, mc, q - 2, [bc, cc]))
+    closed = (q * partial_polarize(fr.form, mc, [bc])
+              * partial_polarize(fr.form, mc, [cc])
+              - (q - 1) * qm * partial_polarize(fr.form, mc, [bc, cc]))
     return read, closed
 
 
@@ -285,7 +283,7 @@ def _ck_secant_membership(env, rng):
         r = jordan_rank(point, env.backend)
         if r < l + 1:
             # the random points were linearly degenerate; draw again
-            raise SingularConfiguration(f"degenerate secant sample at l={l}")
+            raise DegenerateDraw(f"degenerate secant sample at l={l}")
         if r != l + 1:
             return TrialOutcome(False, None, {"l": l, "rank": r})
     return TrialOutcome(True)

@@ -410,9 +410,9 @@ def closed_form_inner(fr, a: JordanElement, b: JordanElement):
     """<A,B> = q Q(I,..,I,A) Q(I,..,I,B) - (q-1) Q(I,..,I,A,B)."""
     q, unit = fr.q, fr.unit.cleared
     a, b = a.cleared, b.cleared
-    return (q * partial_polarize(fr.form, unit, q - 1, [a])
-            * partial_polarize(fr.form, unit, q - 1, [b])
-            - (q - 1) * partial_polarize(fr.form, unit, q - 2, [a, b]))
+    return (q * partial_polarize(fr.form, unit, [a])
+            * partial_polarize(fr.form, unit, [b])
+            - (q - 1) * partial_polarize(fr.form, unit, [a, b]))
 
 
 def closed_form_tau_covector(fr, m: JordanElement, x: JordanElement):
@@ -420,7 +420,7 @@ def closed_form_tau_covector(fr, m: JordanElement, x: JordanElement):
     - (q-1) Q(M,..,M,x,.) / Q(M), over Fractions."""
     q, qm = fr.q, Fraction(fr.norm(m))
     m, x = m.cleared, x.cleared
-    s = partial_polarize(fr.form, m, q - 1, [x])
+    s = partial_polarize(fr.form, m, [x])
     g = vector_values(covector_slot(fr.form, [m] * (q - 1)))
     w = vector_values(covector_slot(fr.form, [m] * (q - 2) + [x]))
     return tuple(q * s * gc / qm ** 2 - (q - 1) * wc / qm for gc, wc in zip(g, w))
@@ -622,7 +622,7 @@ def interpolated_line_derivative(fr, a: JordanElement, b: JordanElement):
     d4 = derivative_at_zero_weights(tuple(range(q + 1)))
     c1 = [vector_values(covector_slot(fr.form, [m_at(t)] * (q - 2) + [b_pair]))
           for t in range(q - 1)]
-    c2 = [partial_polarize(fr.form, m_at(t), q - 1, [b_pair]) for t in range(q)]
+    c2 = [partial_polarize(fr.form, m_at(t), [b_pair]) for t in range(q)]
     c3 = [vector_values(covector_slot(fr.form, [m_at(t)] * (q - 1))) for t in range(q)]
     c4 = [fr.form(m_at(t)) for t in range(q + 1)]
     c1_d = [sum(w * s[c] for w, s in zip(d1, c1)) for c in range(dim)]

@@ -46,6 +46,9 @@ def test_requires_degree_three():
     spec = JordanSpec(3, 1)
     with pytest.raises(ArityError):
         adjoint(frame(spec), identity(spec))
+    # the power words read only trilinear values, no covector
+    with pytest.raises(ArityError, match="needs a cubic norm"):
+        power_words(frame(spec), identity(spec), 3)
 
 
 def test_adjoint_of_unit():

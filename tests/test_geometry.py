@@ -1,6 +1,7 @@
 """Rank-one points, tangent spaces, secant dimensions, duality."""
 
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -29,15 +30,16 @@ from jordal.jordan import (
     JordanElement,
     JordanSpec,
     SpecMismatch,
+    from_entries,
     identity,
     jordan_mul,
     jordan_rank,
     outer_kernel,
     random_element,
 )
-from jordal.linalg import exact_rank
+from jordal.linalg import LinearOperator, exact_rank
 from jordal.polarization import PolarizedForm
-from jordal.reconstruction import frame
+from jordal.reconstruction import NormFrame, frame
 from jordal.rng import sample_coords, stream_rng
 from oracles import (_outer_sym, diagonal_element, rank_one_element, tangent_rows,
                      vector_values)
@@ -171,6 +173,10 @@ def test_terracini_measured():
         rng = stream_rng(52, "terr", k, delta)
         for l in range(k + 1):
             assert terracini_dim(spec, l, rng) == terracini_expected(spec, l)
+        # l counts the secants 0..k; any other l is rejected
+        for l in (-1, k + 1):
+            with pytest.raises(ValueError, match=rf"l must lie in \[0, {k}\]"):
+                terracini_dim(spec, l, rng)
 
 
 def test_secant_membership():
@@ -236,6 +242,32 @@ def test_dual_point_needs_invertible():
     singular = diagonal_element(spec, [1, 1, 0])
     with pytest.raises(SingularConfiguration):
         dual_point(fr, x, singular)
+
+
+def test_dual_point_needs_a_nonzero_pairing():
+    # A = [[0,1,0],[1,0,0],[0,0,1]] has Q(A) = -1, but its (1,1) cofactor,
+    # 3 Q(E_11, A, A), is 0, so x' has no value
+    spec = JordanSpec(2, 1)
+    a = from_entries(spec, lambda i, j: int(i == 2) if i == j else (int(i + j == 1),))
+    fr = frame(spec)
+    assert fr.norm(a) == -1
+    with pytest.raises(SingularConfiguration, match=r"Q\(x, A, \.\.\., A\) = 0"):
+        dual_point(fr, x=RankOnePoint(spec, [(1,), (0,), (0,)]), a=a)
+
+
+def test_dual_point_rejects_a_singular_hypersurface_point():
+    # no input reaches this guard through the norm: Q(A - t x) is linear in
+    # t for rank-one x, so the gradient at x' pairs with x to q Q(x, A, ..,
+    # A) != 0. The stand-in cubic F = (v1 - v0)^2 (v1 + v0) reaches it: with
+    # A = E_22 and x = E_11, x' = A + x is a double root of F(A - t x),
+    # where the gradient vanishes
+    spec = JordanSpec(2, 1)
+    form = PolarizedForm(3, spec.dim, lambda v: (v[1] - v[0]) ** 2 * (v[1] + v[0]),
+                         name="double-root")
+    fr = SimpleNamespace(q=3, form=form, norm=lambda e: form(e.cleared))
+    with pytest.raises(SingularConfiguration, match="singular hypersurface point"):
+        dual_point(fr, RankOnePoint(spec, [(1,), (0,), (0,)]),
+                   diagonal_element(spec, [0, 1, 0]))
 
 
 def test_homogeneity_witness():
@@ -312,6 +344,19 @@ def test_product_projection_is_the_product():
             except (DegenerateIntersection, SingularConfiguration):
                 continue
             assert p == jordan_mul(xa.element, xb.element)
+
+
+def test_product_projection_needs_a_nondegenerate_pairing():
+    # the trace form is positive definite, so the frame's own Gram matrix
+    # never reaches this guard; a zero one does, on a pair that projects
+    spec = JordanSpec(2, 1)
+    rng = stream_rng(59, "proj", 2, 1)
+    xa, xb = sample_rank_one(spec, rng), sample_rank_one(spec, rng)
+    assert product_projection(frame(spec), xa, xb) == jordan_mul(xa.element, xb.element)
+    fr = NormFrame(spec)
+    fr._gram = LinearOperator(((0,) * spec.dim,) * spec.dim, 1, "V", "V*")
+    with pytest.raises(DegenerateIntersection, match="orthogonal space"):
+        product_projection(fr, xa, xb)
 
 
 def test_product_projection_fixed_case():

@@ -24,6 +24,7 @@ from jordal.jordan import (
     norm_form,
     quadratic_rep,
     random_element,
+    reduced,
 )
 from jordal.linalg import LinearOperator
 from jordal.polarization import _grading, _Poly
@@ -138,6 +139,26 @@ def test_from_entries_layout():
     assert a.coords() == (1, 12, 23, 2, -2, 3, -3, 13, -13)
     with pytest.raises(SpecMismatch):
         JordanElement(spec, (0,) * (spec.dim - 1))
+
+
+def test_elements_of_other_specs_do_not_mix():
+    # (2,4) and (4,1) both have 15 coordinates, so their zeros hold the same
+    # numerators over the same denominator and differ only in their spec
+    a, b = (JordanElement(JordanSpec(k, d), (0,) * 15) for k, d in ((2, 4), (4, 1)))
+    assert a != b and not a == b
+    with pytest.raises(SpecMismatch, match="mixing specs"):
+        a + b
+    with pytest.raises(SpecMismatch, match="expected JordanElement, got int"):
+        a - 0
+    # an element equals no other type: == falls back to identity
+    assert a != 0 and not a == (0,) * 15
+
+
+def test_reduced_rejects_fraction_numerators():
+    # reduced takes int numerators: a Fraction among them raises, where
+    # dividing through to floats would change the number format
+    with pytest.raises(TypeError, match="got Fraction"):
+        reduced(JordanSpec(2, 2), (Fraction(1, 2),) + (0,) * 8, 2)
 
 
 def test_element_arithmetic():

@@ -166,6 +166,8 @@ def test_nullspace():
         # basis vectors are independent
         if basis:
             assert exact_rank(list(basis)) == len(basis)
+    # no rows: no columns to count, so no basis
+    assert exact_nullspace([]) == []
 
 
 @pytest.mark.parametrize("k, delta", [(2, 8), (3, 4)])
@@ -280,6 +282,11 @@ def test_over():
     # a float denominator divides int numerators too
     got, den = over((3, -6), 2.0)
     assert (got, den) == ((1.5, -3.0), 1) and all(type(v) is float for v in got)
+    # any other type is neither format: a Fraction numerator or denominator
+    # raises instead of turning into floats
+    for nums, den in (((Fraction(1, 2), 0), 2), ((1, 0.5), Fraction(1, 3))):
+        with pytest.raises(TypeError, match="got Fraction"):
+            over(nums, den)
 
 
 def test_proportional():

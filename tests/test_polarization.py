@@ -70,9 +70,9 @@ def test_collapse_to_form_value():
     f = cube_form()
     x = pair((2, -3))
     assert full_polarize(f, [x, x, x]) == f(x)
-    assert partial_polarize(f, x, 3, []) == f(x)
-    assert partial_polarize(f, x, 2, [x]) == f(x)
-    assert partial_polarize(f, x, 0, [x, x, x]) == f(x)
+    assert partial_polarize(f, x, []) == f(x)
+    assert partial_polarize(f, x, [x]) == f(x)
+    assert partial_polarize(f, x, [x, x, x]) == f(x)
 
 
 def test_partial_matches_full():
@@ -84,7 +84,7 @@ def test_partial_matches_full():
         base = pair(sample_coords(rng, spec.dim))
         rest = [pair(sample_coords(rng, spec.dim)) for _ in range(2)]
         full_args = [base] * (q - 2) + rest
-        assert partial_polarize(form, base, q - 2, rest) == \
+        assert partial_polarize(form, base, rest) == \
             full_polarize(form, full_args)
 
 
@@ -123,7 +123,7 @@ def test_rational_arguments():
     f = cube_form()
     x = pair((Fraction(1, 2), Fraction(-1, 3)))
     assert f(x) == Fraction(1, 8) - Fraction(1, 27)
-    assert partial_polarize(f, x, 2, [pair((1, 1))]) == \
+    assert partial_polarize(f, x, [pair((1, 1))]) == \
         full_polarize(f, [x, x, pair((1, 1))])
 
 
@@ -202,7 +202,11 @@ def test_arity_errors():
     with pytest.raises(ArityError):
         full_polarize(f, pairs([(1, 0), (0, 1)]))
     with pytest.raises(ArityError):
-        partial_polarize(f, pair((1, 0)), 2, pairs([(0, 1), (1, 1)]))
+        full_polarize(f, pairs([(1, 0)] * 4))
+    # the base fills the positions the slots leave open, so only more
+    # slots than the degree are wrong
+    with pytest.raises(ArityError, match="4 slots exceed degree 3"):
+        partial_polarize(f, pair((1, 0)), pairs([(0, 1)] * 4))
     with pytest.raises(ArityError):
         covector_slot(f, pairs([(1, 0)]))
     # a bare tuple of values is not a pair, whatever its length
@@ -210,7 +214,7 @@ def test_arity_errors():
         with pytest.raises(ArityError):
             f(bare)
     with pytest.raises(ArityError):
-        partial_polarize(f, pair((1, 0)), 2, [(0, 1)])
+        partial_polarize(f, pair((1, 0)), [(0, 1)])
     with pytest.raises(ArityError):
         covector_slot(f, [(1, 0), (0, 1)])
 
@@ -276,7 +280,7 @@ def test_table_matches_inclusion_exclusion(k, delta, kind):
     assert_agrees(form(pair(base)), form.func(exact(base)), kind)
     for mult in range(q + 1):
         slots = rest[:q - mult]
-        assert_agrees(partial_polarize(form, pair(base), mult, pairs(slots)),
+        assert_agrees(partial_polarize(form, pair(base), pairs(slots)),
                       inclusion_exclusion_polarize(
                           form, exact(base), mult, [exact(r) for r in slots]),
                       kind)
@@ -313,7 +317,7 @@ def test_every_slot_count_matches_inclusion_exclusion(k, delta, kind):
         slots = pool[:m]
         want = inclusion_exclusion_polarize(form, exact(point), q - m,
                                             [exact(r) for r in slots])
-        assert_agrees(partial_polarize(form, pair(point), q - m, pairs(slots)),
+        assert_agrees(partial_polarize(form, pair(point), pairs(slots)),
                       want, kind)
         if m == q:
             continue
@@ -438,9 +442,10 @@ def test_every_monomial_weighs_two_at_every_index(k, delta):
 
 
 def test_semi_invariance_holds_at_3_8_and_not_at_4_8(monkeypatch):
-    # norm_form passes index_weights and the bound 2, and the check lets it
-    # truncate at (3,8); at (4,8) the trace-defined Q has monomials of other
-    # weights, which the check sees without building the table
+    # norm_form passes index_weights, the form works out the bound 2, and
+    # the check lets it truncate at (3,8); at (4,8) the trace-defined Q has
+    # monomials of other weights, which the check sees without building the
+    # table
     seen = []
 
     def recording(func, dim, weights, bound):
@@ -464,26 +469,54 @@ def test_weighted_forms_truncate_only_when_semi_invariant():
     assert (x1 * x1).terms == {} and (x0 * x1).terms == {}
     x1 = _Poly({(1,): 1}, _grading([(), ()], 0))
     assert (x1 * x1).terms == {(1, 1): 1}
-    # x0^2 + x0 x1 + x1^2 is not semi-invariant: its full table
+    # both rows total 2 over 2 indices, so a degree-2 monomial weighs
+    # 2 * 2 / 2 = 2 at each; x0^2 + x0 x1 + x1^2 is not semi-invariant: its
+    # full table
     f = PolarizedForm(2, 2, lambda v: v[0] * v[0] + v[0] * v[1] + v[1] * v[1],
-                      weights=weights, bound=2)
+                      weights=weights)
     assert f.terms == (((0, 0), 1), ((0, 1), 1), ((1, 1), 1))
     # (x0 + x1)(x0 - x1) + x1^2 = x0^2 is: its cross terms are dropped on
     # the way and the table is still exact
     g = PolarizedForm(2, 2, lambda v: (v[0] + v[1]) * (v[0] - v[1]) + v[1] * v[1],
-                      weights=weights, bound=2)
+                      weights=weights)
     assert g.terms == (((0, 0), 1),)
     with pytest.raises(ValueError):
         _grading([(3, 0), (0, 1)], 2)
-    with pytest.raises(ArityError):
-        PolarizedForm(2, 2, lambda v: v[0] * v[1], weights=weights)
+
+
+def test_bound_is_worked_out_from_the_weights(monkeypatch):
+    # degree times the shared weight total over the index count: 2 for Q at
+    # every shape, 3 * 2 / 2 = 3 for a cubic with rows totalling 2
+    seen = []
+    monkeypatch.setattr(polarization, "_semi_invariant",
+                        lambda func, dim, weights, bound: not seen.append(bound))
+    for k, delta in ((2, 1), (3, 2), (4, 1)):
+        spec = JordanSpec(k, delta)
+        PolarizedForm(spec.degree, spec.dim, norm_form(spec).func,
+                      weights=index_weights(spec))
+    PolarizedForm(3, 2, lambda v: v[0] ** 3, weights=[(2, 0), (1, 1)])
+    assert seen == [2, 2, 2, 3]
+    # weights that are all 0, or of no index, give the full table unchecked
+    PolarizedForm(2, 2, lambda v: v[0] * v[1], weights=[(0, 0), (0, 0)])
+    PolarizedForm(2, 2, lambda v: v[0] * v[1], weights=[(), ()])
+    assert seen == [2, 2, 2, 3]
+
+
+def test_weights_that_fit_no_bound_are_rejected():
+    xy = lambda v: v[0] * v[1]  # noqa: E731
+    with pytest.raises(ArityError, match="expected 2 index weights"):
+        PolarizedForm(2, 2, xy, weights=[(1, 1)])
+    with pytest.raises(ArityError, match=r"totals \[2, 3\]"):
+        PolarizedForm(2, 2, xy, weights=[(1, 1), (2, 1)])
+    with pytest.raises(ArityError, match="not a multiple of 2 indices"):
+        PolarizedForm(3, 2, lambda v: v[0] * v[1] * v[1], weights=[(1, 0), (0, 1)])
 
 
 def test_ragged_index_weights_are_rejected():
     # x0 x1 weighs 2 at the one index both rows share, so the form looks
     # semi-invariant, and the second row's extra index would be dropped
-    with pytest.raises(ArityError, match="unequal lengths"):
-        PolarizedForm(2, 2, lambda v: v[0] * v[1], weights=[(1,), (1, 1)], bound=2)
+    with pytest.raises(ArityError, match=r"lengths \[1, 2\]"):
+        PolarizedForm(2, 2, lambda v: v[0] * v[1], weights=[(1,), (1, 1)])
 
 
 # ---------------------------------------------------------------------------

@@ -381,6 +381,22 @@ def test_degenerate_runs_are_drawn_again_from_the_same_stream():
     assert len(streams) == 3 and len({id(rng) for rng in streams}) == 1
 
 
+def test_secant_membership_draws_again_below_its_rank_and_fails_above(monkeypatch):
+    # a sum of l + 1 rank-one points of rank below l + 1 is a degenerate draw;
+    # of rank above it, a counterexample
+    import jordal.runner as runner
+    from jordal.rng import DegenerateDraw, stream_rng
+
+    env = RunEnv(small_config())
+    check = next(c for c in CHECKS if c.id == "secant-membership")
+    monkeypatch.setattr(runner, "jordan_rank", lambda point, backend: 0)
+    with pytest.raises(DegenerateDraw, match="degenerate secant sample at l=0"):
+        check.run(env, stream_rng(0, "secant"))
+    monkeypatch.setattr(runner, "jordan_rank", lambda point, backend: 5)
+    assert check.run(env, stream_rng(0, "secant")) == \
+        TrialOutcome(False, None, {"l": 0, "rank": 5})
+
+
 def test_a_trial_gives_up_after_64_degenerate_runs():
     runs = []
 
